@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
 """Search the fours group for a subset whose square has no unique product.
 
-Strategies:
+A command-line front end to `groupeq.up.search_nonup_witness` and
+`groupeq.up.anneal_nonup_witness`.  Strategies:
   exhaustive  breadth-first over symmetric subset sizes, complete in the ball
   anneal      simulated annealing, fixed seed; --no-symmetric drops the
               S = S^-1 restriction and anneals over arbitrary subsets
+
+The fours group is torsion-free, so a symmetric set without the identity
+has even size; the symmetric anneal rejects an odd --max-size.
 
 The exhaustive symmetric run at radius 3 finishes in seconds and proves
 there is no symmetric witness of size <= 14 in that ball.  Witnesses do
@@ -16,84 +20,12 @@ seconds via
 """
 
 import argparse
-import math
-import random
 import sys
 import time
 
-import numpy as np
-
 from groupeq.backends import FoursGroup
 from groupeq.config import DEFAULT_CAPS
-from groupeq.up import naive_no_unique_product, search_nonup_witness, up_check
-
-
-def anneal(group, radius, size, budget_ms, seed, extra_gens, symmetric):
-    rng = random.Random(seed)
-    caps = DEFAULT_CAPS.with_overrides(radius=2 * radius, ball_size=10 ** 6)
-    gens = list(group.generators())
-    if extra_gens:
-        a, b = group.generators()
-        gens.append(a * b)
-    ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
-    big = sorted(group.ball(2 * radius, gens, caps), key=group.sort_key)
-    index = {e: i for i, e in enumerate(big)}
-    n = len(ball)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, x in enumerate(ball):
-        for j, y in enumerate(ball):
-            table[i, j] = index[x * y]
-    ident = group.identity()
-    if symmetric:
-        atoms, used = [], set()
-        for e in ball:
-            if e == ident or e in used:
-                continue
-            used.add(e)
-            used.add(~e)
-            atoms.append((ball.index(e), ball.index(~e)))
-        slots = size // 2
-    else:
-        atoms = [(i,) for i in range(len(ball))]
-        slots = size
-    print(f"ball({radius}): {n} elements, {len(atoms)} atoms, "
-          f"{'symmetric' if symmetric else 'asymmetric'} mode")
-
-    def indices(sel):
-        out = []
-        for s in sel:
-            out.extend(atoms[s])
-        return out
-
-    def unique_count(idx):
-        sub = table[np.ix_(idx, idx)]
-        counts = np.bincount(sub.ravel(), minlength=len(big))
-        return int(np.count_nonzero(counts[sub] == 1))
-
-    deadline = time.monotonic() + budget_ms / 1000.0
-    best = (10 ** 9, None)
-    restarts = 0
-    while time.monotonic() < deadline:
-        restarts += 1
-        cur = rng.sample(range(len(atoms)), slots)
-        cur_val = unique_count(indices(cur))
-        temp = 8.0
-        for _ in range(8000):
-            temp = max(0.05, temp * 0.999)
-            pos = rng.randrange(slots)
-            cand = rng.randrange(len(atoms))
-            if cand in cur:
-                continue
-            trial = cur.copy()
-            trial[pos] = cand
-            val = unique_count(indices(trial))
-            if val <= cur_val or rng.random() < math.exp((cur_val - val) / temp):
-                cur, cur_val = trial, val
-            if cur_val < best[0]:
-                best = (cur_val, cur.copy())
-            if cur_val == 0:
-                return [ball[i] for i in indices(cur)], restarts, best
-    return None, restarts, best
+from groupeq.up import anneal_nonup_witness, search_nonup_witness, up_check
 
 
 def main() -> int:
@@ -108,34 +40,40 @@ def main() -> int:
     ap.add_argument("--no-symmetric", action="store_true",
                     help="anneal over arbitrary subsets instead of S = S^-1 shapes")
     args = ap.parse_args()
+    symmetric = not args.no_symmetric
+    if args.strategy == "anneal" and symmetric and args.max_size % 2:
+        ap.error("the symmetric anneal needs an even --max-size "
+                 "(the fours group is torsion-free)")
 
     group = FoursGroup()
+    gens = None
+    if args.with_ab_generator:
+        a, b = group.generators()
+        gens = [a, b, a * b]
     start = time.monotonic()
     if args.strategy == "exhaustive":
-        gens = None
-        if args.with_ab_generator:
-            a, b = group.generators()
-            gens = [a, b, a * b]
         caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=2 * args.radius)
         res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
         print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.1f}s")
         print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
-        witness = res.witness
     else:
-        witness, restarts, best = anneal(
-            group, args.radius, args.max_size, args.budget_ms, args.seed,
-            args.with_ab_generator, not args.no_symmetric,
-        )
-        print(f"{restarts} restarts in {time.monotonic()-start:.1f}s; best unique-count {best[0]}")
+        caps = DEFAULT_CAPS.with_overrides(
+            budget_ms=args.budget_ms, radius=2 * args.radius, ball_size=10 ** 6)
+        res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed,
+                                   gens=gens, symmetric=symmetric, caps=caps)
+        print(f"ball({args.radius}): {res.ball_size} elements, {res.atom_count} atoms, "
+              f"{'symmetric' if symmetric else 'asymmetric'} mode")
+        print(f"{res.restarts} restarts in {time.monotonic()-start:.1f}s; "
+              f"best unique-count {res.best_unique_count}")
 
+    witness = res.witness
     if witness is None:
         print("no witness found within the caps (honest exhaustion or budget)")
         return 1
     print(f"witness of size {len(witness)}:")
     for w in sorted(str(x) for x in witness):
         print(f"  {w}")
-    rep = up_check(witness, witness)
-    ok = rep.unique_count == 0 and naive_no_unique_product(witness)
+    ok = res.verified and up_check(witness, witness).unique_count == 0
     print(f"re-verified by census and naive recount: {ok}")
     return 0 if ok else 2
 

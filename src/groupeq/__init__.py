@@ -64,7 +64,10 @@ from .finite_solver import (
     verify_certificate,
 )
 from .up import (
+    AnnealResult,
+    ProductCensus,
     UPReport,
+    anneal_nonup_witness,
     naive_no_unique_product,
     search_nonup_witness,
     strojnowski_check,

@@ -37,10 +37,6 @@ class ElementOrder:
     value: Optional[int] = None
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
-
-    @property
     def is_infinite(self) -> bool:
         return self.kind == "infinite"
 
@@ -782,9 +778,6 @@ class FreeAbelianGroup(Group):
 
     def orderable_certificate(self) -> Optional[str]:
         return "lexicographic order on Z^r is a bi-invariant total order"
-
-    def order_key(self, x: GroupElement) -> tuple:
-        return x.payload
 
     def are_conjugate(self, x: GroupElement, y: GroupElement) -> bool:
         return x == y

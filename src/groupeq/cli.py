@@ -137,12 +137,6 @@ def _pres_struct(p: Presentation) -> dict:
     return p.to_struct()
 
 
-def _leveled_struct(w: eqmod.LeveledWord) -> list:
-    return [
-        [lvl, fi, w.group.factors[fi].format_element(el)] for lvl, fi, el in w.syllables
-    ]
-
-
 # ---------------------------------------------------------------------------
 # command implementations: (status, result, exit_code)
 

@@ -585,11 +585,6 @@ def bruteforce_min_form6(
 # system (7)
 
 
-def _copy_names(group: FreeProductGroup, indices: Sequence[int]) -> dict[int, tuple[str, ...]]:
-    mangled = group._mangled()
-    return {fi: mangled[fi] for fi in indices}
-
-
 def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
     """The shift-plus-equation system over the windowed copies of H and K.
 

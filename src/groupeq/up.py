@@ -1,17 +1,21 @@
 """Finite-subset unique-product machinery.
 
 Censuses are exact: products are keyed by canonical forms, never hashed
-probabilistically.  The witness search targets the fours group but runs on
-any backend with decidable equality.
+probabilistically.  The witness searches target the fours group but run on
+any backend with decidable equality.  Both of them, the exhaustive
+symmetric search (`search_nonup_witness`) and the seeded anneal
+(`anneal_nonup_witness`), count S*S products with one engine,
+`ProductCensus`: a product table over a sorted ball, built once, and plain
+integer counts updated as atoms enter and leave S.
 """
 
 from __future__ import annotations
 
+import math
+import random
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .backends import Group, GroupElement
 from .config import DEFAULT_CAPS, Caps
@@ -219,6 +223,81 @@ def naive_no_unique_product(S: Sequence[GroupElement]) -> bool:
     return all(c >= 2 for c in counts.values())
 
 
+
+
+class ProductCensus:
+    """Exact S*S product counts for a subset S of a ball, kept up to date
+    one atom at a time; the one counting engine behind the witness searches.
+
+    The ball is sorted by the group's sort key and ball indices stand for
+    elements.  The product table maps (i, j) to the index of ball[i]*ball[j]
+    in the sorted ball(2 * radius), built once.  `atoms` are the inverse
+    pairs of the ball without the identity, an involution forming a
+    1-element atom, in ball order.  `counts[k]` is the number of ordered
+    pairs of S whose product is element k, and S has a unique product iff
+    some count is 1.  `add` and `remove` touch only the products of the
+    elements they move, with no branches in the loop.
+    """
+
+    def __init__(
+        self,
+        group: Group,
+        radius: int,
+        gens: Optional[Sequence[GroupElement]] = None,
+        caps: Caps = DEFAULT_CAPS,
+    ):
+        self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
+        big = sorted(group.ball(2 * radius, gens, caps.with_overrides(radius=2 * radius)), key=group.sort_key)
+        index = {e: i for i, e in enumerate(big)}
+        self.rows = [[index[x * y] for y in self.ball] for x in self.ball]
+        self.cols = [list(col) for col in zip(*self.rows)]
+        position = {e: i for i, e in enumerate(self.ball)}
+        self.identity = position[group.identity()]
+        self.atoms: list[tuple[int, ...]] = []
+        used = {self.identity}
+        for i, e in enumerate(self.ball):
+            if i in used:
+                continue
+            j = position[~e]
+            used.update((i, j))
+            self.atoms.append((i,) if i == j else (i, j))
+        self.counts = [0] * len(big)
+        self.members: list[int] = []
+
+    def add(self, atom: tuple[int, ...]) -> None:
+        """Put the atom's elements, none of them in S yet, into S."""
+        counts, members = self.counts, self.members
+        for i in atom:
+            row, col = self.rows[i], self.cols[i]
+            for m in members:
+                counts[row[m]] += 1
+                counts[col[m]] += 1
+            counts[row[i]] += 1
+            members.append(i)
+
+    def remove(self, atom: tuple[int, ...]) -> None:
+        """Take the atom's elements, all of them in S, out of S."""
+        counts, members = self.counts, self.members
+        for i in atom:
+            members.remove(i)
+            row, col = self.rows[i], self.cols[i]
+            counts[row[i]] -= 1
+            for m in members:
+                counts[row[m]] -= 1
+                counts[col[m]] -= 1
+
+    def clear(self) -> None:
+        self.counts = [0] * len(self.counts)
+        self.members = []
+
+    def unique_count(self) -> int:
+        """Elements of S*S with exactly one factorization."""
+        return self.counts.count(1)
+
+    def subset(self) -> tuple[GroupElement, ...]:
+        return tuple(self.ball[i] for i in self.members)
+
+
 def search_nonup_witness(
     group: Group,
     radius: int,
@@ -229,35 +308,14 @@ def search_nonup_witness(
     """Search symmetric subsets S = S^-1 of ball(radius) with up to `maxsize`
     elements such that S*S has no uniquely decomposable element.
 
-    Breadth-first over subset size; subsets are unions of inverse pairs (plus
-    optionally the identity), enumerated in lexicographic order of the sorted
-    atom list, so the first witness is deterministic.  Any witness found is
-    re-verified with an independent naive census.
+    Breadth-first over subset size; subsets are unions of atoms (plus
+    optionally the identity), enumerated depth first in lexicographic order
+    of the atom list, so the first witness is deterministic.  Any witness
+    found is re-verified with an independent naive census.
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
-    ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
-    big = sorted(group.ball(2 * radius, gens, caps.with_overrides(radius=2 * radius)), key=group.sort_key)
-    index = {e: i for i, e in enumerate(big)}
-    n = len(ball)
-    table = np.empty((n, n), dtype=np.int32)
-    for i, x in enumerate(ball):
-        for j, y in enumerate(ball):
-            table[i, j] = index[x * y]
-    ident = group.identity()
-    atoms: list[tuple[int, ...]] = []
-    used = set()
-    for e in ball:
-        if e == ident or e in used:
-            continue
-        inv = ~e
-        used.add(e)
-        used.add(inv)
-        if inv == e:
-            atoms.append((ball.index(e),))
-        else:
-            atoms.append((ball.index(e), ball.index(inv)))
-    ident_idx = ball.index(ident)
+    census = ProductCensus(group, radius, gens, caps)
 
     tested = 0
     exhausted: list[int] = []
@@ -266,29 +324,22 @@ def search_nonup_witness(
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
 
-    minlen = len(big)
-
     for size in range(2, maxsize + 1):
         if out_of_time():
             truncated.append(size)
             continue
         hit_deadline = False
         for with_ident in (False, True):
-            pair_budget = size - (1 if with_ident else 0)
-            if pair_budget < 0:
-                continue
-            for combo in _atom_combinations(atoms, pair_budget):
+            census.clear()
+            if with_ident:
+                census.add((census.identity,))
+            for _ in _atom_subsets(census, size - (1 if with_ident else 0)):
                 if tested % 2048 == 0 and out_of_time():
                     hit_deadline = True
                     break
-                idx = [ident_idx] if with_ident else []
-                for a in combo:
-                    idx.extend(a)
                 tested += 1
-                sub = table[np.ix_(idx, idx)]
-                counts = np.bincount(sub.ravel(), minlength=minlen)
-                if not np.any(counts[sub] == 1):
-                    witness = tuple(ball[i] for i in idx)
+                if census.unique_count() == 0:
+                    witness = census.subset()
                     ok = naive_no_unique_product(witness)
                     elapsed = int((time.monotonic() - start) * 1000)
                     return WitnessSearchResult(
@@ -304,18 +355,96 @@ def search_nonup_witness(
     return WitnessSearchResult(None, False, tuple(exhausted), tuple(truncated), tested, elapsed)
 
 
-def _atom_combinations(atoms: list[tuple[int, ...]], budget: int):
-    """Atom subsets whose sizes sum to `budget`, in lexicographic order."""
+def _atom_subsets(census: ProductCensus, budget: int):
+    """Load each atom subset whose sizes sum to `budget` into the census, in
+    lexicographic order, yielding once per subset while it is loaded."""
+    atoms = census.atoms
 
-    def rec(start: int, left: int, acc: list):
+    def rec(start: int, left: int):
         if left == 0:
-            yield tuple(acc)
+            yield
             return
         for i in range(start, len(atoms)):
             a = atoms[i]
             if len(a) <= left:
-                acc.append(a)
-                yield from rec(i + 1, left - len(a), acc)
-                acc.pop()
+                census.add(a)
+                yield from rec(i + 1, left - len(a))
+                census.remove(a)
 
-    yield from rec(0, budget, [])
+    yield from rec(0, budget)
+
+
+@dataclass(frozen=True)
+class AnnealResult:
+    witness: Optional[tuple[GroupElement, ...]]
+    verified: bool
+    restarts: int
+    best_unique_count: Optional[int]  # None when no step ran
+    ball_size: int
+    atom_count: int
+
+
+def anneal_nonup_witness(
+    group: Group,
+    radius: int,
+    size: int,
+    seed: int,
+    gens: Optional[Sequence[GroupElement]] = None,
+    symmetric: bool = True,
+    caps: Caps = DEFAULT_CAPS,
+) -> AnnealResult:
+    """Simulated annealing for a subset S of ball(radius) whose square has no
+    uniquely decomposable element.
+
+    Symmetric mode anneals over `size // 2` atoms of the census (S = S^-1
+    without the identity); asymmetric mode over `size` single elements.
+    Each restart draws a random start and runs 8000 steps with geometric
+    cooling from temperature 8; a step swaps one slot for an unused atom and
+    undoes the swap if the Metropolis rule rejects it.  Restarts continue
+    until a witness turns up or `caps.budget_ms` runs out.  The run is
+    deterministic for a given seed up to that deadline, and any witness is
+    re-verified with an independent naive census.
+    """
+    rng = random.Random(seed)
+    census = ProductCensus(group, radius, gens, caps)
+    if symmetric:
+        atoms = census.atoms
+        slots = size // 2
+    else:
+        atoms = [(i,) for i in range(len(census.ball))]
+        slots = size
+
+    deadline = time.monotonic() + caps.budget_ms / 1000.0
+    best: Optional[int] = None
+    restarts = 0
+    while time.monotonic() < deadline:
+        restarts += 1
+        cur = rng.sample(range(len(atoms)), slots)
+        census.clear()
+        for s in cur:
+            census.add(atoms[s])
+        cur_val = census.unique_count()
+        temp = 8.0
+        for _ in range(8000):
+            temp = max(0.05, temp * 0.999)
+            pos = rng.randrange(slots)
+            cand = rng.randrange(len(atoms))
+            if cand in cur:
+                continue
+            census.remove(atoms[cur[pos]])
+            census.add(atoms[cand])
+            val = census.unique_count()
+            if val <= cur_val or rng.random() < math.exp((cur_val - val) / temp):
+                cur[pos], cur_val = cand, val
+            else:
+                census.remove(atoms[cand])
+                census.add(atoms[cur[pos]])
+            if best is None or cur_val < best:
+                best = cur_val
+            if cur_val == 0:
+                witness = census.subset()
+                return AnnealResult(
+                    witness, naive_no_unique_product(witness), restarts, best,
+                    len(census.ball), len(atoms),
+                )
+    return AnnealResult(None, False, restarts, best, len(census.ball), len(atoms))

@@ -31,9 +31,6 @@ class Ambient:
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("letter names must be distinct")
 
-    def sources(self) -> tuple:
-        return tuple(range(len(self.factors))) + self.letters
-
     def describe(self) -> str:
         parts = [f.describe() for f in self.factors]
         parts += [f"<{nm}>" for nm in self.letters]
@@ -141,15 +138,9 @@ class FPWord:
     def syllable_length(self) -> int:
         return len(self.syllables)
 
-    def letter_sum(self, name: str) -> int:
-        return sum(v for s, v in self.syllables if s == name)
-
     def letter_length(self, name: str) -> int:
         """Occurrences of name^{+-1} in the reduced word."""
         return sum(abs(v) for s, v in self.syllables if s == name)
-
-    def sources_used(self) -> set:
-        return {s for s, _ in self.syllables}
 
     # -- normal-form geometry
 

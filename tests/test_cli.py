@@ -1,7 +1,9 @@
 import io
 import json
+import os
 import random
 import string
+import subprocess
 import sys
 
 import pytest
@@ -200,3 +202,13 @@ def test_cli_fuzz_binary_garbage():
         blob = "".join(chr(rng.randrange(32, 1000)) for _ in range(rng.randrange(0, 60)))
         report, code = run("up-check", {"sets": "X,Y"}, blob)
         assert code in (0, 1, 2)
+
+
+def test_cli_import_leaves_numpy_out():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    subprocess.run(
+        [sys.executable, "-c", "import groupeq.cli, sys; assert 'numpy' not in sys.modules"],
+        env=env, check=True,
+    )

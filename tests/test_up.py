@@ -1,9 +1,17 @@
-import random
+import functools
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupeq.backends import FreeAbelianGroup
+from groupeq.backends import FoursGroup, FreeAbelianGroup, klein_four_group
+from groupeq.config import DEFAULT_CAPS
 from groupeq.up import (
+    ProductCensus,
+    anneal_nonup_witness,
     naive_no_unique_product,
     search_nonup_witness,
     strojnowski_check,
@@ -188,3 +196,79 @@ def test_search_witness_reverifies_independently(klein):
     res = search_nonup_witness(klein, radius=1, maxsize=4)
     rep = up_check(res.witness, res.witness)
     assert rep.unique_count == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _census(name):
+    if name == "klein":
+        return ProductCensus(klein_four_group(), 1)
+    return ProductCensus(FoursGroup(), 2)
+
+
+def test_census_atoms_keep_involutions_single(klein):
+    census = ProductCensus(klein, 1)
+    assert len(census.ball) == 4
+    assert census.atoms == [(i,) for i in range(4) if i != census.identity]
+    fours = _census("fours")
+    assert all(len(a) == 2 for a in fours.atoms)
+    assert 2 * len(fours.atoms) + 1 == len(fours.ball)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["klein", "fours"]),
+    symmetric=st.booleans(),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=40),
+)
+def test_census_matches_up_check_under_add_remove(name, symmetric, picks):
+    # toggling atoms in and out in any order keeps the counts exact
+    census = _census(name)
+    census.clear()
+    if symmetric:
+        pool = census.atoms + [(census.identity,)]
+    else:
+        pool = [(i,) for i in range(len(census.ball))]
+    present = []
+    for p in picks:
+        atom = pool[p % len(pool)]
+        if atom in present:
+            present.remove(atom)
+            census.remove(atom)
+        else:
+            present.append(atom)
+            census.add(atom)
+        S = [census.ball[i] for a in present for i in a]
+        assert sorted(census.members) == sorted(i for a in present for i in a)
+        if S:
+            assert census.unique_count() == up_check(S, S).unique_count
+        else:
+            assert census.unique_count() == 0
+        assert (census.unique_count() == 0) == naive_no_unique_product(S)
+
+
+@pytest.mark.parametrize("symmetric,size", [(True, 4), (False, 2)])
+def test_anneal_on_klein_finds_verified_witness(klein, symmetric, size):
+    caps = DEFAULT_CAPS.with_overrides(budget_ms=30_000)
+    res = anneal_nonup_witness(klein, 1, size, seed=3, symmetric=symmetric, caps=caps)
+    assert res.witness is not None and res.verified
+    # symmetric mode anneals over size // 2 atoms, and Klein atoms are
+    # single involutions
+    assert len(res.witness) == (size // 2 if symmetric else size)
+    assert naive_no_unique_product(res.witness)
+    assert res.restarts == 1 and res.best_unique_count == 0
+    assert (res.ball_size, res.atom_count) == (4, 3 if symmetric else 4)
+    if symmetric:
+        assert {~x for x in res.witness} == set(res.witness)
+
+
+def test_witness_script_rejects_odd_symmetric_anneal():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "search_fours_witness.py"),
+         "--strategy", "anneal", "--max-size", "13"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "even --max-size" in proc.stderr
