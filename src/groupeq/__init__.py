@@ -77,12 +77,9 @@ from .up import (
     verify_up4_implies_strong,
 )
 from .words import (
-    Ambient,
-    FPWord,
     Presentation,
     amalgam,
     conjugate_into,
-    conjugate_words,
     hnn,
     in_subfreeproduct,
     is_conjugate_to_constant,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Any, Iterable, Optional, Sequence
 
@@ -561,18 +562,97 @@ class PermutationGroup(Group):
 
 
 # ---------------------------------------------------------------------------
+# syllable words: the one normal form of free groups and free products
+
+
+class SyllableGroup(Group):
+    """Backends whose payloads are reduced syllable words.
+
+    A payload is a tuple of (source, value) syllables, adjacent sources
+    distinct and no value trivial: (generator index, nonzero exponent) in a
+    free group, (factor index, nonidentity element) in a free product.
+    Subclasses say how two values of one source merge; products, cyclic
+    reduction and conjugacy are shared.
+    """
+
+    def identity(self) -> GroupElement:
+        return GroupElement(self, ())
+
+    @abstractmethod
+    def _merge(self, src: Any, x: Any, y: Any) -> Any:
+        """The value of x followed by y at one source, or None when trivial."""
+
+    @abstractmethod
+    def _conjugate_syllables(self, s: tuple, r: tuple) -> bool:
+        """Conjugacy of two one-syllable words."""
+
+    def _normal(self, sylls: Iterable[tuple[Any, Any]]) -> tuple:
+        """Reduce a syllable sequence whose values are all nontrivial."""
+        out: list = []
+        for src, val in sylls:
+            if out and out[-1][0] == src:
+                val = self._merge(src, out.pop()[1], val)
+                if val is None:
+                    continue
+            out.append((src, val))
+        return tuple(out)
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        # both operands are reduced, so cancellation happens only at the seam
+        k, l, n = len(a), 0, len(b)
+        while k and l < n and a[k - 1][0] == b[l][0]:
+            src = b[l][0]
+            val = self._merge(src, a[k - 1][1], b[l][1])
+            if val is not None:
+                return a[:k - 1] + ((src, val),) + b[l + 1:]
+            k -= 1
+            l += 1
+        return a[:k] + b[l:]
+
+    def cyclically_reduce(self, x: GroupElement) -> tuple[GroupElement, GroupElement]:
+        """(core, z) with x = z * core * z^-1 and core cyclically reduced.
+
+        Border syllables are peeled from the left, so the conjugator is
+        deterministic.
+        """
+        core, z = x.payload, ()
+        while len(core) >= 2 and core[0][0] == core[-1][0]:
+            head = core[:1]
+            core = self._mul(core[1:], head)
+            z = self._mul(z, head)
+        return GroupElement(self, core), GroupElement(self, z)
+
+    def are_conjugate(self, x: GroupElement, y: GroupElement) -> bool:
+        if x.group != self or y.group != self:
+            raise GroupMismatchError(f"conjugacy of elements of {x.group} and {y.group} tested in {self}")
+        cx = self.cyclically_reduce(x)[0].payload
+        cy = self.cyclically_reduce(y)[0].payload
+        if len(cx) != len(cy):
+            return False
+        if not cx:
+            return True
+        if len(cx) == 1:
+            return self._conjugate_syllables(cx[0], cy[0])
+        return any(cy[r:] + cy[:r] == cx for r in range(len(cy)))
+
+
+# ---------------------------------------------------------------------------
 # free groups
 
 
-class FreeGroup(Group):
-    """Free group on named generators; elements are reduced (gen, exp) words."""
+class FreeGroup(SyllableGroup):
+    """Free group on named generators; elements are reduced (gen, exp) words.
+
+    Rank 0 (no names) is the trivial group, the relator group of a
+    presentation without generators.
+    """
 
     kind = "free"
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
-        if not names or len(set(names)) != len(names):
-            raise ValueError("generator names must be nonempty and distinct")
+        if len(set(names)) != len(names):
+            raise ValueError("generator names must be distinct")
         for nm in names:
             if not nm or any(ch.isspace() for ch in nm) or "^" in nm:
                 raise ValueError(f"bad generator name {nm!r}")
@@ -582,25 +662,11 @@ class FreeGroup(Group):
     def _key(self) -> tuple:
         return self.names
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, ())
+    def _merge(self, g: int, x: int, y: int) -> Optional[int]:
+        return (x + y) or None
 
-    @staticmethod
-    def _reduce(word: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-        out: list[list[int]] = []
-        for g, e in word:
-            if e == 0:
-                continue
-            if out and out[-1][0] == g:
-                out[-1][1] += e
-                if out[-1][1] == 0:
-                    out.pop()
-            else:
-                out.append([g, e])
-        return tuple((g, e) for g, e in out)
-
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        return self._reduce(itertools.chain(a, b))
+    def _conjugate_syllables(self, s: tuple, r: tuple) -> bool:
+        return s == r
 
     def _inv(self, a: tuple) -> tuple:
         return tuple((g, -e) for g, e in reversed(a))
@@ -611,7 +677,7 @@ class FreeGroup(Group):
             raw = [(idx[nm], int(e)) for nm, e in items]
         except KeyError as exc:
             raise ValueError(f"unknown generator {exc.args[0]!r}") from exc
-        return GroupElement(self, self._reduce(raw))
+        return GroupElement(self, self._normal((g, e) for g, e in raw if e))
 
     def gens(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, ((i, 1),)) for i in range(self.rank))
@@ -639,29 +705,6 @@ class FreeGroup(Group):
     @staticmethod
     def length(x: GroupElement) -> int:
         return sum(abs(e) for _, e in x.payload)
-
-    def cyclically_reduce(self, x: GroupElement) -> tuple[GroupElement, GroupElement]:
-        """(core, z) with x = z * core * z^-1 and core cyclically reduced."""
-        core = x
-        z = self.identity()
-        while True:
-            w = core.payload
-            if len(w) >= 2 and w[0][0] == w[-1][0]:
-                head = GroupElement(self, (w[0],))
-                core = (~head) * core * head
-                z = z * head
-            else:
-                return core, z
-
-    def are_conjugate(self, x: GroupElement, y: GroupElement) -> bool:
-        cx, _ = self.cyclically_reduce(x)
-        cy, _ = self.cyclically_reduce(y)
-        lx, ly = self.letters(cx), self.letters(cy)
-        if len(lx) != len(ly):
-            return False
-        if not lx:
-            return True
-        return any(ly[i:] + ly[:i] == lx for i in range(len(ly)))
 
     def sort_key(self, x: GroupElement) -> tuple:
         letters = self.letters(x)
@@ -993,35 +1036,7 @@ class FoursGroup(Group):
 # free products
 
 
-def _freeproduct_reduce(factors, sylls):
-    out: list[tuple[int, GroupElement]] = []
-    for i, el in sylls:
-        if el.is_identity:
-            continue
-        if out and out[-1][0] == i:
-            prod = out[-1][1] * el
-            out.pop()
-            if not prod.is_identity:
-                out.append((i, prod))
-        else:
-            out.append((i, el))
-    return tuple(out)
-
-
-def _freeproduct_cyclic_reduce(g: "FreeProductGroup", x: GroupElement):
-    """(core, z) with x = z * core * z^-1, core cyclically reduced."""
-    core, z = x, g.identity()
-    while True:
-        w = core.payload
-        if len(w) >= 2 and w[0][0] == w[-1][0]:
-            head = GroupElement(g, (w[0],))
-            core = (~head) * core * head
-            z = z * head
-        else:
-            return core, z
-
-
-class FreeProductGroup(Group):
+class FreeProductGroup(SyllableGroup):
     """Free product of backends; elements are alternating syllable words."""
 
     kind = "free-product"
@@ -1032,28 +1047,38 @@ class FreeProductGroup(Group):
             raise ValueError("free product needs at least one factor")
         self.factors = factors
 
+    @cached_property
+    def _ids(self) -> tuple:
+        """Identity payload of each factor."""
+        return tuple(f.identity().payload for f in self.factors)
+
     def _key(self) -> tuple:
         return self.factors
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, ())
+    def _merge(self, i: int, x: GroupElement, y: GroupElement) -> Optional[GroupElement]:
+        f = self.factors[i]
+        p = f._mul(x.payload, y.payload)
+        return None if p == self._ids[i] else GroupElement(f, p)
 
-    def _mul(self, a: tuple, b: tuple) -> tuple:
-        return _freeproduct_reduce(self.factors, itertools.chain(a, b))
+    def _conjugate_syllables(self, s: tuple, r: tuple) -> bool:
+        return s[0] == r[0] and self.factors[s[0]].are_conjugate(s[1], r[1])
 
     def _inv(self, a: tuple) -> tuple:
-        return tuple((i, ~el) for i, el in reversed(a))
+        return tuple((i, GroupElement(el.group, el.group._inv(el.payload))) for i, el in reversed(a))
+
+    def _nontrivial(self, i: int, el: GroupElement) -> bool:
+        """Validate the syllable (i, el); True when el is not the identity."""
+        if not 0 <= i < len(self.factors):
+            raise ValueError(f"no factor {i} in {self.describe()}")
+        if el.group != self.factors[i]:
+            raise GroupMismatchError("syllable element does not live in that factor")
+        return el.payload != self._ids[i]
 
     def embed(self, i: int, el: GroupElement) -> GroupElement:
-        if el.group != self.factors[i]:
-            raise GroupMismatchError("embed: element does not live in that factor")
-        return GroupElement(self, () if el.is_identity else ((i, el),))
+        return GroupElement(self, ((i, el),) if self._nontrivial(i, el) else ())
 
-    def word(self, sylls: Sequence[tuple[int, GroupElement]]) -> GroupElement:
-        for i, el in sylls:
-            if el.group != self.factors[i]:
-                raise GroupMismatchError("syllable element in wrong factor")
-        return GroupElement(self, _freeproduct_reduce(self.factors, sylls))
+    def word(self, sylls: Iterable[tuple[int, GroupElement]]) -> GroupElement:
+        return GroupElement(self, self._normal((i, el) for i, el in sylls if self._nontrivial(i, el)))
 
     def generators(self) -> tuple[GroupElement, ...]:
         out = []
@@ -1062,7 +1087,7 @@ class FreeProductGroup(Group):
         return tuple(out)
 
     def element_order(self, x: GroupElement) -> ElementOrder:
-        core, _ = _freeproduct_cyclic_reduce(self, x)
+        core, _ = self.cyclically_reduce(x)
         w = core.payload
         if not w:
             return finite_order(1)
@@ -1077,22 +1102,6 @@ class FreeProductGroup(Group):
         if any(fl is False for fl in flags):
             return False
         return None
-
-    def are_conjugate(self, x: GroupElement, y: GroupElement) -> bool:
-        cx, _ = _freeproduct_cyclic_reduce(self, x)
-        cy, _ = _freeproduct_cyclic_reduce(self, y)
-        wx, wy = cx.payload, cy.payload
-        if len(wx) != len(wy):
-            return False
-        if not wx:
-            return True
-        if len(wx) == 1:
-            (i, a), (j, b) = wx[0], wy[0]
-            return i == j and self.factors[i].are_conjugate(a, b)
-        for r in range(len(wy)):
-            if wy[r:] + wy[:r] == wx:
-                return True
-        return False
 
     def sort_key(self, x: GroupElement) -> tuple:
         return (len(x.payload), tuple((i, self.factors[i].sort_key(el)) for i, el in x.payload))

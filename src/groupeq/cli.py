@@ -21,9 +21,8 @@ from . import up as upmod
 from .backends import FreeProductGroup
 from .config import Caps, load_caps
 from .dsl import Session, parse_script
-from .errors import GroupEqError, ParseError
+from .errors import ConfigError, GroupEqError, ParseError
 from .report import SCHEMA, canonical_json, fmt_elem, fmt_elems, make_report, render_text
-from .words import Presentation
 
 COMMANDS = (
     "classify",
@@ -133,10 +132,6 @@ def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:
     return eqmod.Split.of(e.group, h, k)
 
 
-def _pres_struct(p: Presentation) -> dict:
-    return p.to_struct()
-
-
 # ---------------------------------------------------------------------------
 # command implementations: (status, result, exit_code)
 
@@ -187,7 +182,7 @@ def _run_emit_ky(sess: Session, args: dict, caps: Caps):
     re = gen.coset_rewrite(ge)
     ys = _cosets(sess, ge, args.get("cosets")) or [ge.vargroup.identity()]
     pres = gen.emit_ky(re, ys, args.get("witness_var", "t~"))
-    return "ok", {"presentation": _pres_struct(pres), "text": pres.to_text()}, 0
+    return "ok", {"presentation": pres.to_struct(), "text": pres.to_text()}, 0
 
 
 def _run_emit_solution_group(sess: Session, args: dict, caps: Caps):
@@ -196,7 +191,7 @@ def _run_emit_solution_group(sess: Session, args: dict, caps: Caps):
     ys = _cosets(sess, ge, args.get("cosets")) or [ge.vargroup.identity()]
     window = args.get("window")
     pres = gen.emit_solution_group(re, ys, 1 if window is None else window, args.get("witness_var", "t~"))
-    return "ok", {"presentation": _pres_struct(pres), "text": pres.to_text()}, 0
+    return "ok", {"presentation": pres.to_struct(), "text": pres.to_text()}, 0
 
 
 def _run_reduce(sess: Session, args: dict, caps: Caps):
@@ -290,7 +285,7 @@ def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
         }, 0
     window = args.get("window")
     pres = eqmod.emit_system_7(res.form6, caps.window if window is None else window)
-    return "ok", {"kind": "form6", "presentation": _pres_struct(pres), "text": pres.to_text()}, 0
+    return "ok", {"kind": "form6", "presentation": pres.to_struct(), "text": pres.to_text()}, 0
 
 
 def _run_up_check(sess: Session, args: dict, caps: Caps):
@@ -494,7 +489,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
-    caps = _caps_from_args(ns)
+    try:
+        caps = _caps_from_args(ns)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     report, code = run_command(ns.command, _command_args(ns), script, caps)
     if ns.format == "structured":
         print(canonical_json(report))
@@ -514,7 +513,12 @@ def _verify(path: str) -> int:
     if stored.get("schema") != SCHEMA:
         print("unknown report schema", file=sys.stderr)
         return 2
-    fresh, _ = run_command(stored["command"], stored["args"], stored["script"], load_caps())
+    try:
+        caps = load_caps()
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    fresh, _ = run_command(stored["command"], stored["args"], stored["script"], caps)
     match = canonical_json(fresh) == canonical_json(stored)
     print("verified: reports match" if match else "MISMATCH: report does not reproduce")
     return 0 if match else 1

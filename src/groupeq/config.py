@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -38,11 +40,27 @@ CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 
 
 def load_caps(path: str | None = None) -> Caps:
-    """Read caps from a JSON file, or from $GROUPEQ_CONFIG, or defaults."""
+    """Read caps from a JSON file, or from $GROUPEQ_CONFIG, or defaults.
+
+    A named file must exist and hold one JSON object whose keys are cap
+    names and whose values are integers; anything else raises ConfigError.
+    """
     path = path or os.environ.get(CONFIG_ENV_VAR)
-    if not path or not os.path.exists(path):
+    if not path:
         return DEFAULT_CAPS
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    known = {k: data[k] for k in data if k in Caps.__dataclass_fields__}
-    return DEFAULT_CAPS.with_overrides(**known)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config file {path!r} must hold a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(Caps)})
+    if unknown:
+        raise ConfigError(f"unknown config key(s) in {path!r}: {', '.join(unknown)}")
+    for key, value in data.items():
+        if type(value) is not int:
+            raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
+    return DEFAULT_CAPS.with_overrides(**data)

@@ -93,6 +93,8 @@ def _parse_group_atom(sess: Session, expr: str, line: int) -> Group:
     try:
         if expr.startswith("free(") and expr.endswith(")"):
             names = [t.strip() for t in expr[5:-1].split(",") if t.strip()]
+            if not names:
+                raise ValueError("a free group needs at least one generator")
             return FreeGroup(tuple(names))
         if expr.startswith("zn(") and expr.endswith(")"):
             return FreeAbelianGroup(int(expr[3:-1]))

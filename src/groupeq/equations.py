@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .backends import FreeProductGroup, Group, GroupElement
+from .backends import FreeGroup, FreeProductGroup, Group, GroupElement
 from .config import DEFAULT_CAPS, Caps
 from .errors import (
     EquationError,
@@ -30,17 +30,11 @@ from .errors import (
     SymbolClashError,
     WindowError,
 )
-from .words import (
-    Ambient,
-    FPWord,
-    Presentation,
-    conjugate_into,
-    conjugate_words,
-    is_conjugate_to_constant,
-    presentation_of,
-)
+from .words import Presentation, conjugate_into, is_conjugate_to_constant, presentation_of
 
 T_LETTER = "t"
+# the infinite cyclic group of the unknown; equation words live in G * T
+T = FreeGroup((T_LETTER,))
 
 SINGULAR = "singular"
 NONSINGULAR = "nonsingular"
@@ -67,29 +61,22 @@ class Equation:
             if e == 0:
                 raise EquationError("exponents must be nonzero")
 
-    def ambient(self) -> Ambient:
-        return Ambient((self.group,), (T_LETTER,))
+    def word_group(self) -> FreeProductGroup:
+        return FreeProductGroup((self.group, T))
 
-    def word(self) -> FPWord:
-        items = []
-        for g, e in self.terms:
-            items.append((0, g))
-            items.append((T_LETTER, e))
-        return FPWord.build(self.ambient(), items)
+    def word(self) -> GroupElement:
+        """The word g_1 t^{e_1} ... g_n t^{e_n} in G * T."""
+        return _t_word(self.word_group(), [(() if g.is_identity else ((0, g),), e) for g, e in self.terms])
 
-    def refined_ambient(self) -> Ambient:
+    def refined_group(self) -> FreeProductGroup:
+        """H_1 * ... * H_k * T for G = H_1 * ... * H_k."""
         if not isinstance(self.group, FreeProductGroup):
             raise EquationError("refined words need a free-product coefficient group")
-        return Ambient(self.group.factors, (T_LETTER,))
+        return FreeProductGroup(self.group.factors + (T,))
 
-    def refined_word(self) -> FPWord:
+    def refined_word(self) -> GroupElement:
         """The word with G-coefficients split into their factor syllables."""
-        amb = self.refined_ambient()
-        items = []
-        for g, e in self.terms:
-            items.extend(g.payload)
-            items.append((T_LETTER, e))
-        return FPWord.build(amb, items)
+        return _t_word(self.refined_group(), [(g.payload, e) for g, e in self.terms])
 
     def exponent_sum(self) -> int:
         return sum(e for _, e in self.terms)
@@ -103,6 +90,37 @@ class Equation:
         return Equation(self.group, tuple(rebuilt))
 
 
+def _t_power(k: int) -> GroupElement:
+    return GroupElement(T, ((0, k),) if k else ())
+
+
+def _t_in(group: FreeProductGroup) -> GroupElement:
+    """The letter t of a group whose last factor is T."""
+    return GroupElement(group, ((len(group.factors) - 1, _t_power(1)),))
+
+
+def _t_exponent(val: GroupElement) -> int:
+    """k for the value t^k of a T-syllable."""
+    return val.payload[0][1]
+
+
+def _t_word(group: FreeProductGroup, terms: Sequence[tuple[tuple, int]]) -> GroupElement:
+    """c_1 t^{e_1} ... c_n t^{e_n} in group, whose last factor is T, from
+    coefficient payloads c_i and nonzero e_i.
+
+    The syllables are already reduced unless an interior coefficient is
+    trivial and two powers of t meet, so only then is the word re-reduced.
+    """
+    ti = len(group.factors) - 1
+    sylls: list = []
+    for c, e in terms:
+        sylls.extend(c)
+        sylls.append((ti, _t_power(e)))
+    if all(c for c, _ in terms[1:]):
+        return GroupElement(group, tuple(sylls))
+    return GroupElement(group, group._normal(sylls))
+
+
 @dataclass(frozen=True)
 class Classification:
     length: int
@@ -114,7 +132,7 @@ class Classification:
 def classify(e: Equation) -> Classification:
     w = e.word()
     sigma = e.exponent_sum()
-    length = w.letter_length(T_LETTER)
+    length = sum(abs(_t_exponent(v)) for i, v in w.payload if i == 1)
     if sigma == 0:
         kind = SINGULAR
     elif sigma in (1, -1):
@@ -130,14 +148,13 @@ def universal_solution_group(e: Equation) -> Presentation:
     if T_LETTER in pres.generators:
         raise SymbolClashError("the coefficient group already uses the letter t")
     gens = pres.generators + (T_LETTER,)
-    out = Presentation(gens, (), pres.backing)
-    amb = out.ambient()
-    rels = [FPWord.build(amb, r.syllables) for r in pres.relators]
+    F = Presentation(gens, ()).group()
+    rels = [F.word(r.group.express(r)) for r in pres.relators]
     items: list[tuple[str, int]] = []
     for g, exp in e.terms:
         items.extend(e.group.express(g))
         items.append((T_LETTER, exp))
-    rels.append(FPWord.build(amb, items))
+    rels.append(F.word(items))
     return Presentation(gens, tuple(rels), pres.backing)
 
 
@@ -206,13 +223,23 @@ class LeveledWord:
     def h_levels(self, split: Split) -> list[int]:
         return [l for l, fi, _ in self.syllables if fi in split.h]
 
-    def expand(self, ambient: Ambient) -> FPWord:
-        items: list = []
+    def expand(self, group: FreeProductGroup) -> GroupElement:
+        """prod t^-l x t^l in the refined group H_1 * ... * H_k * T.
+
+        Adjacent syllables differ in (level, factor), so the syllables
+        written here are already reduced.
+        """
+        ti = len(group.factors) - 1
+        sylls: list = []
+        prev = 0
         for l, fi, el in self.syllables:
-            items.append((T_LETTER, -l))
-            items.append((fi, el))
-            items.append((T_LETTER, l))
-        return FPWord.build(ambient, items)
+            if prev != l:
+                sylls.append((ti, _t_power(prev - l)))
+            sylls.append((fi, el))
+            prev = l
+        if prev:
+            sylls.append((ti, _t_power(prev)))
+        return GroupElement(group, tuple(sylls))
 
     def __str__(self) -> str:
         if not self.syllables:
@@ -290,18 +317,19 @@ class _CyclicHNN:
         return "form6" if pp == 1 and mm == 0 else "other"
 
 
-def _initial_hnn(core: FPWord) -> tuple[list[int], list[list], tuple]:
-    sylls = core.syllables
-    ti = next((i for i, (s, _) in enumerate(sylls) if s == T_LETTER), None)
+def _initial_hnn(core: GroupElement, tsrc: int) -> tuple[list[int], list[list], tuple]:
+    sylls = core.payload
+    ti = next((i for i, (s, _) in enumerate(sylls) if s == tsrc), None)
     if ti is None:
         raise InternalError("core word has no t letters")
     rot = sylls[ti:] + sylls[:ti]
     letters: list[int] = []
     pieces: list[list] = []
     for src, val in rot:
-        if src == T_LETTER:
-            s = 1 if val > 0 else -1
-            for _ in range(abs(val)):
+        if src == tsrc:
+            k = _t_exponent(val)
+            s = 1 if k > 0 else -1
+            for _ in range(abs(k)):
                 letters.append(s)
                 pieces.append([])
         else:
@@ -338,20 +366,20 @@ class Form6:
     sigma_inverted: bool
     side_conditions: SideConditions
 
-    def expand(self) -> FPWord:
-        amb = self.equation.refined_ambient()
-        t = FPWord.letter(amb, T_LETTER)
-        out = self.c.expand(amb) * t
+    def expand(self) -> GroupElement:
+        group = self.equation.refined_group()
+        t = _t_in(group)
+        out = self.c.expand(group) * t
         for b, a in self.pairs:
-            out = out * b.expand(amb) * (~t) * a.expand(amb) * t
+            out = out * b.expand(group) * (~t) * a.expand(group) * t
         return out
 
-    def c_word(self) -> FPWord:
-        return self.c.expand(self.equation.refined_ambient())
+    def c_word(self) -> GroupElement:
+        return self.c.expand(self.equation.refined_group())
 
-    def pair_words(self) -> tuple[tuple[FPWord, FPWord], ...]:
-        amb = self.equation.refined_ambient()
-        return tuple((b.expand(amb), a.expand(amb)) for b, a in self.pairs)
+    def pair_words(self) -> tuple[tuple[GroupElement, GroupElement], ...]:
+        group = self.equation.refined_group()
+        return tuple((b.expand(group), a.expand(group)) for b, a in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -363,8 +391,8 @@ class LengthOneForm:
     equation: Equation
     sigma_inverted: bool
 
-    def u_word(self) -> FPWord:
-        return self.u.expand(self.equation.refined_ambient())
+    def u_word(self) -> GroupElement:
+        return self.u.expand(self.equation.refined_group())
 
 
 @dataclass(frozen=True)
@@ -374,7 +402,7 @@ class NormalFormResult:
     length_one: Optional[LengthOneForm] = None
 
 
-def _prepare(e: Equation, split: Split) -> tuple[Equation, bool, FPWord]:
+def _prepare(e: Equation, split: Split) -> tuple[Equation, bool, GroupElement]:
     sigma = e.exponent_sum()
     if sigma == -1:
         e, inverted = e.inverted(), True
@@ -387,18 +415,18 @@ def _prepare(e: Equation, split: Split) -> tuple[Equation, bool, FPWord]:
     if split.h | split.k != set(range(len(e.group.factors))):
         raise EquationError("split does not match the group's factors")
     w = e.refined_word()
-    allowed = set(split.h) | {T_LETTER}
+    allowed = set(split.h) | {len(e.group.factors)}
     if conjugate_into(w, allowed):
         raise EquationOverFactorError("the word is conjugate into H * <t>")
     return e, inverted, w
 
 
-def _leveled_span(rot: Sequence, split: Split) -> int:
+def _leveled_span(rot: Sequence, split: Split, tsrc: int) -> int:
     cum = 0
     lvls = []
     for src, val in rot:
-        if src == T_LETTER:
-            cum += val
+        if src == tsrc:
+            cum += _t_exponent(val)
         elif src in split.k:
             lvls.append(-cum)
     if not lvls:
@@ -421,11 +449,12 @@ def normal_form_6(
     """
     e, inverted, w = _prepare(e, split)
     group: FreeProductGroup = e.group  # type: ignore[assignment]
-    core, _ = w.cyclic_reduce()
-    letters0, pieces0, rot = _initial_hnn(core)
+    tsrc = len(group.factors)
+    core, _ = w.group.cyclically_reduce(w)
+    letters0, pieces0, rot = _initial_hnn(core, tsrc)
     if sum(letters0) != 1:
         raise InternalError("exponent sum deviated from +1")
-    span = _leveled_span(rot, split)
+    span = _leveled_span(rot, split, tsrc)
 
     result: Optional[NormalFormResult] = None
     for m in range(span + 1):
@@ -480,16 +509,16 @@ def _extract_form6(word: _CyclicHNN, e: Equation, split: Split, inverted: bool, 
     if not side.all_pass:
         raise InternalError("reduced pieces violate the membership conditions")
     f = Form6(m, n, c, tuple(pairs), split, e, inverted, side)
-    if not conjugate_words(f.expand(), e.refined_word()):
+    w = e.refined_word()
+    if not w.group.are_conjugate(f.expand(), w):
         raise InternalError("expansion is not conjugate to the input word")
     return f
 
 
 def _check_expansion_length_one(lf: LengthOneForm) -> None:
-    amb = lf.equation.refined_ambient()
-    t = FPWord.letter(amb, T_LETTER)
-    expansion = t * ~lf.u.expand(amb)
-    if not conjugate_words(expansion, lf.equation.refined_word()):
+    group = lf.equation.refined_group()
+    expansion = _t_in(group) * ~lf.u.expand(group)
+    if not group.are_conjugate(expansion, lf.equation.refined_word()):
         raise InternalError("length-one expansion is not conjugate to the input word")
 
 
@@ -514,18 +543,19 @@ def _rotation_strings(e: Equation, split: Split) -> list[list[tuple[int, int, Gr
     """Leveled strings of t^-1 * (rotation of the cyclic core), one per
     factor-syllable anchor; t-anchored rotations are shift-equivalent."""
     w = e.refined_word()
-    core, _ = w.cyclic_reduce()
-    sylls = core.syllables
+    tsrc = len(e.group.factors)
+    core, _ = w.group.cyclically_reduce(w)
+    sylls = core.payload
     out = []
     for i, (src, _) in enumerate(sylls):
-        if src == T_LETTER:
+        if src == tsrc:
             continue
         rot = sylls[i:] + sylls[:i]
         cum = 0
         string = []
         for s, v in rot:
-            if s == T_LETTER:
-                cum += v
+            if s == tsrc:
+                cum += _t_exponent(v)
             else:
                 string.append((-cum, s, v))
         out.append(string)
@@ -615,29 +645,28 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
         for nm in group.factors[fi].presentation_data().names:
             for lvl in range(0, f.m + 1):
                 gens.append(copy_name(fi, nm, lvl))
-    pres = Presentation(tuple(gens), ())
-    amb = pres.ambient()
-    x = FPWord.letter(amb, var)
-    rels: list[FPWord] = []
+    F = Presentation(tuple(gens), ()).group()
+    x = F.gen(var)
+    rels: list[GroupElement] = []
     for fi in sorted(f.split.h):
         for nm in group.factors[fi].presentation_data().names:
             for lvl in range(-window, window):
-                g_i = FPWord.letter(amb, copy_name(fi, nm, lvl))
-                g_next = FPWord.letter(amb, copy_name(fi, nm, lvl + 1))
+                g_i = F.gen(copy_name(fi, nm, lvl))
+                g_next = F.gen(copy_name(fi, nm, lvl + 1))
                 rels.append((~x) * g_i * x * (~g_next))
     for fi in sorted(f.split.k):
         for nm in group.factors[fi].presentation_data().names:
             for lvl in range(0, f.m):
-                g_i = FPWord.letter(amb, copy_name(fi, nm, lvl))
-                g_next = FPWord.letter(amb, copy_name(fi, nm, lvl + 1))
+                g_i = F.gen(copy_name(fi, nm, lvl))
+                g_next = F.gen(copy_name(fi, nm, lvl + 1))
                 rels.append((~x) * g_i * x * (~g_next))
 
-    def piece_word(w: LeveledWord) -> FPWord:
+    def piece_word(w: LeveledWord) -> GroupElement:
         items: list[tuple[str, int]] = []
         for lvl, fi, el in w.syllables:
             for nm, e in group.factors[fi].express(el):
                 items.append((copy_name(fi, nm, lvl), e))
-        return FPWord.build(amb, items)
+        return F.word(items)
 
     main = piece_word(f.c) * x
     for b, a in f.pairs:

@@ -9,6 +9,10 @@ class GroupMismatchError(GroupEqError):
     """Operands live in different groups (or different ambients)."""
 
 
+class ConfigError(GroupEqError):
+    """A cap configuration file is missing, malformed or names unknown caps."""
+
+
 class CapExceededError(GroupEqError):
     """A configured search/size cap would be exceeded."""
 

@@ -35,9 +35,7 @@ from .errors import (
 )
 from .equations import Equation
 from .up import strong_up_check, up_check
-from .words import Ambient, FPWord, Presentation, presentation_of
-
-T_LETTER = "t"
+from .words import Presentation, presentation_of
 
 
 @dataclass(frozen=True)
@@ -55,17 +53,16 @@ class GeneralizedEquation:
             if t.group != self.vargroup:
                 raise GroupMismatchError("variable entry outside T")
 
-    def ambient(self) -> Ambient:
-        return Ambient((self.group, self.vargroup), ())
+    def word_group(self) -> FreeProductGroup:
+        return FreeProductGroup((self.group, self.vargroup))
 
-    def word(self) -> FPWord:
+    def word(self) -> GroupElement:
         """The defining word in G * T."""
-        amb = self.ambient()
         items = []
         for g, t in self.pairs:
             items.append((0, g))
             items.append((1, t))
-        return FPWord.build(amb, items)
+        return self.word_group().word(items)
 
 
 def total_product(ge: GeneralizedEquation) -> GroupElement:
@@ -226,8 +223,8 @@ class RewrittenEquation:
     terms: tuple[tuple[GroupElement, GroupElement, int], ...]  # (g_i, c_{x_i}, k_i)
     sign: int = 1
 
-    def ambient(self) -> Ambient:
-        return Ambient((self.group, self.vargroup), ())
+    def word_group(self) -> FreeProductGroup:
+        return FreeProductGroup((self.group, self.vargroup))
 
     def coset_reps(self) -> tuple[GroupElement, ...]:
         seen: list[GroupElement] = []
@@ -236,12 +233,13 @@ class RewrittenEquation:
                 seen.append(c)
         return tuple(sorted(seen, key=self.vargroup.sort_key))
 
-    def expansion(self) -> FPWord:
-        amb = self.ambient()
-        out = FPWord.factor(amb, 1, self.t ** self.sign)
+    def expansion(self) -> GroupElement:
+        """The word in G * T that this rewriting stands for."""
+        G1 = self.word_group()
+        out = G1.embed(1, self.t ** self.sign)
         for g, c, k in self.terms:
             e = c * self.t ** k
-            out = out * FPWord.factor(amb, 1, ~e) * FPWord.factor(amb, 0, g) * FPWord.factor(amb, 1, e)
+            out = out * G1.embed(1, ~e) * G1.embed(0, g) * G1.embed(1, e)
         return out
 
 
@@ -331,6 +329,14 @@ def conjugate_family(re: RewrittenEquation, xs: Sequence[GroupElement]) -> tuple
 
 
 def _label(T: Group, c: GroupElement) -> str:
+    """Spelling of a coset representative inside generator names.
+
+    It has no whitespace and no '^', so the names parse back from the text
+    format, and differs for different representatives: a free-group word
+    reads x.y(-3) for x y^-3, a vector reads (1,-2).
+    """
+    if isinstance(T, FreeGroup):
+        return ".".join(nm if e == 1 else f"{nm}({e})" for nm, e in T.express(c)) or "1"
     return T.format_element(c).replace(" ", "")
 
 
@@ -367,16 +373,14 @@ def emit_ky(
         ren = _copy_gen_names(G, _label(T, c))
         gens.extend(ren[nm] for nm in gdata.names)
     gens.append(witness_var)
-    pres = Presentation(tuple(gens), ())
-    amb = pres.ambient()
-    tt = FPWord.letter(amb, witness_var)
-    rels: list[FPWord] = []
+    F = Presentation(tuple(gens), ()).group()
+    tt = F.gen(witness_var)
+    rels: list[GroupElement] = []
     for w_y in family:
         word = tt ** w_y.sign
         for g, c, k in w_y.terms:
             ren = _copy_gen_names(G, _label(T, c))
-            items = [(ren[nm], e) for nm, e in G.express(g)]
-            body = FPWord.build(amb, items)
+            body = F.word([(ren[nm], e) for nm, e in G.express(g)])
             word = word * (tt ** (-k)) * body * (tt ** k)
         rels.append(word)
     return Presentation(tuple(gens), tuple(rels))
@@ -402,11 +406,9 @@ def emit_solution_group(
     if clash:
         raise WindowError(f"generator names clash between T and the copies: {clash}")
     gens = tpres.generators + ky.generators
-    pres = Presentation(tuple(gens), ())
-    amb = pres.ambient()
-    rels = [FPWord.build(amb, r.syllables) for r in tpres.relators]
-    rels += [FPWord.build(amb, r.syllables) for r in ky.relators]
-    tt = FPWord.letter(amb, witness_var)
+    F = Presentation(tuple(gens), ()).group()
+    rels = [F.word(r.group.express(r)) for r in tpres.relators + ky.relators]
+    tt = F.gen(witness_var)
     copies = []
     for nm in ky.generators:
         if nm != witness_var and "@" in nm:
@@ -427,8 +429,7 @@ def emit_solution_group(
     gdata = G.presentation_data()
     if window >= 1:
         for y in T.generators():
-            y_items = [(nm, e) for nm, e in T.express(y)]
-            y_word = FPWord.build(amb, y_items)
+            y_word = F.word(T.express(y))
             u = re.t.conj(y)
             if u == re.t:
                 eps = 1
@@ -446,12 +447,10 @@ def emit_solution_group(
                         f"action moves copy {lbl} to {f_lbl}, outside the emitted window"
                     )
                 for nm in gdata.names:
-                    g_x = FPWord.letter(amb, f"{nm}@{lbl}")
-                    g_f = FPWord.letter(amb, f"{nm}@{f_lbl}")
+                    g_x = F.gen(f"{nm}@{lbl}")
+                    g_f = F.gen(f"{nm}@{f_lbl}")
                     rels.append((~y_word) * g_x * y_word * ~((tt ** (-k)) * g_f * (tt ** k)))
-    t_items = [(nm, e) for nm, e in T.express(re.t)]
-    t_word = FPWord.build(amb, t_items)
-    rels.append(tt * ~t_word)
+    rels.append(tt * ~F.word(T.express(re.t)))
     return Presentation(tuple(gens), tuple(rels))
 
 

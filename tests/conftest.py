@@ -103,3 +103,11 @@ def random_element(rng, group, size=4):
             w = w * group.embed(i, random_element(rng, group.factors[i], 2))
         return w
     raise TypeError(f"no random sampler for {group.kind}")
+
+
+def assert_round_trips(pres):
+    """Both serial formats of a presentation read back to the same presentation."""
+    from groupeq.words import Presentation
+
+    assert Presentation.from_text(pres.to_text()) == pres
+    assert Presentation.from_struct(pres.to_struct()) == pres

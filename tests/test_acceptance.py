@@ -42,7 +42,6 @@ from groupeq.up import (
     up4_check,
     up_check,
 )
-from groupeq.words import FPWord
 
 from conftest import random_element, random_free_word, random_vector
 
@@ -93,12 +92,12 @@ def test_acceptance_2_conjugation_consistency():
         if total_product(ge).is_identity:
             continue
         re = coset_rewrite(ge)
-        amb = re.ambient()
+        G1 = re.word_group()
         labels = [random_vector(rng, T, 4) for _ in range(10)] + [T.identity()]
         for y in labels:
             w_y = rewrite_conjugate(re, y)
             c_y, _ = T.coset_decompose(y, re.t)
-            cw = FPWord.factor(amb, 1, c_y)
+            cw = G1.embed(1, c_y)
             assert w_y.expansion() == (~cw) * re.expansion() * cw
         eqs += 1
     _report(2, f"{eqs} rewritten equations x 11 labels agree with direct conjugation")

@@ -15,7 +15,7 @@ from groupeq.backends import (
 )
 from groupeq.errors import CapExceededError, GroupMismatchError
 
-from conftest import random_element
+from conftest import assert_round_trips, random_element
 
 
 ALL_BACKENDS = [
@@ -243,6 +243,21 @@ def test_free_product_backend(fafb):
     assert fafb.parse_element("a b^-1 a") == a * ~b * a
 
 
+def test_free_product_rejects_bad_factor_index(fafb):
+    fa, fb = fafb.factors
+    b = fb.gen("b")
+    for i in (-1, 2):
+        with pytest.raises(ValueError):
+            fafb.embed(i, b)
+        with pytest.raises(ValueError):
+            fafb.word([(i, b)])
+    with pytest.raises(GroupMismatchError):
+        fafb.embed(0, b)
+    x = fafb.embed(1, b)
+    assert x * ~x == fafb.identity()
+    assert fafb.format_element(x) == "b"
+
+
 def test_presentations_round_trip(c3, fours, z2):
     from groupeq.words import presentation_of
 
@@ -251,7 +266,8 @@ def test_presentations_round_trip(c3, fours, z2):
         assert pres.generators
         # every relator mentions only declared generators (validated on build)
         for rel in pres.relators:
-            assert set(s for s, _ in rel.syllables) <= set(pres.generators)
+            assert set(s for s, _ in rel.group.express(rel)) <= set(pres.generators)
+        assert_round_trips(pres)
 
 
 def test_express_evaluates_back(rng, c3, fours, z2):

@@ -212,3 +212,83 @@ def test_cli_import_leaves_numpy_out():
         [sys.executable, "-c", "import groupeq.cli, sys; assert 'numpy' not in sys.modules"],
         env=env, check=True,
     )
+
+
+# ---------------------------------------------------------------------------
+# configuration errors exit 2 with a message on stderr
+
+
+def _up_check_with_config(tmp_path, extra):
+    script = tmp_path / "in.ge"
+    script.write_text(UP_SCRIPT)
+    return main(["up-check", str(script), "--sets", "X,Y"] + extra)
+
+
+def test_config_valid_file_applies(tmp_path, capsys):
+    cfg = tmp_path / "caps.json"
+    cfg.write_text('{"radius": 3, "max_len": 6}')
+    assert _up_check_with_config(tmp_path, ["--config", str(cfg)]) == 0
+    assert "unique_elements" in capsys.readouterr().out
+
+
+def test_config_missing_file_exits_two(tmp_path, capsys):
+    code = _up_check_with_config(tmp_path, ["--config", str(tmp_path / "absent.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "config error" in captured.err and "absent.json" in captured.err
+
+
+def test_config_missing_env_file_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("GROUPEQ_CONFIG", str(tmp_path / "absent.json"))
+    assert _up_check_with_config(tmp_path, []) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body, needle",
+    [
+        ("{oops", "not valid JSON"),
+        ("[1, 2]", "JSON object"),
+        ('{"radius": 3, "bogus": 1}', "bogus"),
+        ('{"radius": "3"}', "integer"),
+        ('{"radius": true}', "integer"),
+    ],
+    ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value"],
+)
+def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
+    cfg = tmp_path / "caps.json"
+    cfg.write_text(body)
+    assert _up_check_with_config(tmp_path, ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
+def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
+    report, _ = run("up-check", {"sets": "X,Y"}, UP_SCRIPT)
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report))
+    cfg = tmp_path / "caps.json"
+    cfg.write_text('{"radius": 3, "bogus": 1}')
+    monkeypatch.setenv("GROUPEQ_CONFIG", str(cfg))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "bogus" in captured.err and "verified" not in captured.out
+
+
+# ---------------------------------------------------------------------------
+# golden reports: fixed inputs whose structured reports must not change by a byte
+
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+
+@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")))
+def test_golden_reports_reproduce_byte_for_byte(name):
+    with open(os.path.join(GOLDEN_DIR, name + ".json"), "r", encoding="utf-8") as fh:
+        stored = fh.read()
+    data = json.loads(stored)
+    fresh, code = run(data["command"], data["args"], data["script"])
+    assert canonical_json(fresh) + "\n" == stored
+    assert code == 0

@@ -19,9 +19,8 @@ from groupeq.errors import (
     SigmaError,
     WindowError,
 )
-from groupeq.words import conjugate_words
 
-from conftest import random_element
+from conftest import assert_round_trips, random_element
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +138,8 @@ def test_inversion_negates_sigma_preserves_triviality(setup, rng):
         assert classify(ei).exponent_sum == -classify(e).exponent_sum
         assert classify(ei).trivial == classify(e).trivial
         # the inverted word is conjugate to the inverse word
-        assert conjugate_words(ei.refined_word(), ~e.refined_word())
+        w = e.refined_word()
+        assert w.group.are_conjugate(ei.refined_word(), ~w)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +151,7 @@ def test_universal_solution_group(setup, c3):
     p = universal_solution_group(e)
     assert p.generators == ("a", "t")
     assert len(p.relators) == 2  # a^3 and the equation word
+    assert_round_trips(p)
 
     F = FreeGroup(("a",))
     e2 = Equation(F, ((F.gen("a"), 2),))
@@ -158,6 +159,7 @@ def test_universal_solution_group(setup, c3):
     assert p2.generators == ("a", "t")
     assert len(p2.relators) == 1
     assert str(p2.relators[0]) == "a t^2"
+    assert_round_trips(p2)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +190,7 @@ def test_normal_form_form6_case(setup):
     f = res.form6
     assert (f.m, f.n) == (0, 1)
     assert f.side_conditions.all_pass
-    assert conjugate_words(f.expand(), e.refined_word())
+    assert e.refined_group().are_conjugate(f.expand(), e.refined_word())
 
 
 def test_normal_form_needs_unimodular(setup):
@@ -304,7 +306,7 @@ def test_normal_form_properties_on_random_equations(setup, rng):
             f = res.form6
             assert f.side_conditions.all_pass
             base = e if not f.sigma_inverted else e.inverted()
-            assert conjugate_words(f.expand(), base.refined_word())
+            assert base.refined_group().are_conjugate(f.expand(), base.refined_word())
             produced += 1
     assert produced > 10
 
@@ -322,6 +324,7 @@ def test_emit_system_7_counts(setup):
         p = emit_system_7(f, window=window)
         # (2*window) H-shift relators + m K-shift relators + the main one
         assert len(p.relators) == 2 * window + f.m + 1
+        assert_round_trips(p)
     # generators: H copies (2w+1), K copies (m+1), plus x
     p = emit_system_7(f, window=3)
     assert len(p.generators) == 1 + 7 + 1
@@ -366,3 +369,4 @@ def test_emit_system_7_trivial_h(setup):
     p = emit_system_7(res.form6, window=4)
     # no H factors: only K-shift relators and the main relator
     assert len(p.relators) == 2 * res.form6.m + 1
+    assert_round_trips(p)

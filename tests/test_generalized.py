@@ -13,13 +13,14 @@ from groupeq.generalized import (
     emit_solution_group,
     induced_ordinary,
     reduce_to_ordinary,
+    _label,
     rewrite_conjugate,
     total_product,
     unimodular_verdict,
 )
-from groupeq.words import FPWord, is_conjugate_to_constant
+from groupeq.words import is_conjugate_to_constant
 
-from conftest import random_free_word, random_vector
+from conftest import assert_round_trips, random_free_word, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +196,6 @@ def test_conjugate_family_identity_label(gz2):
 def test_conjugate_family_consistency(gz2):
     G, T = gz2
     rng = random.Random(13)
-    amb = None
     for _ in range(60):
         pairs = []
         for _ in range(rng.randrange(1, 5)):
@@ -204,12 +204,12 @@ def test_conjugate_family_consistency(gz2):
         if total_product(ge).is_identity:
             continue
         re = coset_rewrite(ge)
-        amb = re.ambient()
+        G1 = re.word_group()
         for _ in range(10):
             x = random_vector(rng, T, 3)
             wx = rewrite_conjugate(re, x)
             c_x, _ = T.coset_decompose(x, re.t)
-            cw = FPWord.factor(amb, 1, c_x)
+            cw = G1.embed(1, c_x)
             assert wx.expansion() == (~cw) * re.expansion() * cw
 
 
@@ -235,7 +235,8 @@ def test_emit_ky_y_identity(gz2):
     # the y = 1 relator is the rewritten form of the original equation
     rel = pres.relators[0]
     expected_sources = {f"{nm}@{lbl}" for nm in ("g", "h") for lbl in ("(0,0)", "(0,1)")}
-    assert {s for s, _ in rel.syllables} <= expected_sources | {"t~"}
+    assert {s for s, _ in rel.group.express(rel)} <= expected_sources | {"t~"}
+    assert_round_trips(pres)
 
 
 def test_emit_ky_counts(gz2):
@@ -254,6 +255,7 @@ def test_emit_ky_counts(gz2):
             labels.add(cf)
     assert len(pres.generators) == 2 * len(labels) + 1
     assert len(pres.relators) == 2
+    assert_round_trips(pres)
 
 
 def test_emit_solution_group(gz2):
@@ -264,6 +266,7 @@ def test_emit_solution_group(gz2):
     p0 = emit_solution_group(re, [T.identity()], window=0)
     # T relators (1 commutator) + K_Y relators (1) + t~ t^-1
     assert len(p0.relators) == 3
+    assert_round_trips(p0)
 
 
 def test_emit_solution_group_action_relator_count(gz2):
@@ -282,8 +285,32 @@ def test_emit_solution_group_action_relator_count(gz2):
     assert len(p1.relators) == 2 + expected_action
     # substituting t~ = t in the y = 1 relator recovers the rewritten form:
     # the relator mentions only the identity-coset copy and t~
-    ky_rel = [r for r in p1.relators if any("@" in s for s, _ in r.syllables)][0]
-    assert {s for s, _ in ky_rel.syllables if "@" in s} <= {"g@0", "h@0"}
+    ky_rel = [r for r in p1.relators if any("@" in s for s, _ in r.group.express(r))][0]
+    assert {s for s, _ in ky_rel.group.express(ky_rel) if "@" in s} <= {"g@0", "h@0"}
+    assert_round_trips(p1)
+
+
+def test_emitted_names_round_trip_over_free_variable_group():
+    # copy names over T = free(s) once spelled a@s^-3, which the text format
+    # (and the free group on the names) cannot read back
+    G, S = FreeGroup(("a",)), FreeGroup(("s",))
+    a, s = G.gen("a"), S.gen("s")
+    re = coset_rewrite(make_geq(G, S, [(a, s ** -3)] * 3))
+    for pres in (emit_ky(re, [S.identity()]), emit_solution_group(re, [S.identity()], window=0)):
+        assert not any("^" in nm or " " in nm for nm in pres.generators)
+        assert_round_trips(pres)
+    assert "a@s(-3)" in emit_ky(re, [S.identity()]).generators
+
+
+def test_coset_labels_are_distinct(z2):
+    F = FreeGroup(("x", "y", "xy"))
+    ball = F.ball(3)
+    labels = {_label(F, c) for c in ball}
+    assert len(labels) == len(ball)
+    assert not any("^" in lbl or " " in lbl for lbl in labels)
+    assert _label(F, F.word([("x", 1), ("y", -3)])) == "x.y(-3)"
+    assert _label(F, F.identity()) == "1"
+    assert _label(z2, z2.vector((1, -2))) == "(1,-2)"
 
 
 def test_emit_solution_group_window_insufficient(gz2):

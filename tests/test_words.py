@@ -3,26 +3,34 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupeq.backends import FreeAbelianGroup, FreeGroup, cyclic_group
+from groupeq.backends import (
+    FiniteTableGroup,
+    FreeAbelianGroup,
+    FreeGroup,
+    FreeProductGroup,
+    GroupElement,
+    cyclic_group,
+)
 from groupeq.errors import CapExceededError, GroupMismatchError, SymbolClashError
 from groupeq.words import (
-    Ambient,
-    FPWord,
     Presentation,
     amalgam,
-    conjugate_words,
     hnn,
     in_subfreeproduct,
     is_conjugate_to_constant,
+    presentation_of,
     relation_falsifier,
 )
 
-from conftest import random_element
+from conftest import assert_round_trips, random_element
+
+T = FreeGroup(("t",))
 
 
 @pytest.fixture(scope="module")
 def amb():
-    return Ambient((FreeGroup(("g", "h")),), ("t",))
+    """F(g, h) * <t>."""
+    return FreeProductGroup((FreeGroup(("g", "h")), T))
 
 
 def G(amb):
@@ -30,11 +38,11 @@ def G(amb):
 
 
 def syl(amb, text):
-    return FPWord.factor(amb, 0, G(amb).parse_element(text))
+    return amb.embed(0, G(amb).parse_element(text))
 
 
 def t(amb, k=1):
-    return FPWord.letter(amb, "t", k)
+    return amb.embed(1, T.gen("t") ** k)
 
 
 def random_word(rng, amb, size=6):
@@ -43,13 +51,13 @@ def random_word(rng, amb, size=6):
         if rng.random() < 0.5:
             items.append((0, random_element(rng, G(amb), 2)))
         else:
-            items.append(("t", rng.choice([-2, -1, 1, 2])))
-    return FPWord.build(amb, items)
+            items.append((1, T.gen("t") ** rng.choice([-2, -1, 1, 2])))
+    return amb.word(items)
 
 
 def test_mul_examples(amb):
     g = syl(amb, "g")
-    assert (g * t(amb)) * (t(amb, -1) * ~g) == FPWord.identity(amb)
+    assert (g * t(amb)) * (t(amb, -1) * ~g) == amb.identity()
     assert t(amb, 2) * t(amb, 3) == t(amb, 5)
     # (a t b)(b^-1 t) reduces to a t^2 after the middle cancellation
     a, b = syl(amb, "g"), syl(amb, "h")
@@ -59,28 +67,25 @@ def test_mul_examples(amb):
 
 
 def test_mul_ambient_mismatch(amb):
-    other = Ambient((FreeGroup(("g", "h")),), ("s",))
+    other = FreeProductGroup((FreeGroup(("g", "h")), FreeGroup(("s",))))
     with pytest.raises(GroupMismatchError):
-        syl(amb, "g") * FPWord.letter(other, "s")
+        syl(amb, "g") * other.embed(1, FreeGroup(("s",)).gen("s"))
 
 
 def test_mul_associativity_bulk(rng, amb):
     for _ in range(3500):
         u, v, w = (random_word(rng, amb, 4) for _ in range(3))
         assert (u * v) * w == u * (v * w)
-        assert u * FPWord.identity(amb) == u
+        assert u * amb.identity() == u
 
 
 def test_mul_against_letterwise_oracle(rng, amb):
     # naive oracle: push single letters one at a time
     def naive_mul(u, v):
         out = u
-        for src, val in v.syllables:
-            if isinstance(src, str):
-                step = FPWord.letter(amb, src, val)
-                out = out * step
-            else:
-                out = out * FPWord.factor(amb, src, val)
+        for src, val in v.payload:
+            for g, s in FreeGroup.letters(val):
+                out = out * amb.embed(src, GroupElement(val.group, ((g, s),)))
         return out
 
     for _ in range(500):
@@ -91,31 +96,32 @@ def test_mul_against_letterwise_oracle(rng, amb):
 def test_length_subadditive(rng, amb):
     for _ in range(500):
         u, v = random_word(rng, amb), random_word(rng, amb)
-        assert (u * v).syllable_length() <= u.syllable_length() + v.syllable_length()
+        assert len((u * v).payload) <= len(u.payload) + len(v.payload)
 
 
 def test_cyclic_reduce_examples(amb):
     g = syl(amb, "g")
     w = t(amb, -1) * g * t(amb)
-    core, z = w.cyclic_reduce()
+    core, z = amb.cyclically_reduce(w)
     assert core == g and z == t(amb, -1)
     w2 = g * t(amb)
-    core2, z2 = w2.cyclic_reduce()
+    core2, z2 = amb.cyclically_reduce(w2)
     assert core2 == w2 and z2.is_identity
 
 
 def test_cyclic_reduce_reconstruction_and_minimality(rng, amb):
     for _ in range(400):
         w = random_word(rng, amb, 5)
-        core, z = w.cyclic_reduce()
+        core, z = amb.cyclically_reduce(w)
         assert z * core * ~z == w
         # core is cyclically reduced
-        s = core.syllables
+        s = core.payload
         if len(s) >= 2:
             assert s[0][0] != s[-1][0]
         # minimal among rotations of itself after full reduction
-        for rot in core.rotations():
-            assert rot.cyclic_reduce()[0].syllable_length() >= core.syllable_length()
+        for r in range(max(1, len(s))):
+            rot = amb.word(s[r:] + s[:r])
+            assert len(amb.cyclically_reduce(rot)[0].payload) >= len(s)
 
 
 def test_conjugate_to_constant(amb):
@@ -129,25 +135,31 @@ def test_conjugate_to_constant(amb):
 
 def test_in_subfreeproduct(amb):
     g = syl(amb, "g")
-    assert in_subfreeproduct(FPWord.identity(amb), set())
+    assert in_subfreeproduct(amb.identity(), set())
     assert in_subfreeproduct(g, {0})
     assert not in_subfreeproduct(g * t(amb), {0})
     # always true on the full source set; monotone in the allowed set
     rng = random.Random(5)
     for _ in range(200):
         w = random_word(rng, amb)
-        assert in_subfreeproduct(w, {0, "t"})
+        assert in_subfreeproduct(w, {0, 1})
         if in_subfreeproduct(w, {0}):
-            assert in_subfreeproduct(w, {0, "t"})
+            assert in_subfreeproduct(w, {0, 1})
 
 
-def test_conjugate_words(amb):
+def test_free_product_conjugacy(amb):
     g, h = syl(amb, "g"), syl(amb, "h")
     w = g * t(amb) * h
     z = h * t(amb, 2)
-    assert conjugate_words(w, (~z) * w * z)
-    assert not conjugate_words(g, h)
-    assert conjugate_words(g, (~z) * g * z)
+    assert amb.are_conjugate(w, (~z) * w * z)
+    assert not amb.are_conjugate(g, h)
+    assert amb.are_conjugate(g, (~z) * g * z)
+    # one-syllable cores are compared by the factor's own conjugacy test
+    assert amb.are_conjugate(t(amb, 2), (~z) * t(amb, 2) * z)
+    assert not amb.are_conjugate(t(amb, 2), t(amb, -2))
+    other = FreeProductGroup((G(amb), FreeGroup(("s",))))
+    with pytest.raises(GroupMismatchError):
+        amb.are_conjugate(g, other.embed(0, G(amb).gen("g")))
 
 
 def test_falsifier_free_basis():
@@ -216,6 +228,7 @@ def test_hnn_examples():
     assert p.generators == ("a", "t")
     assert len(p.relators) == 1
     assert str(p.relators[0]) == "t^-1 a t a^-1"
+    assert_round_trips(p)
     with pytest.raises(SymbolClashError):
         hnn(base, "a", [(base.word([("a", 1)]), base.word([("a", 1)]))])
     with pytest.raises(ValueError):
@@ -234,6 +247,7 @@ def test_hnn_shift_family_count():
             pairs.append((base.word([(f"{nm}@{i}", 1)]), base.word([(f"{nm}@{i+1}", 1)])))
     p = hnn(base, "t", pairs)
     assert len(p.relators) == 2 * 4
+    assert_round_trips(p)
 
 
 def test_amalgam_examples():
@@ -244,6 +258,8 @@ def test_amalgam_examples():
     glued = amalgam(left, right, [(left.word([("a", 1)]), right.word([("c", 1)]))])
     assert len(glued.relators) == 1
     assert str(glued.relators[0]) == "a c^-1"
+    assert_round_trips(free)
+    assert_round_trips(glued)
     with pytest.raises(SymbolClashError):
         amalgam(left, left, [])
 
@@ -252,13 +268,26 @@ def test_presentation_text_round_trip():
     pres = Presentation(("a", "b"), ())
     pres = Presentation(("a", "b"), (pres.word([("a", 1), ("b", -2)]),))
     text = pres.to_text()
+    assert text == "gens: a, b\nrel: a b^-2\n"
     back = Presentation.from_text(text)
     assert back.generators == pres.generators
-    assert [r.syllables for r in back.relators] == [r.syllables for r in pres.relators]
+    assert back.relators == pres.relators
     data = pres.to_struct()
+    assert data == {"generators": ["a", "b"], "relators": [[["a", 1], ["b", -2]]]}
     again = Presentation.from_struct(data)
-    assert again.generators == pres.generators
-    assert [r.syllables for r in again.relators] == [r.syllables for r in pres.relators]
+    assert again == pres
+    assert_round_trips(pres)
+
+
+def test_presentation_without_generators():
+    # the trivial group: relators live in the free group of rank 0
+    for pres in (presentation_of(FiniteTableGroup([[0]])), Presentation.from_text("gens:\n")):
+        assert pres.generators == () and pres.relators == ()
+        assert pres.to_text() == "gens: \n"
+        assert_round_trips(pres)
+    empty_rel = Presentation.from_text("gens:\nrel:\n")
+    assert empty_rel.relators == (empty_rel.group().identity(),)
+    assert_round_trips(empty_rel)
 
 
 def test_presentation_validates_relators():
@@ -269,21 +298,20 @@ def test_presentation_validates_relators():
 
 @settings(max_examples=60)
 @given(st.data())
-def test_fpword_pow_matches_repeated_mul(data):
+def test_word_pow_matches_repeated_mul(data):
     F = FreeGroup(("g",))
-    amb = Ambient((F,), ("t",))
+    amb = FreeProductGroup((F, T))
     items = data.draw(
         st.lists(
-            st.one_of(
-                st.tuples(st.just(0), st.sampled_from([1, -1]).map(lambda s: F.word([("g", s)]))),
-                st.tuples(st.just("t"), st.sampled_from([1, -1])),
+            st.tuples(st.sampled_from([0, 1]), st.sampled_from([1, -1])).map(
+                lambda p: (p[0], amb.factors[p[0]].gens()[0] ** p[1])
             ),
             max_size=4,
         )
     )
-    w = FPWord.build(amb, items)
+    w = amb.word(items)
     n = data.draw(st.integers(-4, 4))
-    acc = FPWord.identity(amb)
+    acc = amb.identity()
     step = w if n >= 0 else ~w
     for _ in range(abs(n)):
         acc = acc * step
