@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from math import gcd, lcm
 from typing import Any, Iterable, Optional, Sequence
@@ -57,18 +57,51 @@ def finite_order(n: int) -> ElementOrder:
 # elements
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Backend-tagged element; payload is the backend's canonical form."""
+    """Backend-tagged element; payload is the backend's canonical form.
 
-    group: "Group"
-    payload: Any
+    Immutable: setting or deleting an attribute raises.  Elements are equal
+    when their payloads are equal and their groups are equal, and the hash
+    is ``hash((group, payload))``, computed on first use and then kept.
+    """
+
+    __slots__ = ("group", "payload", "_hash")
+
+    def __init__(self, group: "Group", payload: Any):
+        _set_group(self, group)
+        _set_payload(self, payload)
+        _set_hash(self, None)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (GroupElement, (self.group, self.payload))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.payload == other.payload and (self.group is other.group or self.group == other.group)
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.group, self.payload))
+            _set_hash(self, h)
+        return h
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return self.group.mul(self, other)
+        group = self.group
+        if other.group is group:  # the common case needs no group comparison
+            return GroupElement(group, group._mul(self.payload, other.payload))
+        return group.mul(self, other)
 
     def __invert__(self) -> "GroupElement":
-        return self.group.inv(self)
+        group = self.group
+        return GroupElement(group, group._inv(self.payload))
 
     def __pow__(self, n: int) -> "GroupElement":
         if n == 0:
@@ -85,7 +118,7 @@ class GroupElement:
 
     @property
     def is_identity(self) -> bool:
-        return self.payload == self.group.identity().payload
+        return self.payload == self.group._one
 
     def order(self) -> ElementOrder:
         return self.group.element_order(self)
@@ -94,10 +127,20 @@ class GroupElement:
         return self.group.format_element(self)
 
 
+# the slots' own setters, which __setattr__ would refuse
+_set_group = GroupElement.group.__set__
+_set_payload = GroupElement.payload.__set__
+_set_hash = GroupElement._hash.__set__
+
+
 class Group(ABC):
-    """Abstract backend.  Subclasses are value objects: equality by parameters."""
+    """Abstract backend.  Subclasses are value objects: equality by parameters.
+
+    Each backend sets ``_one``, the identity's payload, once.
+    """
 
     kind: str = "?"
+    _one: Any
 
     # -- identity of the group object itself
 
@@ -106,16 +149,21 @@ class Group(ABC):
         ...
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         return isinstance(other, Group) and self.kind == other.kind and self._key() == other._key()
 
     def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.kind, self._key()))
 
     # -- core arithmetic
 
-    @abstractmethod
     def identity(self) -> GroupElement:
-        ...
+        return GroupElement(self, self._one)
 
     @abstractmethod
     def _mul(self, a: Any, b: Any) -> Any:
@@ -126,12 +174,12 @@ class Group(ABC):
         ...
 
     def mul(self, x: GroupElement, y: GroupElement) -> GroupElement:
-        if x.group != self or y.group != self:
+        if (x.group is not self and x.group != self) or (y.group is not self and y.group != self):
             raise GroupMismatchError(f"elements of {x.group} and {y.group} multiplied in {self}")
         return GroupElement(self, self._mul(x.payload, y.payload))
 
     def inv(self, x: GroupElement) -> GroupElement:
-        if x.group != self:
+        if x.group is not self and x.group != self:
             raise GroupMismatchError(f"element of {x.group} inverted in {self}")
         return GroupElement(self, self._inv(x.payload))
 
@@ -216,7 +264,7 @@ class Group(ABC):
         if not base:
             raise ValueError("ball needs a nonempty generating set")
         for g in base:
-            if g.group != self:
+            if g.group is not self and g.group != self:
                 raise GroupMismatchError("ball generators must live in this group")
         syms: list[GroupElement] = []
         for g in base:
@@ -289,7 +337,7 @@ class FiniteTableGroup(Group):
                         raise ValueError("table is not associative")
         self.table = tbl
         self.size = n
-        self.ident = ident
+        self._one = ident
         self.names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(n))
         if len(self.names) != n or len(set(self.names)) != n:
             raise ValueError("names must be distinct and match the table size")
@@ -298,27 +346,24 @@ class FiniteTableGroup(Group):
     def _key(self) -> tuple:
         return (self.table, self.names)
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, self.ident)
-
     def _mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def _inv(self, a: int) -> int:
         for b in range(self.size):
-            if self.table[a][b] == self.ident:
+            if self.table[a][b] == self._one:
                 return b
         raise GroupEqError("unreachable: table verified at construction")
 
     def element_order(self, x: GroupElement) -> ElementOrder:
         k, cur = 1, x.payload
-        while cur != self.ident:
+        while cur != self._one:
             cur = self.table[cur][x.payload]
             k += 1
         return finite_order(k)
 
     def generators(self) -> tuple[GroupElement, ...]:
-        return tuple(GroupElement(self, i) for i in range(self.size) if i != self.ident)
+        return tuple(GroupElement(self, i) for i in range(self.size) if i != self._one)
 
     def torsion_free(self) -> Optional[bool]:
         return self.size == 1
@@ -350,16 +395,16 @@ class FiniteTableGroup(Group):
     def presentation_data(self) -> PresentationData:
         if self._pres is not None:
             return self._pres[0]
-        names = tuple(f"x{i}" for i in range(self.size) if i != self.ident)
+        names = tuple(f"x{i}" for i in range(self.size) if i != self._one)
         rels = []
-        idx = {i: f"x{i}" for i in range(self.size) if i != self.ident}
+        idx = {i: f"x{i}" for i in range(self.size) if i != self._one}
         for a in range(self.size):
             for b in range(self.size):
-                if a == self.ident or b == self.ident:
+                if a == self._one or b == self._one:
                     continue
                 c = self.table[a][b]
                 word = [(idx[a], 1), (idx[b], 1)]
-                if c != self.ident:
+                if c != self._one:
                     word.append((idx[c], -1))
                 rels.append(tuple(word))
         return PresentationData(names, tuple(rels))
@@ -367,7 +412,7 @@ class FiniteTableGroup(Group):
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         if self._pres is not None:
             return self._pres[1](x.payload)
-        if x.payload == self.ident:
+        if x.payload == self._one:
             return ()
         return ((f"x{x.payload}", 1),)
 
@@ -418,6 +463,7 @@ class PermutationGroup(Group):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
+        self._one = tuple(range(degree))
         self._gens = tuple(tuple(p) for p in gens) if gens else None
         if self._gens:
             for p in self._gens:
@@ -429,9 +475,6 @@ class PermutationGroup(Group):
 
     def _key(self) -> tuple:
         return (self.degree, self._gens)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, tuple(range(self.degree)))
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         # apply a first, then b
@@ -575,8 +618,7 @@ class SyllableGroup(Group):
     reduction and conjugacy are shared.
     """
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, ())
+    _one = ()
 
     @abstractmethod
     def _merge(self, src: Any, x: Any, y: Any) -> Any:
@@ -599,6 +641,8 @@ class SyllableGroup(Group):
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         # both operands are reduced, so cancellation happens only at the seam
+        if not a or not b or a[-1][0] != b[0][0]:
+            return a + b
         k, l, n = len(a), 0, len(b)
         while k and l < n and a[k - 1][0] == b[l][0]:
             src = b[l][0]
@@ -623,7 +667,7 @@ class SyllableGroup(Group):
         return GroupElement(self, core), GroupElement(self, z)
 
     def are_conjugate(self, x: GroupElement, y: GroupElement) -> bool:
-        if x.group != self or y.group != self:
+        if (x.group is not self and x.group != self) or (y.group is not self and y.group != self):
             raise GroupMismatchError(f"conjugacy of elements of {x.group} and {y.group} tested in {self}")
         cx = self.cyclically_reduce(x)[0].payload
         cy = self.cyclically_reduce(y)[0].payload
@@ -785,15 +829,13 @@ class FreeAbelianGroup(Group):
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
+        self._one = (0,) * rank
         self.names = tuple(names) if names else tuple(f"e{i+1}" for i in range(rank))
         if len(self.names) != rank:
             raise ValueError("need one name per coordinate")
 
     def _key(self) -> tuple:
         return (self.rank, self.names)
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.rank)
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))
@@ -900,6 +942,7 @@ class FoursGroup(Group):
 
     A_PAYLOAD = ((1, -1, -1), (1, 1, 0))
     B_PAYLOAD = ((-1, 1, -1), (0, 1, 1))
+    _one = ((1, 1, 1), (0, 0, 0))
 
     def __init__(self):
         a = GroupElement(self, self.A_PAYLOAD)
@@ -911,9 +954,6 @@ class FoursGroup(Group):
 
     def _key(self) -> tuple:
         return ()
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, ((1, 1, 1), (0, 0, 0)))
 
     def _validate(self, payload: tuple) -> None:
         signs, v = payload
@@ -1047,18 +1087,13 @@ class FreeProductGroup(SyllableGroup):
             raise ValueError("free product needs at least one factor")
         self.factors = factors
 
-    @cached_property
-    def _ids(self) -> tuple:
-        """Identity payload of each factor."""
-        return tuple(f.identity().payload for f in self.factors)
-
     def _key(self) -> tuple:
         return self.factors
 
     def _merge(self, i: int, x: GroupElement, y: GroupElement) -> Optional[GroupElement]:
         f = self.factors[i]
         p = f._mul(x.payload, y.payload)
-        return None if p == self._ids[i] else GroupElement(f, p)
+        return None if p == f._one else GroupElement(f, p)
 
     def _conjugate_syllables(self, s: tuple, r: tuple) -> bool:
         return s[0] == r[0] and self.factors[s[0]].are_conjugate(s[1], r[1])
@@ -1070,9 +1105,10 @@ class FreeProductGroup(SyllableGroup):
         """Validate the syllable (i, el); True when el is not the identity."""
         if not 0 <= i < len(self.factors):
             raise ValueError(f"no factor {i} in {self.describe()}")
-        if el.group != self.factors[i]:
+        f = self.factors[i]
+        if el.group is not f and el.group != f:
             raise GroupMismatchError("syllable element does not live in that factor")
-        return el.payload != self._ids[i]
+        return el.payload != f._one
 
     def embed(self, i: int, el: GroupElement) -> GroupElement:
         return GroupElement(self, ((i, el),) if self._nontrivial(i, el) else ())
@@ -1183,12 +1219,10 @@ class DirectProductGroup(Group):
         self.factors = tuple(factors)
         if not self.factors:
             raise ValueError("direct product needs at least one factor")
+        self._one = tuple(f.identity() for f in self.factors)
 
     def _key(self) -> tuple:
         return self.factors
-
-    def identity(self) -> GroupElement:
-        return GroupElement(self, tuple(f.identity() for f in self.factors))
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         return tuple(x * y for x, y in zip(a, b))
@@ -1197,9 +1231,10 @@ class DirectProductGroup(Group):
         return tuple(~x for x in a)
 
     def embed(self, i: int, el: GroupElement) -> GroupElement:
-        comps = [f.identity() for f in self.factors]
-        if el.group != self.factors[i]:
+        f = self.factors[i]
+        if el.group is not f and el.group != f:
             raise GroupMismatchError("embed: element does not live in that factor")
+        comps = list(self._one)
         comps[i] = el
         return GroupElement(self, tuple(comps))
 
@@ -1255,6 +1290,7 @@ class QuotientFreeAbelianGroup(Group):
         if len(self.modulus) != base.rank or all(c == 0 for c in self.modulus):
             raise ValueError("modulus must be a nonzero vector of matching rank")
         self.pivot = next(i for i, c in enumerate(self.modulus) if c != 0)
+        self._one = (0,) * base.rank
         self.content = gcd(*[abs(c) for c in self.modulus])
 
     def _key(self) -> tuple:
@@ -1264,9 +1300,6 @@ class QuotientFreeAbelianGroup(Group):
         k = coords[self.pivot] // self.modulus[self.pivot]
         return tuple(x - k * v for x, v in zip(coords, self.modulus))
 
-    def identity(self) -> GroupElement:
-        return GroupElement(self, (0,) * self.base.rank)
-
     def _mul(self, a: tuple, b: tuple) -> tuple:
         return self._rep(tuple(x + y for x, y in zip(a, b)))
 
@@ -1274,7 +1307,7 @@ class QuotientFreeAbelianGroup(Group):
         return self._rep(tuple(-x for x in a))
 
     def project(self, x: GroupElement) -> GroupElement:
-        if x.group != self.base:
+        if x.group is not self.base and x.group != self.base:
             raise GroupMismatchError("project expects a base-group element")
         return GroupElement(self, self._rep(x.payload))
 

@@ -9,6 +9,7 @@ mismatch), 2 parse or configuration errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -47,6 +48,13 @@ COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built on the first call and then shared;
+    parsing leaves it unchanged, and callers must not modify it."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="groupeq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:

@@ -25,7 +25,7 @@ from .errors import GroupMismatchError
 def _as_sorted_set(group: Group, xs: Iterable[GroupElement], name: str) -> tuple[GroupElement, ...]:
     out = []
     for x in xs:
-        if x.group != group:
+        if x.group is not group and x.group != group:
             raise GroupMismatchError(f"{name} contains elements of another group")
         if x not in out:
             out.append(x)
@@ -248,17 +248,20 @@ class ProductCensus:
     ):
         self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
         big = sorted(group.ball(2 * radius, gens, caps.with_overrides(radius=2 * radius)), key=group.sort_key)
-        index = {e: i for i, e in enumerate(big)}
-        self.rows = [[index[x * y] for y in self.ball] for x in self.ball]
+        # payloads are canonical, so the tables are built on them directly
+        index = {e.payload: i for i, e in enumerate(big)}
+        payloads = [e.payload for e in self.ball]
+        mul = group._mul
+        self.rows = [[index[mul(x, y)] for y in payloads] for x in payloads]
         self.cols = [list(col) for col in zip(*self.rows)]
-        position = {e: i for i, e in enumerate(self.ball)}
-        self.identity = position[group.identity()]
+        position = {p: i for i, p in enumerate(payloads)}
+        self.identity = position[group._one]
         self.atoms: list[tuple[int, ...]] = []
         used = {self.identity}
-        for i, e in enumerate(self.ball):
+        for i, p in enumerate(payloads):
             if i in used:
                 continue
-            j = position[~e]
+            j = position[group._inv(p)]
             used.update((i, j))
             self.atoms.append((i,) if i == j else (i, j))
         self.counts = [0] * len(big)

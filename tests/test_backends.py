@@ -1,15 +1,18 @@
+import copy
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from groupeq.backends import (
+    DirectProductGroup,
     FiniteTableGroup,
     FoursGroup,
     FreeAbelianGroup,
     FreeGroup,
     FreeProductGroup,
     PermutationGroup,
+    QuotientFreeAbelianGroup,
     cyclic_group,
     klein_four_group,
 )
@@ -307,3 +310,129 @@ def test_quotient_backend(z2):
     qp = QuotientFreeAbelianGroup(z2, (1, 1))
     assert qp.torsion_free() is True
     assert qp.orderable_certificate() is not None
+
+
+# ---------------------------------------------------------------------------
+# the element core: equal groups, cached hashes, immutability, mismatch checks
+
+# each builder makes a new group object on every call
+BUILDERS = {
+    "finite(6)": lambda: cyclic_group(6),
+    "klein": klein_four_group,
+    "perm(4)": lambda: PermutationGroup(4),
+    "free(a, b)": lambda: FreeGroup(("a", "b")),
+    "zn(3)": lambda: FreeAbelianGroup(3),
+    "fours": FoursGroup,
+    "free(a) * zn(1)": lambda: FreeProductGroup((FreeGroup(("a",)), FreeAbelianGroup(1))),
+    "finite(3) x zn(1)": lambda: DirectProductGroup((cyclic_group(3), FreeAbelianGroup(1))),
+    "zn(2)/<(2, 4)>": lambda: QuotientFreeAbelianGroup(FreeAbelianGroup(2), (2, 4)),
+}
+
+# a word in the generators: (generator index, inverted) letters
+WORDS = st.lists(st.tuples(st.integers(0, 63), st.booleans()), max_size=6)
+
+
+def _evaluate(group, word):
+    gens = group.generators()
+    x = group.identity()
+    for i, inverted in word:
+        g = gens[i % len(gens)]
+        x = x * (~g if inverted else g)
+    return x
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@settings(max_examples=40, deadline=None)
+@given(word=WORDS, other=WORDS)
+def test_equal_group_objects_give_equal_elements(name, word, other):
+    g1, g2 = BUILDERS[name](), BUILDERS[name]()
+    assert g1 is not g2 and g1 == g2 and hash(g1) == hash(g2)
+    x1, x2 = _evaluate(g1, word), _evaluate(g2, word)
+    assert x1.group is g1 and x2.group is g2
+    assert x1 == x2 and hash(x1) == hash(x2)
+    assert len({x1, x2}) == 1
+    # products and inverses across the two objects are products in either
+    y2 = _evaluate(g2, other)
+    assert x1 * y2 == _evaluate(g1, word + other) == x2 * y2
+    assert g1.mul(x2, y2) == x2 * y2 and g1.inv(x2) == ~x2
+    assert g1.ball(1, [x2]) == g2.ball(1, [x2])
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@settings(max_examples=40, deadline=None)
+@given(word=WORDS)
+def test_element_hash_is_group_payload_hash(name, word):
+    group = BUILDERS[name]()
+    x = _evaluate(group, word)
+    assert hash(group) == hash((group.kind, group._key()))
+    assert hash(x) == hash((x.group, x.payload))
+    assert hash(x) == hash(x)  # the cached value
+    assert copy.copy(x) == x and copy.deepcopy(x) == x
+    assert hash(copy.deepcopy(x)) == hash(x)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@settings(max_examples=20, deadline=None)
+@given(word=WORDS)
+def test_elements_are_immutable(name, word):
+    x = _evaluate(BUILDERS[name](), word)
+    group, payload = x.group, x.payload
+    hash(x)
+    for attr, value in (("group", None), ("payload", ()), ("_hash", 0), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, value)
+    for attr in ("group", "payload", "_hash"):
+        with pytest.raises(AttributeError):
+            delattr(x, attr)
+    assert x.group is group and x.payload is payload
+    assert hash(x) == hash((group, payload))
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@settings(max_examples=40, deadline=None)
+@given(word=WORDS)
+def test_is_identity_agrees_with_equality(name, word):
+    group = BUILDERS[name]()
+    x = _evaluate(group, word)
+    assert x.is_identity == (x == x.group.identity())
+    assert (x * ~x).is_identity
+    assert group.identity().is_identity
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_mismatched_groups_raise(name):
+    group = BUILDERS[name]()
+    x = group.generators()[0]
+    for other_name, build in BUILDERS.items():
+        if other_name == name:
+            continue
+        other = build()
+        y = other.generators()[0]
+        with pytest.raises(GroupMismatchError):
+            x * y
+        with pytest.raises(GroupMismatchError):
+            y * x
+        with pytest.raises(GroupMismatchError):
+            group.mul(x, y)
+        with pytest.raises(GroupMismatchError):
+            group.mul(y, x)
+        with pytest.raises(GroupMismatchError):
+            group.inv(y)
+        for radius in (0, 1):
+            with pytest.raises(GroupMismatchError):
+                group.ball(radius, [x, y])
+        assert x != y
+
+
+def test_embed_rejects_elements_of_other_groups():
+    fa, z1 = FreeGroup(("a",)), FreeAbelianGroup(1)
+    products = (FreeProductGroup((fa, z1)), DirectProductGroup((fa, z1)))
+    for product in products:
+        # an equal but distinct factor object is accepted
+        assert product.embed(0, FreeGroup(("a",)).gen("a")) == product.embed(0, fa.gen("a"))
+        with pytest.raises(GroupMismatchError):
+            product.embed(0, z1.vector([1]))
+        with pytest.raises(GroupMismatchError):
+            product.embed(1, fa.gen("a"))
+        with pytest.raises(GroupMismatchError):
+            product.embed(0, FreeGroup(("b",)).gen("b"))

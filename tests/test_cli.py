@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from groupeq import cli
 from groupeq.cli import main, run_command
 from groupeq.config import DEFAULT_CAPS
 from groupeq.dsl import parse_script
@@ -292,3 +293,29 @@ def test_golden_reports_reproduce_byte_for_byte(name):
     fresh, code = run(data["command"], data["args"], data["script"])
     assert canonical_json(fresh) + "\n" == stored
     assert code == 0
+
+
+def test_one_parser_serves_every_main_call(tmp_path, capsys):
+    # main builds the argparse parser once per process: a bad argv (exit 2)
+    # first, then every golden fixture through main, byte for byte
+    cli._parser.cache_clear()
+    assert main(["classify", "--no-such-flag"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["no-such-command"]) == 2
+    capsys.readouterr()
+    for name in sorted(f for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")):
+        path = os.path.join(GOLDEN_DIR, name)
+        with open(path, "r", encoding="utf-8") as fh:
+            stored = fh.read()
+        data = json.loads(stored)
+        assert main(["verify", path]) == 0
+        assert capsys.readouterr().out == "verified: reports match\n"
+        if data["command"] in ("emit-ky", "emit-solution-group"):
+            continue  # main would add --witness-var to the args the fixture was made without
+        script = tmp_path / "script.ge"
+        script.write_text(data["script"], encoding="utf-8")
+        flags = [part for k, v in data["args"].items() for part in ("--" + k.replace("_", "-"), str(v))]
+        assert main([data["command"], str(script), "--format", "structured", *flags]) == 0
+        assert capsys.readouterr().out == stored
+    info = cli._parser.cache_info()
+    assert info.misses == 1 and info.hits > 19
