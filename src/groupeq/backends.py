@@ -464,10 +464,9 @@ class PermutationGroup(Group):
             raise ValueError("degree must be positive")
         self.degree = degree
         self._one = tuple(range(degree))
-        self._gens = tuple(tuple(p) for p in gens) if gens else None
-        if self._gens:
-            for p in self._gens:
-                self._check(p)
+        self._gens = tuple(tuple(p) for p in gens) if gens else ()
+        for p in self._gens:
+            self._check(p)
 
     def _check(self, p: tuple[int, ...]) -> None:
         if sorted(p) != list(range(self.degree)):

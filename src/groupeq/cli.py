@@ -261,7 +261,7 @@ def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
         return "ok", {
             "kind": "length-one",
             "m": lf.m,
-            "u": str(lf.u_word()),
+            "u": str(lf.u),
             "sigma_inverted": lf.sigma_inverted,
         }, 0
     f = res.form6
@@ -269,8 +269,8 @@ def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
         "kind": "form6",
         "m": f.m,
         "n": f.n,
-        "c": str(f.c_word()),
-        "pairs": [[str(b), str(a)] for b, a in f.pair_words()],
+        "c": str(f.c),
+        "pairs": [[str(b), str(a)] for b, a in f.pairs],
         "side_conditions": {
             "length_at_least_two": f.side_conditions.length_at_least_two,
             "a_outside_smaller_window": list(f.side_conditions.a_outside_smaller_window),
@@ -289,7 +289,7 @@ def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
         return "ok", {
             "kind": "length-one",
             "note": "system degenerates to the shift relations with u substituted",
-            "u": str(res.length_one.u_word()),
+            "u": str(res.length_one.u),
         }, 0
     window = args.get("window")
     pres = eqmod.emit_system_7(res.form6, caps.window if window is None else window)
@@ -362,8 +362,8 @@ def _run_search_nonup(sess: Session, args: dict, caps: Caps):
         if last is None:
             raise GroupEqError("the script declares no group")
         group = sess.groups[last]
-    radius = args.get("radius") or 3
-    maxsize = args.get("max_size") or 14
+    radius = 3 if args.get("radius") is None else args["radius"]
+    maxsize = 14 if args.get("max_size") is None else args["max_size"]
     res = upmod.search_nonup_witness(group, radius, maxsize, caps=caps)
     code = 1 if res.found else 0
     return ("falsified" if res.found else "ok"), {
@@ -461,14 +461,15 @@ def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict
         return make_report(command, args, script, "error", {}, err), 2
 
 
-def _caps_from_args(ns: argparse.Namespace) -> Caps:
-    caps = load_caps(getattr(ns, "config", None))
-    return caps.with_overrides(
-        radius=getattr(ns, "radius", None),
-        max_len=getattr(ns, "max_len", None),
-        window=getattr(ns, "window", None),
-        max_degree=getattr(ns, "max_degree", None),
-        budget_ms=getattr(ns, "budget_ms", None),
+def _caps(config: Optional[str], args: dict) -> Caps:
+    """The config file's caps (or $GROUPEQ_CONFIG's, or the defaults) with
+    the command's cap flags on top; `verify` passes a report's args."""
+    return load_caps(config).with_overrides(
+        radius=args.get("radius"),
+        max_len=args.get("max_len"),
+        window=args.get("window"),
+        max_degree=args.get("max_degree"),
+        budget_ms=args.get("budget_ms"),
     )
 
 
@@ -497,12 +498,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
+    args = _command_args(ns)
     try:
-        caps = _caps_from_args(ns)
+        caps = _caps(ns.config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report, code = run_command(ns.command, _command_args(ns), script, caps)
+    report, code = run_command(ns.command, args, script, caps)
     if ns.format == "structured":
         print(canonical_json(report))
     else:
@@ -522,7 +524,7 @@ def _verify(path: str) -> int:
         print("unknown report schema", file=sys.stderr)
         return 2
     try:
-        caps = load_caps()
+        caps = _caps(None, stored["args"])
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

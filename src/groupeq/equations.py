@@ -17,7 +17,7 @@ provided as the desk-scale verification oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .backends import FreeGroup, FreeProductGroup, Group, GroupElement
 from .config import DEFAULT_CAPS, Caps
@@ -159,7 +159,7 @@ def universal_solution_group(e: Equation) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# splits and leveled words
+# splits and levels
 
 
 @dataclass(frozen=True)
@@ -181,77 +181,26 @@ class Split:
         return Split(hs, ks)
 
 
-@dataclass(frozen=True)
-class LeveledWord:
-    """Element of the normal closure of G in G*<t>: syllables x at level l
-    stand for t^-l x t^l, adjacent syllables differ in (level, factor)."""
+def _leveled(w: GroupElement) -> Iterator[tuple[int, int, GroupElement]]:
+    """(level, factor, element) for each factor syllable of w, a word of a
+    group whose last factor is T.
 
-    group: FreeProductGroup
-    syllables: tuple[tuple[int, int, GroupElement], ...] = ()
-
-    @staticmethod
-    def build(group: FreeProductGroup, items: Sequence[tuple[int, int, GroupElement]]) -> "LeveledWord":
-        stack: list[tuple[int, int, GroupElement]] = []
-        for lvl, fi, el in items:
-            if el.is_identity:
-                continue
-            if stack and stack[-1][0] == lvl and stack[-1][1] == fi:
-                prod = stack[-1][2] * el
-                stack.pop()
-                if not prod.is_identity:
-                    stack.append((lvl, fi, prod))
-            else:
-                stack.append((lvl, fi, el))
-        return LeveledWord(group, tuple(stack))
-
-    def __mul__(self, other: "LeveledWord") -> "LeveledWord":
-        return LeveledWord.build(self.group, self.syllables + other.syllables)
-
-    def __invert__(self) -> "LeveledWord":
-        return LeveledWord(self.group, tuple((l, fi, ~el) for l, fi, el in reversed(self.syllables)))
-
-    def shift(self, d: int) -> "LeveledWord":
-        return LeveledWord(self.group, tuple((l + d, fi, el) for l, fi, el in self.syllables))
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    def k_levels(self, split: Split) -> list[int]:
-        return [l for l, fi, _ in self.syllables if fi in split.k]
-
-    def h_levels(self, split: Split) -> list[int]:
-        return [l for l, fi, _ in self.syllables if fi in split.h]
-
-    def expand(self, group: FreeProductGroup) -> GroupElement:
-        """prod t^-l x t^l in the refined group H_1 * ... * H_k * T.
-
-        Adjacent syllables differ in (level, factor), so the syllables
-        written here are already reduced.
-        """
-        ti = len(group.factors) - 1
-        sylls: list = []
-        prev = 0
-        for l, fi, el in self.syllables:
-            if prev != l:
-                sylls.append((ti, _t_power(prev - l)))
-            sylls.append((fi, el))
-            prev = l
-        if prev:
-            sylls.append((ti, _t_power(prev)))
-        return GroupElement(group, tuple(sylls))
-
-    def __str__(self) -> str:
-        if not self.syllables:
-            return "1"
-        return " ".join(
-            f"{self.group.factors[fi].format_element(el)}@{l}" for l, fi, el in self.syllables
-        )
+    The level is minus the t-exponent sum before the syllable, so w is
+    prod t^-level x t^level over its factor syllables x, and adjacent
+    syllables of a reduced word differ in (level, factor).
+    """
+    ti = len(w.group.factors) - 1
+    lvl = 0
+    for src, val in w.payload:
+        if src == ti:
+            lvl -= _t_exponent(val)
+        else:
+            yield lvl, src, val
 
 
-def _in_window(word: LeveledWord, split: Split, lo: int, hi: int) -> bool:
+def _in_window(word: GroupElement, split: Split, lo: int, hi: int) -> bool:
     """Membership in H-bar * K_lo * ... * K_hi (syllable inspection)."""
-    return all(lo <= l <= hi for l in word.k_levels(split))
+    return all(lo <= l <= hi for l, fi, _ in _leveled(word) if fi in split.k)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +210,10 @@ def _in_window(word: LeveledWord, split: Split, lo: int, hi: int) -> bool:
 class _CyclicHNN:
     """Cyclic word t^{d_0} p_0 t^{d_1} p_1 ... with base pieces, over the
     base H-bar * K_0..K_m and associated subgroups A = H-bar * K_0..K_{m-1},
-    B = A^t."""
+    B = A^t.  Pieces are words of the refined group H_1 * ... * H_k * T
+    with t-exponent sum 0; shifting one by d conjugates it by t^d."""
 
-    def __init__(self, letters: list[int], pieces: list[LeveledWord], split: Split, m: int):
+    def __init__(self, letters: list[int], pieces: list[GroupElement], split: Split, m: int):
         if len(letters) != len(pieces):
             raise InternalError("letters and pieces must alternate")
         self.letters = letters
@@ -271,13 +221,14 @@ class _CyclicHNN:
         self.split = split
         self.m = m
 
-    def _in_a(self, p: LeveledWord) -> bool:
+    def _in_a(self, p: GroupElement) -> bool:
         return _in_window(p, self.split, 0, self.m - 1)
 
-    def _in_b(self, p: LeveledWord) -> bool:
+    def _in_b(self, p: GroupElement) -> bool:
         return _in_window(p, self.split, 1, self.m)
 
     def reduce(self) -> None:
+        t = _t_in(self.pieces[0].group)
         while True:
             r = len(self.letters)
             if r <= 1:
@@ -286,18 +237,18 @@ class _CyclicHNN:
             for j in range(r):
                 nxt = (j + 1) % r
                 if self.letters[j] == -1 and self.letters[nxt] == 1 and self._in_a(self.pieces[j]):
-                    hit = (j, nxt, +1)
+                    hit = (j, nxt, t)
                     break
                 if self.letters[j] == 1 and self.letters[nxt] == -1 and self._in_b(self.pieces[j]):
-                    hit = (j, nxt, -1)
+                    hit = (j, nxt, ~t)
                     break
             if hit is None:
                 return
-            j, nxt, d = hit
+            j, nxt, shift = hit
             prev = (j - 1) % len(self.letters)
             if prev == nxt:
                 raise InternalError("pinch on a two-letter word; exponent sum parity broken")
-            merged = self.pieces[prev] * self.pieces[j].shift(d) * self.pieces[nxt]
+            merged = self.pieces[prev] * self.pieces[j].conj(shift) * self.pieces[nxt]
             self.pieces[prev] = merged
             for idx in sorted((j, nxt), reverse=True):
                 del self.letters[idx]
@@ -317,7 +268,13 @@ class _CyclicHNN:
         return "form6" if pp == 1 and mm == 0 else "other"
 
 
-def _initial_hnn(core: GroupElement, tsrc: int) -> tuple[list[int], list[list], tuple]:
+def _initial_hnn(core: GroupElement) -> tuple[list[int], list[GroupElement], GroupElement]:
+    """The t letters (+-1) of the cyclic core from its first t on, each with
+    the piece of factor syllables that follows it, and that rotation of the
+    core.  A rotation of a cyclically reduced word is reduced, so the pieces
+    are too."""
+    group = core.group
+    tsrc = len(group.factors) - 1
     sylls = core.payload
     ti = next((i for i, (s, _) in enumerate(sylls) if s == tsrc), None)
     if ti is None:
@@ -333,8 +290,8 @@ def _initial_hnn(core: GroupElement, tsrc: int) -> tuple[list[int], list[list], 
                 letters.append(s)
                 pieces.append([])
         else:
-            pieces[-1].append((0, src, val))
-    return letters, pieces, rot
+            pieces[-1].append((src, val))
+    return letters, [GroupElement(group, tuple(p)) for p in pieces], GroupElement(group, rot)
 
 
 @dataclass(frozen=True)
@@ -359,27 +316,19 @@ class Form6:
 
     m: int
     n: int
-    c: LeveledWord
-    pairs: tuple[tuple[LeveledWord, LeveledWord], ...]  # (b_i, a_i)
+    c: GroupElement  # pieces are words of the refined group
+    pairs: tuple[tuple[GroupElement, GroupElement], ...]  # (b_i, a_i)
     split: Split
     equation: Equation
     sigma_inverted: bool
     side_conditions: SideConditions
 
     def expand(self) -> GroupElement:
-        group = self.equation.refined_group()
-        t = _t_in(group)
-        out = self.c.expand(group) * t
+        t = _t_in(self.c.group)
+        out = self.c * t
         for b, a in self.pairs:
-            out = out * b.expand(group) * (~t) * a.expand(group) * t
+            out = out * b * (~t) * a * t
         return out
-
-    def c_word(self) -> GroupElement:
-        return self.c.expand(self.equation.refined_group())
-
-    def pair_words(self) -> tuple[tuple[GroupElement, GroupElement], ...]:
-        group = self.equation.refined_group()
-        return tuple((b.expand(group), a.expand(group)) for b, a in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -387,12 +336,9 @@ class LengthOneForm:
     """The degenerate branch: the equation rewrites as t = u over H-bar * K."""
 
     m: int
-    u: LeveledWord
+    u: GroupElement  # a word of the refined group
     equation: Equation
     sigma_inverted: bool
-
-    def u_word(self) -> GroupElement:
-        return self.u.expand(self.equation.refined_group())
 
 
 @dataclass(frozen=True)
@@ -421,14 +367,8 @@ def _prepare(e: Equation, split: Split) -> tuple[Equation, bool, GroupElement]:
     return e, inverted, w
 
 
-def _leveled_span(rot: Sequence, split: Split, tsrc: int) -> int:
-    cum = 0
-    lvls = []
-    for src, val in rot:
-        if src == tsrc:
-            cum += _t_exponent(val)
-        elif src in split.k:
-            lvls.append(-cum)
+def _leveled_span(word: GroupElement, split: Split) -> int:
+    lvls = [l for l, fi, _ in _leveled(word) if fi in split.k]
     if not lvls:
         raise InternalError("no K syllables after the over-H check")
     return max(lvls) - min(lvls)
@@ -448,19 +388,15 @@ def normal_form_6(
     the `verify` flag cross-checks against the exhaustive minimizer.
     """
     e, inverted, w = _prepare(e, split)
-    group: FreeProductGroup = e.group  # type: ignore[assignment]
-    tsrc = len(group.factors)
     core, _ = w.group.cyclically_reduce(w)
-    letters0, pieces0, rot = _initial_hnn(core, tsrc)
+    letters0, pieces0, rot = _initial_hnn(core)
     if sum(letters0) != 1:
         raise InternalError("exponent sum deviated from +1")
-    span = _leveled_span(rot, split, tsrc)
+    span = _leveled_span(rot, split)
 
     result: Optional[NormalFormResult] = None
     for m in range(span + 1):
-        letters = list(letters0)
-        pieces = [LeveledWord.build(group, p) for p in pieces0]
-        word = _CyclicHNN(letters, pieces, split, m)
+        word = _CyclicHNN(list(letters0), list(pieces0), split, m)
         word.reduce()
         shape = word.pattern_shape()
         if shape == "length-one":
@@ -517,7 +453,7 @@ def _extract_form6(word: _CyclicHNN, e: Equation, split: Split, inverted: bool, 
 
 def _check_expansion_length_one(lf: LengthOneForm) -> None:
     group = lf.equation.refined_group()
-    expansion = _t_in(group) * ~lf.u.expand(group)
+    expansion = _t_in(group) * ~lf.u
     if not group.are_conjugate(expansion, lf.equation.refined_word()):
         raise InternalError("length-one expansion is not conjugate to the input word")
 
@@ -627,7 +563,7 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
     group: FreeProductGroup = f.equation.group  # type: ignore[assignment]
     if f.n < 1:
         raise EquationError("system (7) needs n >= 1")
-    h_levels = [l for w in _pieces_of(f) for l in w.h_levels(f.split)]
+    h_levels = [l for w in _pieces_of(f) for l, fi, _ in _leveled(w) if fi in f.split.h]
     if any(abs(l) > window for l in h_levels):
         raise WindowError(f"window {window} does not contain the H levels {sorted(set(h_levels))}")
     mangled = group._mangled()
@@ -661,9 +597,9 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
                 g_next = F.gen(copy_name(fi, nm, lvl + 1))
                 rels.append((~x) * g_i * x * (~g_next))
 
-    def piece_word(w: LeveledWord) -> GroupElement:
+    def piece_word(w: GroupElement) -> GroupElement:
         items: list[tuple[str, int]] = []
-        for lvl, fi, el in w.syllables:
+        for lvl, fi, el in _leveled(w):
             for nm, e in group.factors[fi].express(el):
                 items.append((copy_name(fi, nm, lvl), e))
         return F.word(items)
@@ -675,7 +611,7 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
     return Presentation(tuple(gens), tuple(rels))
 
 
-def _pieces_of(f: Form6) -> list[LeveledWord]:
+def _pieces_of(f: Form6) -> list[GroupElement]:
     out = [f.c]
     for b, a in f.pairs:
         out.extend((b, a))

@@ -340,9 +340,18 @@ def _label(T: Group, c: GroupElement) -> str:
     return T.format_element(c).replace(" ", "")
 
 
-def _coset_mul(T: Group, t: GroupElement, a: GroupElement, b: GroupElement) -> GroupElement:
-    c, _ = T.coset_decompose(a * b, t)
-    return c
+def _ky_copies(re: RewrittenEquation, Y: Sequence[GroupElement]) -> list[GroupElement]:
+    """The coset representatives of X_1 Y, sorted: one copy of G in K_Y each."""
+    T, x1 = re.vargroup, re.coset_reps()
+    copies: list[GroupElement] = []
+    for y in Y:
+        c_y, _ = T.coset_decompose(y, re.t)
+        for c in x1:
+            cf, _ = T.coset_decompose(c * c_y, re.t)
+            if cf not in copies:
+                copies.append(cf)
+    copies.sort(key=T.sort_key)
+    return copies
 
 
 def _copy_gen_names(G: Group, c_label: str) -> dict[str, str]:
@@ -358,18 +367,9 @@ def emit_ky(
     """K_Y: one copy of G per coset in X_1 Y, one letter, one relator per y."""
     T, G = re.vargroup, re.group
     family = conjugate_family(re, list(Y))
-    x1 = re.coset_reps()
-    copies: list[GroupElement] = []
-    for y in Y:
-        c_y, _ = T.coset_decompose(y, re.t)
-        for c in x1:
-            cf = _coset_mul(T, re.t, c, c_y)
-            if cf not in copies:
-                copies.append(cf)
-    copies.sort(key=T.sort_key)
     gens: list[str] = []
     gdata = G.presentation_data()
-    for c in copies:
+    for c in _ky_copies(re, Y):
         ren = _copy_gen_names(G, _label(T, c))
         gens.extend(ren[nm] for nm in gdata.names)
     gens.append(witness_var)
@@ -409,24 +409,9 @@ def emit_solution_group(
     F = Presentation(tuple(gens), ()).group()
     rels = [F.word(r.group.express(r)) for r in tpres.relators + ky.relators]
     tt = F.gen(witness_var)
-    copies = []
-    for nm in ky.generators:
-        if nm != witness_var and "@" in nm:
-            lbl = nm.rsplit("@", 1)[1]
-            if lbl not in copies:
-                copies.append(lbl)
-    label_to_rep = {}
-    x1 = re.coset_reps()
-    reps_used: list[GroupElement] = []
-    for y in Y:
-        c_y, _ = T.coset_decompose(y, re.t)
-        for c in x1:
-            cf = _coset_mul(T, re.t, c, c_y)
-            if cf not in reps_used:
-                reps_used.append(cf)
-    for c in reps_used:
-        label_to_rep[_label(T, c)] = c
     gdata = G.presentation_data()
+    # a G without generators emits no copies, so the action has none to move
+    copies = _ky_copies(re, Y) if gdata.names else []
     if window >= 1:
         for y in T.generators():
             y_word = F.word(T.express(y))
@@ -438,11 +423,10 @@ def emit_solution_group(
             else:
                 raise NormalityError("the action needs <t> normal in T")
             rels.append((~y_word) * tt * y_word * (tt ** (-eps)))
-            for lbl in copies:
-                c = label_to_rep[lbl]
+            for c in copies:
                 cf, k = T.coset_decompose(c * y, re.t)
-                f_lbl = _label(T, cf)
-                if f_lbl not in copies:
+                lbl, f_lbl = _label(T, c), _label(T, cf)
+                if cf not in copies:
                     raise WindowError(
                         f"action moves copy {lbl} to {f_lbl}, outside the emitted window"
                     )

@@ -118,6 +118,8 @@ def relation_falsifier(
             b_powers[k] = b_pow(k - 1) * b if k > 0 else b_pow(k + 1) * ~b if k < 0 else identity
         return b_powers[k]
 
+    # powers of b in search order 1, -1, 2, -2, ...; weight w takes the first 2w
+    b_order = [k for j in range(1, max_len + 1) for k in (j, -j)]
     budget = [caps.falsifier_nodes]
 
     def search(prefix_val, weight_left: int, last: str, tokens: tuple):
@@ -129,9 +131,7 @@ def relation_falsifier(
         if weight_left == 0:
             return None
         if last != "b":
-            for k in sorted(range(-weight_left, weight_left + 1), key=lambda v: (abs(v), -v)):
-                if k == 0:
-                    continue
+            for k in b_order[:2 * weight_left]:
                 hit = search(prefix_val * b_pow(k), weight_left - abs(k), "b", tokens + (("b", k),))
                 if hit is not None:
                     return hit

@@ -1,5 +1,8 @@
 import copy
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -436,3 +439,22 @@ def test_embed_rejects_elements_of_other_groups():
             product.embed(1, fa.gen("a"))
         with pytest.raises(GroupMismatchError):
             product.embed(0, FreeGroup(("b",)).gen("b"))
+
+
+def test_permutation_hashes_reproduce_across_processes():
+    # with a fixed PYTHONHASHSEED, group and element hashes, and so the
+    # iteration order of a ball, must not depend on object addresses
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "from groupeq.backends import PermutationGroup\n"
+        "g = PermutationGroup(4)\n"
+        "x = g.from_cycles([(1, 2, 3)])\n"
+        "print(hash(g), hash(x), [e.payload for e in g.ball(2)])\n"
+    )
+    outs = [
+        subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True).stdout
+        for _ in range(2)
+    ]
+    assert outs[0] == outs[1] and outs[0].strip()

@@ -278,6 +278,39 @@ def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
     assert "bogus" in captured.err and "verified" not in captured.out
 
 
+def _search_nonup_report(tmp_path, capsys, flags):
+    script = tmp_path / "in.ge"
+    script.write_text("group C = cyclic(3)\n")
+    code = main(["search-nonup", str(script), "--format", "structured", *flags])
+    path = tmp_path / "report.json"
+    path.write_text(capsys.readouterr().out)
+    return code, json.loads(path.read_text()), str(path)
+
+
+def test_verify_applies_the_reports_cap_flags(tmp_path, capsys):
+    # --radius 9 lifts the default radius cap of 8; verify must lift it too
+    code, report, path = _search_nonup_report(tmp_path, capsys, ["--radius", "9", "--max-size", "3"])
+    assert code == 1 and report["status"] == "falsified"
+    assert report["args"] == {"max_size": 3, "radius": 9}
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+@pytest.mark.parametrize(
+    "flags, exhausted",
+    [(["--radius", "0"], list(range(2, 15))), (["--max-size", "0"], [])],
+    ids=["radius-0", "max-size-0"],
+)
+def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
+    code, report, path = _search_nonup_report(tmp_path, capsys, flags)
+    assert code == 0 and report["status"] == "ok"
+    result = report["result"]
+    assert result["found"] is False and result["subsets_tested"] == 0
+    assert result["sizes_exhausted"] == exhausted and result["sizes_truncated"] == []
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
 # ---------------------------------------------------------------------------
 # golden reports: fixed inputs whose structured reports must not change by a byte
 

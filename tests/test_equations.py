@@ -2,11 +2,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupeq.backends import FreeGroup, FreeProductGroup
 from groupeq.equations import (
     Equation,
     Split,
+    T,
+    _leveled,
     bruteforce_min_form6,
     classify,
     emit_system_7,
@@ -163,6 +166,42 @@ def test_universal_solution_group(setup, c3):
 
 
 # ---------------------------------------------------------------------------
+# levels of normal-closure words
+
+
+_leveled_items = st.lists(
+    st.tuples(st.integers(-3, 3), st.sampled_from([0, 1]), st.sampled_from([-2, -1, 1, 2])),
+    max_size=8,
+)
+
+
+@settings(max_examples=80)
+@given(_leveled_items, _leveled_items, st.integers(-3, 3))
+def test_leveled_syllables_rebuild_and_shift(fafb, items, other, d):
+    # prod t^-l x t^l in F(a) * F(b) * T, read back through its levels
+    R = FreeProductGroup(fafb.factors + (T,))
+    t = R.embed(2, T.gens()[0])
+
+    def rebuild(sylls):
+        out = R.identity()
+        for lvl, fi, el in sylls:
+            out = out * t ** -lvl * R.embed(fi, el) * t ** lvl
+        return out
+
+    def closure_word(spec):
+        return rebuild((l, fi, fafb.factors[fi].gens()[0] ** e) for l, fi, e in spec)
+
+    w, v = closure_word(items), closure_word(other)
+    sylls = list(_leveled(w))
+    assert all(p[:2] != q[:2] for p, q in zip(sylls, sylls[1:]))
+    assert rebuild(sylls) == w
+    # a shift by d is conjugation by t^d: it adds d to every level
+    shifted = w.conj(t ** d)
+    assert list(_leveled(shifted)) == [(l + d, fi, el) for l, fi, el in sylls]
+    assert (w * v).conj(t ** d) == shifted * v.conj(t ** d)
+
+
+# ---------------------------------------------------------------------------
 # normal form (6)
 
 
@@ -172,7 +211,7 @@ def test_normal_form_length_one_branch(setup):
     assert res.kind == "length-one"
     assert res.length_one.m == 0
     # t = u with u = b^-1
-    assert str(res.length_one.u_word()) == "b^-1"
+    assert str(res.length_one.u) == "b^-1"
 
 
 def test_normal_form_paper_length_one_case(setup):
@@ -346,7 +385,7 @@ def test_emit_system_7_window_too_small(setup):
         if res.kind != "form6":
             continue
         levels = [l for w in [res.form6.c] + [x for p in res.form6.pairs for x in p]
-                  for l in w.h_levels(split)]
+                  for l, fi, _ in _leveled(w) if fi in split.h]
         if levels and max(abs(l) for l in levels) > 0:
             found = res.form6
             break

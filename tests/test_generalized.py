@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from groupeq.backends import FreeAbelianGroup, FreeGroup, cyclic_group
+from groupeq.backends import FiniteTableGroup, FreeAbelianGroup, FreeGroup, cyclic_group
 from groupeq.equations import classify
 from groupeq.errors import EquationError, NormalityError, UnsupportedBackendError, WindowError
 from groupeq.generalized import (
@@ -321,6 +321,19 @@ def test_emit_solution_group_window_insufficient(gz2):
     re = coset_rewrite(ge)
     with pytest.raises(WindowError):
         emit_solution_group(re, [T.identity()], window=1)
+
+
+def test_emit_solution_group_without_coefficient_generators(gz2):
+    # a trivial G has no generators, so K_Y has no copies and the action
+    # that leaves the window in the test above has nothing to move
+    _, T = gz2
+    G = FiniteTableGroup([[0]])
+    re = coset_rewrite(make_geq(G, T, [(G.identity(), T.vector((1, 1)))]))
+    p = emit_solution_group(re, [T.identity()], window=1)
+    assert p.generators == ("e1", "e2", "t~")
+    # T's commutator, the K_Y relator t~, one twist per T-generator, t~ t^-1
+    assert len(p.relators) == 5
+    assert_round_trips(p)
 
 
 def test_reduce_to_ordinary(gz2):
