@@ -10,8 +10,8 @@ A command-line front end to `groupeq.up.search_nonup_witness` and
 The fours group is torsion-free, so a symmetric set without the identity
 has even size; the symmetric anneal rejects an odd --max-size.
 
-The exhaustive symmetric run at radius 3 finishes in seconds and proves
-there is no symmetric witness of size <= 14 in that ball.  Witnesses do
+The exhaustive symmetric run at radius 3 finishes in under a second and
+proves there is no symmetric witness of size <= 14 in that ball.  Witnesses do
 exist asymmetrically at radius 4: seed 17 finds a verified 14-element set
 (two translations, six elements in each of two reflection cosets) in a few
 seconds via

@@ -520,15 +520,22 @@ def _verify(path: str) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read report: {exc}", file=sys.stderr)
         return 2
-    if stored.get("schema") != SCHEMA:
+    if not isinstance(stored, dict) or stored.get("schema") != SCHEMA:
         print("unknown report schema", file=sys.stderr)
         return 2
+    command, args, script = stored.get("command"), stored.get("args"), stored.get("script")
+    if command not in RUNNERS:
+        print(f"malformed report: unknown command {command!r}", file=sys.stderr)
+        return 2
+    if not isinstance(args, dict) or not isinstance(script, str):
+        print("malformed report: it needs an args object and a script string", file=sys.stderr)
+        return 2
     try:
-        caps = _caps(None, stored["args"])
+        caps = _caps(None, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    fresh, _ = run_command(stored["command"], stored["args"], stored["script"], caps)
+    fresh, _ = run_command(command, args, script, caps)
     match = canonical_json(fresh) == canonical_json(stored)
     print("verified: reports match" if match else "MISMATCH: report does not reproduce")
     return 0 if match else 1

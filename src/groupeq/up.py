@@ -23,12 +23,11 @@ from .errors import GroupMismatchError
 
 
 def _as_sorted_set(group: Group, xs: Iterable[GroupElement], name: str) -> tuple[GroupElement, ...]:
-    out = []
+    out: dict[GroupElement, None] = {}
     for x in xs:
         if x.group is not group and x.group != group:
             raise GroupMismatchError(f"{name} contains elements of another group")
-        if x not in out:
-            out.append(x)
+        out[x] = None
     if not out:
         raise ValueError(f"{name} must be nonempty")
     return tuple(sorted(out, key=group.sort_key))
@@ -237,6 +236,14 @@ class ProductCensus:
     pairs of S whose product is element k, and S has a unique product iff
     some count is 1.  `add` and `remove` touch only the products of the
     elements they move, with no branches in the loop.
+
+    `reach[i]` is a bit mask over product indices: bit k is set iff some
+    x*y or y*x with x an element of `atoms[i:]` and y anywhere in the ball
+    is element k (`reach[len(atoms)]` is 0).  Putting atoms from `atoms[i:]`
+    into S only raises counts inside `reach[i]`, so a count of 1 outside it
+    is final: no such extension of S loses that unique product.
+    `ways(top)` counts the subsets of `atoms[i:]` by their number of
+    elements, so the search can count a subtree it cuts without visiting it.
     """
 
     def __init__(
@@ -264,8 +271,25 @@ class ProductCensus:
             j = position[group._inv(p)]
             used.update((i, j))
             self.atoms.append((i,) if i == j else (i, j))
+        self.reach = [0] * (len(self.atoms) + 1)
+        for i in range(len(self.atoms) - 1, -1, -1):
+            mask = self.reach[i + 1]
+            for x in self.atoms[i]:
+                for k in {*self.rows[x], *self.cols[x]}:
+                    mask |= 1 << k
+            self.reach[i] = mask
         self.counts = [0] * len(big)
         self.members: list[int] = []
+
+    def ways(self, top: int) -> list[list[int]]:
+        """`ways(top)[i][s]`, for s <= top, is the number of subsets of
+        `atoms[i:]` whose atoms hold s elements in all."""
+        table = [[1] + [0] * top]
+        for atom in reversed(self.atoms):
+            below, k = table[-1], len(atom)
+            table.append([below[s] + (below[s - k] if s >= k else 0) for s in range(top + 1)])
+        table.reverse()
+        return table
 
     def add(self, atom: tuple[int, ...]) -> None:
         """Put the atom's elements, none of them in S yet, into S."""
@@ -315,66 +339,89 @@ def search_nonup_witness(
     optionally the identity), enumerated depth first in lexicographic order
     of the atom list, so the first witness is deterministic.  Any witness
     found is re-verified with an independent naive census.
+
+    The depth-first walk cuts a node whose remaining atoms are `atoms[i:]`
+    when S*S already has a product of count 1 outside `census.reach[i]`:
+    no completion changes that count, so no subset below is a witness.  The
+    cut subtree still counts in `subsets_tested`, as `ways[i][left]`
+    subsets (`ProductCensus.ways`), so the count, the exhausted sizes and
+    the first witness are those of visiting every subset in order.  The
+    wall-clock budget is checked every 2048 nodes.
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
     census = ProductCensus(group, radius, gens, caps)
+    atoms = census.atoms
+    n = len(atoms)
+    ways = census.ways(max(maxsize, 0))
+    # watch[i]: the products outside reach[i], whose counts are final at a
+    # node whose remaining atoms are atoms[i:]
+    watch = [tuple(k for k in range(len(census.counts)) if not mask >> k & 1) for mask in census.reach]
+    add, remove = census.add, census.remove
 
     tested = 0
+    nodes = 0
     exhausted: list[int] = []
     truncated: list[int] = []
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
 
+    def walk(first: int, left: int) -> Optional[bool]:
+        """Extend the loaded subset by atoms[first:] to `left` more elements
+        in every way, in order; True leaves a witness loaded, None means
+        the deadline passed."""
+        nonlocal tested, nodes
+        for j in range(first, n):
+            if not ways[j][left]:
+                return False
+            atom = atoms[j]
+            rest = left - len(atom)
+            if rest < 0 or not ways[j + 1][rest]:
+                continue
+            nodes += 1
+            if not nodes & 2047 and out_of_time():
+                return None
+            add(atom)
+            if not rest:
+                tested += 1
+                if 1 not in counts:
+                    return True
+            elif 1 in map(counts.__getitem__, watch[j + 1]):
+                tested += ways[j + 1][rest]
+            else:
+                found = walk(j + 1, rest)
+                if found is not False:
+                    return found
+            remove(atom)
+        return False
+
     for size in range(2, maxsize + 1):
         if out_of_time():
             truncated.append(size)
             continue
-        hit_deadline = False
+        found: Optional[bool] = False
         for with_ident in (False, True):
             census.clear()
+            counts = census.counts  # read by walk; clear() makes a new list
             if with_ident:
-                census.add((census.identity,))
-            for _ in _atom_subsets(census, size - (1 if with_ident else 0)):
-                if tested % 2048 == 0 and out_of_time():
-                    hit_deadline = True
-                    break
-                tested += 1
-                if census.unique_count() == 0:
-                    witness = census.subset()
-                    ok = naive_no_unique_product(witness)
-                    elapsed = int((time.monotonic() - start) * 1000)
-                    return WitnessSearchResult(
-                        witness, ok, tuple(exhausted), tuple(truncated), tested, elapsed
-                    )
-            if hit_deadline:
+                add((census.identity,))
+            found = walk(0, size - (1 if with_ident else 0))
+            if found:
+                witness = census.subset()
+                ok = naive_no_unique_product(witness)
+                elapsed = int((time.monotonic() - start) * 1000)
+                return WitnessSearchResult(
+                    witness, ok, tuple(exhausted), tuple(truncated), tested, elapsed
+                )
+            if found is None:
                 break
-        if hit_deadline:
+        if found is None:
             truncated.append(size)
         else:
             exhausted.append(size)
     elapsed = int((time.monotonic() - start) * 1000)
     return WitnessSearchResult(None, False, tuple(exhausted), tuple(truncated), tested, elapsed)
-
-
-def _atom_subsets(census: ProductCensus, budget: int):
-    """Load each atom subset whose sizes sum to `budget` into the census, in
-    lexicographic order, yielding once per subset while it is loaded."""
-    atoms = census.atoms
-
-    def rec(start: int, left: int):
-        if left == 0:
-            yield
-            return
-        for i in range(start, len(atoms)):
-            a = atoms[i]
-            if len(a) <= left:
-                census.add(a)
-                yield from rec(i + 1, left - len(a))
-                census.remove(a)
-
-    yield from rec(0, budget)
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,26 @@ def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
     assert "bogus" in captured.err and "verified" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "report, needle",
+    [
+        ({"schema": "groupeq.report/1", "command": "classify"}, "args object"),
+        ({"schema": "groupeq.report/1", "command": "nope", "args": {}, "script": ""}, "unknown command 'nope'"),
+        ({"schema": "groupeq.report/1", "command": "classify", "args": [], "script": ""}, "args object"),
+        ({"schema": "groupeq.report/1", "command": "classify", "args": {}}, "script string"),
+        (["groupeq.report/1"], "unknown report schema"),
+    ],
+    ids=["no-args", "unknown-command", "list-args", "no-script", "not-an-object"],
+)
+def test_verify_malformed_report_exits_two(tmp_path, capsys, report, needle):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert needle in captured.err
+
+
 def _search_nonup_report(tmp_path, capsys, flags):
     script = tmp_path / "in.ge"
     script.write_text("group C = cyclic(3)\n")
@@ -317,6 +337,9 @@ def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
+# the exit code each golden report must come with, read from its status
+GOLDEN_CODES = {"ok": 0, "falsified": 1}
+
 
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")))
 def test_golden_reports_reproduce_byte_for_byte(name):
@@ -325,7 +348,7 @@ def test_golden_reports_reproduce_byte_for_byte(name):
     data = json.loads(stored)
     fresh, code = run(data["command"], data["args"], data["script"])
     assert canonical_json(fresh) + "\n" == stored
-    assert code == 0
+    assert code == GOLDEN_CODES[data["status"]]
 
 
 def test_one_parser_serves_every_main_call(tmp_path, capsys):
@@ -348,7 +371,7 @@ def test_one_parser_serves_every_main_call(tmp_path, capsys):
         script = tmp_path / "script.ge"
         script.write_text(data["script"], encoding="utf-8")
         flags = [part for k, v in data["args"].items() for part in ("--" + k.replace("_", "-"), str(v))]
-        assert main([data["command"], str(script), "--format", "structured", *flags]) == 0
+        assert main([data["command"], str(script), "--format", "structured", *flags]) == GOLDEN_CODES[data["status"]]
         assert capsys.readouterr().out == stored
     info = cli._parser.cache_info()
     assert info.misses == 1 and info.hits > 19

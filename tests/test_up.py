@@ -1,16 +1,21 @@
+import dataclasses
 import functools
+import itertools
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupeq.backends import FoursGroup, FreeAbelianGroup, klein_four_group
+from groupeq import up
+from groupeq.backends import FoursGroup, FreeAbelianGroup, PermutationGroup, cyclic_group, klein_four_group
 from groupeq.config import DEFAULT_CAPS
 from groupeq.up import (
     ProductCensus,
+    WitnessSearchResult,
     anneal_nonup_witness,
     naive_no_unique_product,
     search_nonup_witness,
@@ -272,3 +277,169 @@ def test_witness_script_rejects_odd_symmetric_anneal():
     )
     assert proc.returncode == 2
     assert "even --max-size" in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# the pruned exhaustive search against an unpruned reference
+
+
+def _reference_search(group, radius, maxsize, gens=None):
+    """Every symmetric subset, size by size, identity-free subsets first,
+    atom subsets in lexicographic order, each checked by the naive census."""
+    census = ProductCensus(group, radius, gens)
+    ball, atoms = census.ball, census.atoms
+    tested, exhausted = 0, []
+    for size in range(2, maxsize + 1):
+        for head in ((), (ball[census.identity],)):
+            target = size - len(head)
+            picks = sorted(
+                c
+                for r in range(target + 1)
+                for c in itertools.combinations(range(len(atoms)), r)
+                if sum(len(atoms[i]) for i in c) == target
+            )
+            for c in picks:
+                tested += 1
+                S = head + tuple(ball[x] for i in c for x in atoms[i])
+                if naive_no_unique_product(S):
+                    return WitnessSearchResult(S, True, tuple(exhausted), (), tested, 0)
+        exhausted.append(size)
+    return WitnessSearchResult(None, False, tuple(exhausted), (), tested, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_group(name, n=0):
+    return {
+        "cyclic": lambda: cyclic_group(n),
+        "klein": klein_four_group,
+        "perm3": lambda: PermutationGroup(3),
+        "zn2": lambda: FreeAbelianGroup(2),
+        "fours": FoursGroup,
+    }[name]()
+
+
+@functools.lru_cache(maxsize=None)
+def _gen_pool(name, n=0):
+    group = _search_group(name, n)
+    if name == "cyclic":
+        return tuple(group.elements())
+    return tuple(sorted(group.ball(1 if name == "zn2" else 2), key=group.sort_key))
+
+
+@st.composite
+def _search_inputs(draw):
+    name = draw(st.sampled_from(["cyclic", "klein", "perm3", "zn2", "fours"]))
+    n = draw(st.integers(min_value=2, max_value=25)) if name == "cyclic" else 0
+    group = _search_group(name, n)
+    gens = None
+    if name in ("cyclic", "fours", "zn2") and draw(st.booleans()):
+        pool = _gen_pool(name, n)
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
+        gens = [pool[i] for i in picks]
+    radius = 2 if name == "fours" else draw(st.integers(min_value=0, max_value=3))
+    maxsize = draw(st.integers(min_value=0, max_value=6 if name == "fours" else 8))
+    return group, radius, maxsize, gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_inputs())
+def test_search_matches_unpruned_reference(inputs):
+    # the cut and the subtree count leave the witness, the exhausted sizes
+    # and subsets_tested exactly as a visit of every subset in order gives
+    group, radius, maxsize, gens = inputs
+    res = search_nonup_witness(group, radius, maxsize, gens)
+    assert dataclasses.replace(res, elapsed_ms=0) == _reference_search(group, radius, maxsize, gens)
+
+
+@pytest.mark.parametrize(
+    "n, radius, gens, tested",
+    [(13, 2, (12, 6), 24), (21, 2, (2, 10), 91), (23, 2, (21, 12), 91), (23, 2, (14, 12), 84)],
+)
+def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
+    # cyclic balls where subtrees are cut before the first witness turns up
+    group = cyclic_group(n)
+    g = [group.element(k) for k in gens]
+    res = search_nonup_witness(group, radius, 8, g)
+    assert res.found and res.verified and res.subsets_tested == tested
+    assert dataclasses.replace(res, elapsed_ms=0) == _reference_search(group, radius, 8, g)
+
+
+@pytest.mark.parametrize(
+    "name, n, radius",
+    [("klein", 0, 1), ("cyclic", 7, 3), ("cyclic", 23, 2), ("perm3", 0, 2), ("zn2", 0, 2), ("fours", 0, 2)],
+)
+def test_reach_is_every_product_touching_the_remaining_atoms(name, n, radius):
+    group = _search_group(name, n)
+    census = ProductCensus(group, radius)
+    big = sorted(group.ball(2 * radius), key=group.sort_key)
+    ball, atoms = census.ball, census.atoms
+    assert len(census.reach) == len(atoms) + 1
+    for i in range(len(atoms) + 1):
+        formed = {
+            big.index(p)
+            for a in atoms[i:]
+            for x in a
+            for y in ball
+            for p in (ball[x] * y, y * ball[x])
+        }
+        assert {k for k in range(len(big)) if census.reach[i] >> k & 1} == formed
+
+
+@pytest.mark.parametrize("name, n, radius", [("klein", 0, 1), ("cyclic", 9, 4), ("perm3", 0, 2), ("zn2", 0, 2)])
+def test_ways_counts_atom_subsets_by_size(name, n, radius):
+    census = ProductCensus(_search_group(name, n), radius)
+    atoms = census.atoms
+    top = sum(len(a) for a in atoms) + 1
+    ways = census.ways(top)
+    assert len(ways) == len(atoms) + 1
+    for i in range(len(atoms) + 1):
+        sizes = [
+            sum(len(a) for a in c)
+            for r in range(len(atoms) - i + 1)
+            for c in itertools.combinations(atoms[i:], r)
+        ]
+        assert ways[i] == [sizes.count(s) for s in range(top + 1)]
+
+
+def test_zero_budget_truncates_every_size():
+    res = search_nonup_witness(FoursGroup(), 2, 14, caps=DEFAULT_CAPS.with_overrides(budget_ms=0))
+    assert res.witness is None and not res.verified
+    assert res.sizes_exhausted == () and res.sizes_truncated == tuple(range(2, 15))
+
+
+def test_ample_budget_exhausts_every_size():
+    res = search_nonup_witness(FoursGroup(), 2, 14, caps=DEFAULT_CAPS.with_overrides(budget_ms=60_000))
+    assert res.witness is None
+    assert res.sizes_exhausted == tuple(range(2, 15)) and res.sizes_truncated == ()
+    assert res.subsets_tested == 500
+
+
+class _StepClock:
+    """A stand-in for the `time` module whose clock reads 0 until its
+    `jump`-th reading and far past any budget from then on."""
+
+    def __init__(self, jump=None):
+        self.jump, self.readings = jump, 0
+
+    def monotonic(self):
+        self.readings += 1
+        return 1e9 if self.jump is not None and self.readings >= self.jump else 0.0
+
+
+def test_deadline_inside_a_size_truncates_it(monkeypatch):
+    # the walk reads the clock every 2048 nodes, however many subsets a cut
+    # counts at once, so a deadline passing at its last reading truncates
+    # the size being walked
+    group, caps = FoursGroup(), DEFAULT_CAPS.with_overrides(radius=6)
+    clock = _StepClock()
+    monkeypatch.setattr(up, "time", clock)
+    full = search_nonup_witness(group, 3, 14, caps=caps)
+    assert full.subsets_tested == 198_438 and full.sizes_exhausted == tuple(range(2, 15))
+    # beyond the start, the 13 size checks and the elapsed time
+    assert clock.readings > 15
+    clock = _StepClock(jump=clock.readings - 1)
+    monkeypatch.setattr(up, "time", clock)
+    res = search_nonup_witness(group, 3, 14, caps=caps)
+    assert res.witness is None
+    assert res.sizes_exhausted == tuple(range(2, 14)) and res.sizes_truncated == (14,)
+    assert 0 < res.subsets_tested < full.subsets_tested
