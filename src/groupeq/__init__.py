@@ -17,6 +17,7 @@ from .backends import (
     Group,
     GroupElement,
     PermutationGroup,
+    Presentation,
     QuotientFreeAbelianGroup,
     cyclic_group,
     klein_four_group,
@@ -77,13 +78,11 @@ from .up import (
     verify_up4_implies_strong,
 )
 from .words import (
-    Presentation,
     amalgam,
     conjugate_into,
     hnn,
     in_subfreeproduct,
     is_conjugate_to_constant,
-    presentation_of,
     relation_falsifier,
 )
 

@@ -14,10 +14,11 @@ subgroup (used for variable-group verdicts).
 from __future__ import annotations
 
 import itertools
+import re
 from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Any, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -25,6 +26,7 @@ from .errors import (
     CapExceededError,
     GroupEqError,
     GroupMismatchError,
+    SymbolClashError,
     UnsupportedBackendError,
 )
 
@@ -210,10 +212,7 @@ class Group(ABC):
     # -- canonical printing / parsing / ordering
 
     def sort_key(self, x: GroupElement) -> tuple:
-        return (self._payload_key(x.payload),)
-
-    def _payload_key(self, payload: Any) -> Any:
-        return payload
+        return (x.payload,)
 
     @abstractmethod
     def format_element(self, x: GroupElement) -> str:
@@ -228,9 +227,12 @@ class Group(ABC):
     def __repr__(self) -> str:
         return self.describe()
 
-    # -- presentations (None-returning backends raise)
+    # -- presentations
 
-    def presentation_data(self) -> "PresentationData":
+    @cached_property
+    def presentation(self) -> Presentation:
+        """Generators and relators of this group, built on first use and kept
+        (groups are immutable, like the hash)."""
         raise UnsupportedBackendError(f"{self.kind} backend has no known presentation")
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
@@ -282,14 +284,6 @@ class Group(ABC):
             if not layer:
                 break
         return frozenset(seen)
-
-
-@dataclass(frozen=True)
-class PresentationData:
-    """Generators plus relators given as (name, exponent) words."""
-
-    names: tuple[str, ...]
-    relators: tuple[tuple[tuple[str, int], ...], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -392,22 +386,20 @@ class FiniteTableGroup(Group):
             pass
         raise ValueError(f"unknown element literal {text!r}")
 
-    def presentation_data(self) -> PresentationData:
+    @cached_property
+    def presentation(self) -> Presentation:
         if self._pres is not None:
-            return self._pres[0]
-        names = tuple(f"x{i}" for i in range(self.size) if i != self._one)
+            return Presentation.of(*self._pres[0])
+        nontrivial = [i for i in range(self.size) if i != self._one]
         rels = []
-        idx = {i: f"x{i}" for i in range(self.size) if i != self._one}
-        for a in range(self.size):
-            for b in range(self.size):
-                if a == self._one or b == self._one:
-                    continue
+        for a in nontrivial:
+            for b in nontrivial:
                 c = self.table[a][b]
-                word = [(idx[a], 1), (idx[b], 1)]
+                word = [(f"x{a}", 1), (f"x{b}", 1)]
                 if c != self._one:
-                    word.append((idx[c], -1))
-                rels.append(tuple(word))
-        return PresentationData(names, tuple(rels))
+                    word.append((f"x{c}", -1))
+                rels.append(word)
+        return Presentation.of([f"x{i}" for i in nontrivial], rels)
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         if self._pres is not None:
@@ -426,7 +418,7 @@ def cyclic_group(n: int) -> FiniteTableGroup:
         raise ValueError("order must be positive")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = tuple("1" if i == 0 else (f"a^{i}" if i > 1 else "a") for i in range(n))
-    pres = PresentationData(("a",), ((("a", n),),))
+    pres = (("a",), ((("a", n),),))  # generators and relators, built on first use
 
     def express(i: int) -> tuple[tuple[str, int], ...]:
         return () if i == 0 else (("a", i),)
@@ -538,10 +530,7 @@ class PermutationGroup(Group):
         return self.degree == 1
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[GroupElement, ...]:
-        count = 1
-        for i in range(2, self.degree + 1):
-            count *= i
-        if count > caps.perms_per_degree:
+        if factorial(self.degree) > caps.perms_per_degree:
             raise CapExceededError(f"S_{self.degree} enumeration exceeds cap")
         return tuple(GroupElement(self, p) for p in itertools.permutations(range(self.degree)))
 
@@ -572,18 +561,18 @@ class PermutationGroup(Group):
             i = j + 1
         return self.from_cycles(cycles)
 
-    def presentation_data(self) -> PresentationData:
+    @cached_property
+    def presentation(self) -> Presentation:
         n = self.degree
-        names = tuple(f"s{i}" for i in range(1, n))
-        rels: list[tuple[tuple[str, int], ...]] = []
+        rels: list[list[tuple[str, int]]] = []
         for i in range(1, n):
-            rels.append(((f"s{i}", 2),))
+            rels.append([(f"s{i}", 2)])
         for i in range(1, n - 1):
-            rels.append(((f"s{i}", 1), (f"s{i+1}", 1)) * 3)
+            rels.append([(f"s{i}", 1), (f"s{i+1}", 1)] * 3)
         for i in range(1, n):
             for j in range(i + 2, n):
-                rels.append(((f"s{i}", 1), (f"s{j}", 1)) * 2)
-        return PresentationData(names, tuple(rels))
+                rels.append([(f"s{i}", 1), (f"s{j}", 1)] * 2)
+        return Presentation.of([f"s{i}" for i in range(1, n)], rels)
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         # peel adjacent transpositions: p = v1 * v2 * ... (v1 applied first)
@@ -771,11 +760,17 @@ class FreeGroup(SyllableGroup):
                 items.append((tok, 1))
         return self.word(items)
 
-    def presentation_data(self) -> PresentationData:
-        return PresentationData(self.names, ())
+    @cached_property
+    def presentation(self) -> Presentation:
+        return Presentation(self.names, ())
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         return tuple((self.names[g], e) for g, e in x.payload)
+
+    def lift(self, x: GroupElement) -> GroupElement:
+        """x, an element of any presented group, as a word over this group's
+        generators; they must include the names x's group expresses it in."""
+        return self.word(x.group.express(x))
 
     # shortlex-canonical coset representatives of <t>
 
@@ -813,6 +808,91 @@ class FreeGroup(SyllableGroup):
 
     def describe(self) -> str:
         return f"free({', '.join(self.names)})"
+
+
+# ---------------------------------------------------------------------------
+# presentations
+
+# separators of the "gens:" line: commas outside parentheses, so generator
+# names such as g@(1,-2) survive the round trip
+_GEN_SEP = re.compile(r",(?![^()]*\))")
+
+
+@dataclass(frozen=True)
+class Presentation:
+    """Generators plus relators, elements of the free group on the generators.
+
+    Purely syntactic: equality compares generators and relators only.
+    """
+
+    generators: tuple[str, ...]
+    relators: tuple[GroupElement, ...]
+
+    def __post_init__(self):
+        F = Presentation.free_group(self.generators)
+        for rel in self.relators:
+            if rel.group != F:
+                raise GroupEqError("relator is not a word over the declared generators")
+
+    @staticmethod
+    def free_group(generators: Sequence[str]) -> FreeGroup:
+        """The free group on `generators`, checked as a presentation's are:
+        SymbolClashError for a repeated name, GroupEqError for a bad one."""
+        if len(set(generators)) != len(generators):
+            raise SymbolClashError("duplicate generator names")
+        try:
+            return FreeGroup(generators)
+        except ValueError as exc:
+            raise GroupEqError(str(exc)) from exc
+
+    @staticmethod
+    def of(generators: Sequence[str], relators: Iterable[Sequence[tuple[str, int]]]) -> Presentation:
+        """A presentation whose relators are spelled as (generator, exponent) items."""
+        F = Presentation.free_group(generators)
+        return Presentation(F.names, tuple(F.word(rel) for rel in relators))
+
+    def group(self) -> FreeGroup:
+        return FreeGroup(self.generators)
+
+    def word(self, items: Sequence[tuple[str, int]]) -> GroupElement:
+        return self.group().word(items)
+
+    # -- serialization: a line-oriented text format plus a structured dict
+
+    def to_text(self) -> str:
+        lines = ["gens: " + ", ".join(self.generators)]
+        for rel in self.relators:
+            toks = [nm if e == 1 else f"{nm}^{e}" for nm, e in rel.group.express(rel)]
+            lines.append("rel: " + " ".join(toks))
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def from_text(text: str) -> Presentation:
+        gens: tuple[str, ...] = ()
+        rel_bodies: list[str] = []
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("gens:"):
+                body = line[len("gens:"):].strip()
+                gens = tuple(t.strip() for t in _GEN_SEP.split(body)) if body else ()
+            elif line.startswith("rel:"):
+                rel_bodies.append(line[len("rel:"):])
+            else:
+                raise GroupEqError(f"bad presentation line: {raw!r}")
+        F = Presentation.free_group(gens)
+        return Presentation(gens, tuple(F.parse_element(body) for body in rel_bodies))
+
+    def to_struct(self) -> dict:
+        return {
+            "generators": list(self.generators),
+            "relators": [[[nm, e] for nm, e in rel.group.express(rel)] for rel in self.relators],
+        }
+
+    @staticmethod
+    def from_struct(data: dict) -> Presentation:
+        return Presentation.of(data["generators"], data["relators"])
 
 
 # ---------------------------------------------------------------------------
@@ -881,13 +961,14 @@ class FreeAbelianGroup(Group):
             return self.vector([int(text)])
         raise ValueError(f"bad vector literal {text!r}")
 
-    def presentation_data(self) -> PresentationData:
-        rels = []
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
-                a, b = self.names[i], self.names[j]
-                rels.append(((a, 1), (b, 1), (a, -1), (b, -1)))
-        return PresentationData(self.names, tuple(rels))
+    @cached_property
+    def presentation(self) -> Presentation:
+        rels = [
+            [(a, 1), (b, 1), (a, -1), (b, -1)]
+            for i, a in enumerate(self.names)
+            for b in self.names[i + 1:]
+        ]
+        return Presentation.of(self.names, rels)
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         return tuple((self.names[i], v) for i, v in enumerate(x.payload) if v != 0)
@@ -1035,8 +1116,9 @@ class FoursGroup(Group):
                 cur = cur * table[tok]
         return cur
 
-    def presentation_data(self) -> PresentationData:
-        return PresentationData(
+    @cached_property
+    def presentation(self) -> Presentation:
+        return Presentation.of(
             ("a", "b"),
             (
                 (("a", -1), ("b", 2), ("a", 1), ("b", 2)),
@@ -1141,9 +1223,6 @@ class FreeProductGroup(SyllableGroup):
     def sort_key(self, x: GroupElement) -> tuple:
         return (len(x.payload), tuple((i, self.factors[i].sort_key(el)) for i, el in x.payload))
 
-    def _payload_key(self, payload):
-        return self.sort_key(GroupElement(self, payload))
-
     def format_element(self, x: GroupElement) -> str:
         if not x.payload:
             return "1"
@@ -1175,33 +1254,27 @@ class FreeProductGroup(SyllableGroup):
             sylls.append(matches[0])
         return self.word(sylls)
 
-    def _mangled(self) -> tuple[tuple[str, ...], ...]:
-        all_names = [f.presentation_data().names for f in self.factors]
-        flat = [nm for names in all_names for nm in names]
+    @cached_property
+    def renames(self) -> tuple[dict[str, str], ...]:
+        """Per factor, its presentation generators to their names here: the
+        same names, or name.i for factor i when two factors share a name."""
+        names = [f.presentation.generators for f in self.factors]
+        flat = [nm for ns in names for nm in ns]
         if len(set(flat)) == len(flat):
-            return tuple(all_names)
-        return tuple(
-            tuple(f"{nm}.{i}" for nm in names) for i, names in enumerate(all_names)
-        )
+            return tuple({nm: nm for nm in ns} for ns in names)
+        return tuple({nm: f"{nm}.{i}" for nm in ns} for i, ns in enumerate(names))
 
-    def presentation_data(self) -> PresentationData:
-        mangled = self._mangled()
-        names, rels = [], []
-        for i, f in enumerate(self.factors):
-            data = f.presentation_data()
-            ren = dict(zip(data.names, mangled[i]))
-            names.extend(mangled[i])
-            rels.extend(tuple((ren[nm], e) for nm, e in rel) for rel in data.relators)
-        return PresentationData(tuple(names), tuple(rels))
+    @cached_property
+    def presentation(self) -> Presentation:
+        gens, rels = [], []
+        for ren, f in zip(self.renames, self.factors):
+            gens.extend(ren.values())
+            rels.extend([(ren[nm], e) for nm, e in r.group.express(r)] for r in f.presentation.relators)
+        return Presentation.of(gens, rels)
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
-        mangled = self._mangled()
-        out: list[tuple[str, int]] = []
-        for i, el in x.payload:
-            data = self.factors[i].presentation_data()
-            ren = dict(zip(data.names, mangled[i]))
-            out.extend((ren[nm], e) for nm, e in self.factors[i].express(el))
-        return tuple(out)
+        renames, factors = self.renames, self.factors
+        return tuple((renames[i][nm], e) for i, el in x.payload for nm, e in factors[i].express(el))
 
     def describe(self) -> str:
         return " * ".join(f.describe() for f in self.factors)

@@ -47,16 +47,22 @@ COMMANDS = (
 )
 
 
+# parsed values that are not command args: they never enter a report
+_NOT_ARGS = ("command", "script", "format", "config", "help")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built on the first call and then shared;
     parsing leaves it unchanged, and callers must not modify it."""
-    return _parser()
+    return _parser()[0]
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Action]]]:
+    """The parser, and each command's options by the key they take in args."""
     top = argparse.ArgumentParser(prog="groupeq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+    options: dict[str, dict[str, argparse.Action]] = {}
     for cmd in COMMANDS:
         p = sub.add_parser(cmd)
         if cmd == "verify":
@@ -88,7 +94,8 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--group", default=None, help="declared group name")
         if cmd == "proper-power":
             p.add_argument("--elem", required=True, help="declared element name")
-    return top
+        options[cmd] = {a.dest: a for a in p._actions if a.dest not in _NOT_ARGS}
+    return top, options
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +151,14 @@ def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:
 # command implementations: (status, result, exit_code)
 
 
+def _classification(e: eqmod.Equation) -> dict:
+    c = eqmod.classify(e)
+    return {"length": c.length, "exponent_sum": c.exponent_sum, "kind": c.kind, "trivial": c.trivial}
+
+
 def _run_classify(sess: Session, args: dict, caps: Caps):
     e = _pick(sess, "equation", sess.equations, args.get("name"))
-    c = eqmod.classify(e)
-    return "ok", {
-        "length": c.length,
-        "exponent_sum": c.exponent_sum,
-        "kind": c.kind,
-        "trivial": c.trivial,
-    }, 0
+    return "ok", _classification(e), 0
 
 
 def _run_rewrite_coset(sess: Session, args: dict, caps: Caps):
@@ -205,16 +211,10 @@ def _run_emit_solution_group(sess: Session, args: dict, caps: Caps):
 def _run_reduce(sess: Session, args: dict, caps: Caps):
     ge = _pick(sess, "geq", sess.geqs, args.get("name"))
     eq = gen.reduce_to_ordinary(ge, args.get("ambient", "free-product"))
-    c = eqmod.classify(eq)
     return "ok", {
         "ambient": args.get("ambient", "free-product"),
         "terms": [[fmt_elem(g), e] for g, e in eq.terms],
-        "classification": {
-            "length": c.length,
-            "exponent_sum": c.exponent_sum,
-            "kind": c.kind,
-            "trivial": c.trivial,
-        },
+        "classification": _classification(eq),
     }, 0
 
 
@@ -352,16 +352,7 @@ def _run_strojnowski(sess: Session, args: dict, caps: Caps):
 
 
 def _run_search_nonup(sess: Session, args: dict, caps: Caps):
-    gname = args.get("group")
-    if gname is not None:
-        if gname not in sess.groups:
-            raise GroupEqError(f"no declared group named {gname!r}")
-        group = sess.groups[gname]
-    else:
-        last = sess.last_of("group")
-        if last is None:
-            raise GroupEqError("the script declares no group")
-        group = sess.groups[last]
+    group = _pick(sess, "group", sess.groups, args.get("group"))
     radius = 3 if args.get("radius") is None else args["radius"]
     maxsize = 14 if args.get("max_size") is None else args["max_size"]
     res = upmod.search_nonup_witness(group, radius, maxsize, caps=caps)
@@ -474,8 +465,20 @@ def _caps(config: Optional[str], args: dict) -> Caps:
 
 
 def _command_args(ns: argparse.Namespace) -> dict:
-    skip = {"command", "script", "format", "config"}
-    return {k: v for k, v in vars(ns).items() if k not in skip and v is not None}
+    return {k: v for k, v in vars(ns).items() if k not in _NOT_ARGS and v is not None}
+
+
+def _args_problem(command: str, args: dict) -> Optional[str]:
+    """Why `args` are not ones `command`'s flags can give, or None."""
+    options = _parser()[1][command]
+    for key, value in args.items():
+        opt = options.get(key)
+        if opt is None:
+            return f"{command} takes no arg {key!r}"
+        if type(value) is not (opt.type or str) or (opt.choices is not None and value not in opt.choices):
+            return f"{value!r} is not a value of {command}'s arg {key!r}"
+    missing = [key for key, opt in options.items() if opt.required and key not in args]
+    return f"{command} needs the arg {missing[0]!r}" if missing else None
 
 
 def _read_script(path: str) -> str:
@@ -529,6 +532,10 @@ def _verify(path: str) -> int:
         return 2
     if not isinstance(args, dict) or not isinstance(script, str):
         print("malformed report: it needs an args object and a script string", file=sys.stderr)
+        return 2
+    problem = _args_problem(command, args)
+    if problem is not None:
+        print(f"malformed report: {problem}", file=sys.stderr)
         return 2
     try:
         caps = _caps(None, args)

@@ -30,7 +30,7 @@ from .errors import (
     SymbolClashError,
     WindowError,
 )
-from .words import Presentation, conjugate_into, is_conjugate_to_constant, presentation_of
+from .words import Presentation, conjugate_into, copy_name, is_conjugate_to_constant
 
 T_LETTER = "t"
 # the infinite cyclic group of the unknown; equation words live in G * T
@@ -144,18 +144,18 @@ def classify(e: Equation) -> Classification:
 
 def universal_solution_group(e: Equation) -> Presentation:
     """Presentation of U = G * <t>_infty / <<w>>."""
-    pres = presentation_of(e.group)
+    pres = e.group.presentation
     if T_LETTER in pres.generators:
         raise SymbolClashError("the coefficient group already uses the letter t")
     gens = pres.generators + (T_LETTER,)
-    F = Presentation(gens, ()).group()
-    rels = [F.word(r.group.express(r)) for r in pres.relators]
+    F = Presentation.free_group(gens)
+    rels = [F.lift(r) for r in pres.relators]
     items: list[tuple[str, int]] = []
     for g, exp in e.terms:
         items.extend(e.group.express(g))
         items.append((T_LETTER, exp))
     rels.append(F.word(items))
-    return Presentation(gens, tuple(rels), pres.backing)
+    return Presentation(gens, tuple(rels))
 
 
 # ---------------------------------------------------------------------------
@@ -566,42 +566,24 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
     h_levels = [l for w in _pieces_of(f) for l, fi, _ in _leveled(w) if fi in f.split.h]
     if any(abs(l) > window for l in h_levels):
         raise WindowError(f"window {window} does not contain the H levels {sorted(set(h_levels))}")
-    mangled = group._mangled()
-
-    def copy_name(fi: int, base: str, lvl: int) -> str:
-        ren = dict(zip(group.factors[fi].presentation_data().names, mangled[fi]))
-        return f"{ren[base]}@{lvl}"
-
+    levels = [(fi, range(-window, window + 1)) for fi in sorted(f.split.h)]
+    levels += [(fi, range(0, f.m + 1)) for fi in sorted(f.split.k)]
     gens: list[str] = [var]
-    for fi in sorted(f.split.h):
-        for nm in group.factors[fi].presentation_data().names:
-            for lvl in range(-window, window + 1):
-                gens.append(copy_name(fi, nm, lvl))
-    for fi in sorted(f.split.k):
-        for nm in group.factors[fi].presentation_data().names:
-            for lvl in range(0, f.m + 1):
-                gens.append(copy_name(fi, nm, lvl))
-    F = Presentation(tuple(gens), ()).group()
+    shifts: list[tuple[str, str]] = []
+    for fi, lvls in levels:
+        for nm in group.renames[fi].values():
+            copies = [copy_name(nm, lvl) for lvl in lvls]
+            gens.extend(copies)
+            shifts.extend(zip(copies, copies[1:]))
+    F = Presentation.free_group(gens)
     x = F.gen(var)
-    rels: list[GroupElement] = []
-    for fi in sorted(f.split.h):
-        for nm in group.factors[fi].presentation_data().names:
-            for lvl in range(-window, window):
-                g_i = F.gen(copy_name(fi, nm, lvl))
-                g_next = F.gen(copy_name(fi, nm, lvl + 1))
-                rels.append((~x) * g_i * x * (~g_next))
-    for fi in sorted(f.split.k):
-        for nm in group.factors[fi].presentation_data().names:
-            for lvl in range(0, f.m):
-                g_i = F.gen(copy_name(fi, nm, lvl))
-                g_next = F.gen(copy_name(fi, nm, lvl + 1))
-                rels.append((~x) * g_i * x * (~g_next))
+    rels = [(~x) * F.gen(g_i) * x * ~F.gen(g_next) for g_i, g_next in shifts]
 
     def piece_word(w: GroupElement) -> GroupElement:
         items: list[tuple[str, int]] = []
         for lvl, fi, el in _leveled(w):
-            for nm, e in group.factors[fi].express(el):
-                items.append((copy_name(fi, nm, lvl), e))
+            ren = group.renames[fi]
+            items.extend((copy_name(ren[nm], lvl), e) for nm, e in group.factors[fi].express(el))
         return F.word(items)
 
     main = piece_word(f.c) * x

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from math import factorial
 from typing import Optional
 
 from .backends import Group, GroupElement
@@ -97,24 +98,20 @@ def solve_over_finite(
     tested: list[int] = []
     capped: list[int] = []
     candidates = 0
+    index = {x: i for i, x in enumerate(elems)}
     for degree in range(n, max_degree + 1):
-        total = 1
-        for i in range(2, degree + 1):
-            total *= i
-        if total > caps.perms_per_degree:
+        if factorial(degree) > caps.perms_per_degree:
             capped.append(degree)
             continue
         _, emb = regular_embedding(group, degree)
         ident = tuple(range(degree))
         # centralizer generators: left multiplications commute with the
         # right-regular image; padding-point swaps fix it pointwise
-        centralizer = []
-        for g in elems:
-            if not g.is_identity:
-                index = {x: i for i, x in enumerate(elems)}
-                centralizer.append(
-                    tuple([index[g * x] for x in elems] + list(range(n, degree)))
-                )
+        centralizer = [
+            tuple([index[g * x] for x in elems] + list(range(n, degree)))
+            for g in elems
+            if not g.is_identity
+        ]
         for i in range(n, degree - 1):
             sw = list(range(degree))
             sw[i], sw[i + 1] = sw[i + 1], sw[i]

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .equations import Equation
 from .up import strong_up_check, up_check
-from .words import Presentation, presentation_of
+from .words import Presentation, copy_name
 
 
 @dataclass(frozen=True)
@@ -354,11 +354,6 @@ def _ky_copies(re: RewrittenEquation, Y: Sequence[GroupElement]) -> list[GroupEl
     return copies
 
 
-def _copy_gen_names(G: Group, c_label: str) -> dict[str, str]:
-    data = G.presentation_data()
-    return {nm: f"{nm}@{c_label}" for nm in data.names}
-
-
 def emit_ky(
     re: RewrittenEquation,
     Y: Sequence[GroupElement],
@@ -368,19 +363,18 @@ def emit_ky(
     T, G = re.vargroup, re.group
     family = conjugate_family(re, list(Y))
     gens: list[str] = []
-    gdata = G.presentation_data()
     for c in _ky_copies(re, Y):
-        ren = _copy_gen_names(G, _label(T, c))
-        gens.extend(ren[nm] for nm in gdata.names)
+        lbl = _label(T, c)
+        gens.extend(copy_name(nm, lbl) for nm in G.presentation.generators)
     gens.append(witness_var)
-    F = Presentation(tuple(gens), ()).group()
+    F = Presentation.free_group(gens)
     tt = F.gen(witness_var)
     rels: list[GroupElement] = []
     for w_y in family:
         word = tt ** w_y.sign
         for g, c, k in w_y.terms:
-            ren = _copy_gen_names(G, _label(T, c))
-            body = F.word([(ren[nm], e) for nm, e in G.express(g)])
+            lbl = _label(T, c)
+            body = F.word([(copy_name(nm, lbl), e) for nm, e in G.express(g)])
             word = word * (tt ** (-k)) * body * (tt ** k)
         rels.append(word)
     return Presentation(tuple(gens), tuple(rels))
@@ -401,20 +395,20 @@ def emit_solution_group(
     """
     T, G = re.vargroup, re.group
     ky = emit_ky(re, Y, witness_var)
-    tpres = presentation_of(T)
+    tpres = T.presentation
     clash = set(tpres.generators) & set(ky.generators)
     if clash:
         raise WindowError(f"generator names clash between T and the copies: {clash}")
     gens = tpres.generators + ky.generators
-    F = Presentation(tuple(gens), ()).group()
-    rels = [F.word(r.group.express(r)) for r in tpres.relators + ky.relators]
+    F = Presentation.free_group(gens)
+    rels = [F.lift(r) for r in tpres.relators + ky.relators]
     tt = F.gen(witness_var)
-    gdata = G.presentation_data()
+    gnames = G.presentation.generators
     # a G without generators emits no copies, so the action has none to move
-    copies = _ky_copies(re, Y) if gdata.names else []
+    copies = _ky_copies(re, Y) if gnames else []
     if window >= 1:
         for y in T.generators():
-            y_word = F.word(T.express(y))
+            y_word = F.lift(y)
             u = re.t.conj(y)
             if u == re.t:
                 eps = 1
@@ -430,11 +424,11 @@ def emit_solution_group(
                     raise WindowError(
                         f"action moves copy {lbl} to {f_lbl}, outside the emitted window"
                     )
-                for nm in gdata.names:
-                    g_x = F.gen(f"{nm}@{lbl}")
-                    g_f = F.gen(f"{nm}@{f_lbl}")
+                for nm in gnames:
+                    g_x = F.gen(copy_name(nm, lbl))
+                    g_f = F.gen(copy_name(nm, f_lbl))
                     rels.append((~y_word) * g_x * y_word * ~((tt ** (-k)) * g_f * (tt ** k)))
-    rels.append(tt * ~F.word(T.express(re.t)))
+    rels.append(tt * ~F.lift(re.t))
     return Presentation(tuple(gens), tuple(rels))
 
 

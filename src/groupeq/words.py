@@ -3,19 +3,18 @@
 Words are elements of `backends.FreeProductGroup` (syllable sources are
 factor indices) or, for presentations, of the `backends.FreeGroup` on the
 generator names.  This module adds sub-free-product membership tests, the
-bounded transcendence falsifier, and syntactic presentations with HNN and
-amalgam combinators.
+bounded transcendence falsifier, the copy-name rule of emitted presentations,
+and the HNN and amalgam combinators over `backends.Presentation`.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from .backends import FreeGroup, Group, GroupElement, PresentationData
+from .backends import GroupElement, Presentation
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceededError, GroupEqError, SymbolClashError
+from .errors import CapExceededError, SymbolClashError
 
 
 def in_subfreeproduct(w: GroupElement, allowed: Iterable[int]) -> bool:
@@ -153,88 +152,13 @@ def relation_falsifier(
 
 
 # ---------------------------------------------------------------------------
-# presentations
-
-# separators of the "gens:" line: commas outside parentheses, so generator
-# names such as g@(1,-2) survive the round trip
-_GEN_SEP = re.compile(r",(?![^()]*\))")
+# presentations (the type lives in backends, beside the free group its
+# relators belong to)
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Generators plus relators, elements of the free group on the generators.
-
-    Purely syntactic: equality compares generators and relators only.
-    """
-
-    generators: tuple[str, ...]
-    relators: tuple[GroupElement, ...]
-    backing: tuple[tuple[str, Group], ...] = field(default=(), compare=False)
-
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
-            raise SymbolClashError("duplicate generator names")
-        try:
-            F = self.group()
-        except ValueError as exc:
-            raise GroupEqError(str(exc)) from exc
-        for rel in self.relators:
-            if rel.group != F:
-                raise GroupEqError("relator is not a word over the declared generators")
-
-    def group(self) -> FreeGroup:
-        return FreeGroup(self.generators)
-
-    def word(self, items: Sequence[tuple[str, int]]) -> GroupElement:
-        return self.group().word(items)
-
-    # -- serialization: a line-oriented text format plus a structured dict
-
-    def to_text(self) -> str:
-        lines = ["gens: " + ", ".join(self.generators)]
-        for rel in self.relators:
-            toks = [nm if e == 1 else f"{nm}^{e}" for nm, e in rel.group.express(rel)]
-            lines.append("rel: " + " ".join(toks))
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def from_text(text: str) -> "Presentation":
-        gens: tuple[str, ...] = ()
-        rel_bodies: list[str] = []
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("gens:"):
-                body = line[len("gens:"):].strip()
-                gens = tuple(t.strip() for t in _GEN_SEP.split(body)) if body else ()
-            elif line.startswith("rel:"):
-                rel_bodies.append(line[len("rel:"):])
-            else:
-                raise GroupEqError(f"bad presentation line: {raw!r}")
-        F = Presentation(gens, ()).group()
-        return Presentation(gens, tuple(F.parse_element(body) for body in rel_bodies))
-
-    def to_struct(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "relators": [[[nm, e] for nm, e in rel.group.express(rel)] for rel in self.relators],
-        }
-
-    @staticmethod
-    def from_struct(data: dict) -> "Presentation":
-        gens = tuple(data["generators"])
-        F = Presentation(gens, ()).group()
-        return Presentation(gens, tuple(F.word(rel) for rel in data["relators"]))
-
-
-def presentation_of(group: Group) -> Presentation:
-    """Presentation of a backend, when it has one."""
-    data: PresentationData = group.presentation_data()
-    F = Presentation(data.names, ()).group()
-    rels = tuple(F.word(rel) for rel in data.relators)
-    backing = tuple((nm, group) for nm in data.names)
-    return Presentation(data.names, rels, backing)
+def copy_name(name: str, label: Any) -> str:
+    """The generator name of the copy of `name` labelled `label`: name@label."""
+    return f"{name}@{label}"
 
 
 def hnn(base: Presentation, stable: str, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> Presentation:
@@ -244,13 +168,11 @@ def hnn(base: Presentation, stable: str, pairs: Sequence[tuple[GroupElement, Gro
     if stable in base.generators:
         raise SymbolClashError(f"stable letter {stable!r} clashes with a generator")
     gens = base.generators + (stable,)
-    F = Presentation(gens, ()).group()
+    F = Presentation.free_group(gens)
     t = F.gen(stable)
-    rels = [F.word(r.group.express(r)) for r in base.relators]
-    for u, v in pairs:
-        uu, vv = F.word(u.group.express(u)), F.word(v.group.express(v))
-        rels.append((~t) * uu * t * (~vv))
-    return Presentation(gens, tuple(rels), base.backing)
+    rels = [F.lift(r) for r in base.relators]
+    rels += [(~t) * F.lift(u) * t * ~F.lift(v) for u, v in pairs]
+    return Presentation(gens, tuple(rels))
 
 
 def amalgam(
@@ -261,8 +183,7 @@ def amalgam(
     if clash:
         raise SymbolClashError(f"generator names clash: {sorted(clash)}")
     gens = left.generators + right.generators
-    F = Presentation(gens, ()).group()
-    rels = [F.word(r.group.express(r)) for r in left.relators + right.relators]
-    for u, v in glue:
-        rels.append(F.word(u.group.express(u)) * ~F.word(v.group.express(v)))
-    return Presentation(gens, tuple(rels), left.backing + right.backing)
+    F = Presentation.free_group(gens)
+    rels = [F.lift(r) for r in left.relators + right.relators]
+    rels += [F.lift(u) * ~F.lift(v) for u, v in glue]
+    return Presentation(gens, tuple(rels))

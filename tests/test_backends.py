@@ -19,7 +19,7 @@ from groupeq.backends import (
     cyclic_group,
     klein_four_group,
 )
-from groupeq.errors import CapExceededError, GroupMismatchError
+from groupeq.errors import CapExceededError, GroupMismatchError, UnsupportedBackendError
 
 from conftest import assert_round_trips, random_element
 
@@ -265,10 +265,8 @@ def test_free_product_rejects_bad_factor_index(fafb):
 
 
 def test_presentations_round_trip(c3, fours, z2):
-    from groupeq.words import presentation_of
-
     for group in (c3, fours, z2, FreeGroup(("a", "b"))):
-        pres = presentation_of(group)
+        pres = group.presentation
         assert pres.generators
         # every relator mentions only declared generators (validated on build)
         for rel in pres.relators:
@@ -276,10 +274,22 @@ def test_presentations_round_trip(c3, fours, z2):
         assert_round_trips(pres)
 
 
+def test_presentation_is_built_once_per_group(c3, fours, z2):
+    fa = FreeGroup(("a",))
+    groups = (c3, fours, z2, fa, PermutationGroup(4), FreeProductGroup((fa, fa, c3)))
+    for group in groups:
+        assert group.presentation is group.presentation
+    # equal groups built apart present the same way
+    assert FreeProductGroup((fa, fa)).presentation == FreeProductGroup((FreeGroup(("a",)), fa)).presentation
+    assert FreeProductGroup((fa, fa)).presentation.generators == ("a.0", "a.1")
+    with pytest.raises(UnsupportedBackendError):
+        DirectProductGroup((fa, c3)).presentation
+
+
 def test_express_evaluates_back(rng, c3, fours, z2):
     # express() must be a genuine word for the element
     for group in (c3, z2, fours):
-        gens = {nm: g for nm, g in zip(group.presentation_data().names, group.generators())}
+        gens = {nm: g for nm, g in zip(group.presentation.generators, group.generators())}
         if isinstance(group, FoursGroup):
             gens = {"a": group.a(), "b": group.b()}
         for _ in range(80):

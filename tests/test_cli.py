@@ -278,6 +278,10 @@ def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
     assert "bogus" in captured.err and "verified" not in captured.out
 
 
+def _report(command, args):
+    return {"schema": "groupeq.report/1", "command": command, "args": args, "script": "group C = cyclic(3)\n"}
+
+
 @pytest.mark.parametrize(
     "report, needle",
     [
@@ -286,8 +290,17 @@ def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
         ({"schema": "groupeq.report/1", "command": "classify", "args": [], "script": ""}, "args object"),
         ({"schema": "groupeq.report/1", "command": "classify", "args": {}}, "script string"),
         (["groupeq.report/1"], "unknown report schema"),
+        (_report("search-nonup", {"radius": "x"}), "'x' is not a value of search-nonup's arg 'radius'"),
+        (_report("up-check", {"sets": 5}), "5 is not a value of up-check's arg 'sets'"),
+        (_report("search-nonup", {"radius": True}), "True is not a value of search-nonup's arg 'radius'"),
+        (_report("reduce", {"ambient": "semi"}), "'semi' is not a value of reduce's arg 'ambient'"),
+        (_report("classify", {"format": "text"}), "classify takes no arg 'format'"),
+        (_report("up-check", {}), "up-check needs the arg 'sets'"),
     ],
-    ids=["no-args", "unknown-command", "list-args", "no-script", "not-an-object"],
+    ids=[
+        "no-args", "unknown-command", "list-args", "no-script", "not-an-object",
+        "string-radius", "int-sets", "bool-radius", "bad-choice", "unknown-arg", "missing-required",
+    ],
 )
 def test_verify_malformed_report_exits_two(tmp_path, capsys, report, needle):
     path = tmp_path / "report.json"

@@ -1,10 +1,11 @@
 import itertools
 import random
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupeq.backends import FreeGroup, FreeProductGroup
+from groupeq.backends import FiniteTableGroup, FreeGroup, FreeProductGroup
 from groupeq.equations import (
     Equation,
     Split,
@@ -408,4 +409,48 @@ def test_emit_system_7_trivial_h(setup):
     p = emit_system_7(res.form6, window=4)
     # no H factors: only K-shift relators and the main relator
     assert len(p.relators) == 2 * res.form6.m + 1
+    assert_round_trips(p)
+
+
+S3_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 0, 3, 2, 5, 4],
+    [2, 4, 0, 5, 1, 3],
+    [3, 5, 1, 4, 0, 2],
+    [4, 2, 5, 0, 3, 1],
+    [5, 3, 4, 1, 2, 0],
+]
+
+
+class _CountingTable(FiniteTableGroup):
+    """A table group that counts how often its presentation is built."""
+
+    builds = 0
+
+    @cached_property
+    def presentation(self):
+        type(self).builds += 1
+        return FiniteTableGroup.presentation.func(self)
+
+
+def _system_7_over_s3(H):
+    fb = FreeGroup(("b",))
+    G = FreeProductGroup((H, fb))
+    b = G.embed(1, fb.gen("b"))
+    x = [G.embed(0, H.element(i)) for i in range(6)]
+    # b x1 t b t x2 b x3 t^-1 = 1, the finite-table golden's equation
+    e = Equation(G, ((b * x[1], 1), (b, 1), (x[2] * b * x[3], -1)))
+    res = normal_form_6(e, Split.of(G, [0]))
+    assert res.kind == "form6"
+    return emit_system_7(res.form6)
+
+
+def test_emit_system_7_builds_a_table_presentation_once():
+    # every H copy name and every piece syllable reads the factor's
+    # generators; the group keeps its presentation, so it is built once
+    H = _CountingTable(S3_TABLE)
+    p = _system_7_over_s3(H)
+    assert H.builds == 1
+    assert p == _system_7_over_s3(FiniteTableGroup(S3_TABLE))
+    assert len(p.generators) == 1 + 5 * 17 + 1
     assert_round_trips(p)
