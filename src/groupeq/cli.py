@@ -20,32 +20,10 @@ from . import freegroup as fg
 from . import generalized as gen
 from . import up as upmod
 from .backends import FreeProductGroup
-from .config import Caps, load_caps
+from .config import DEFAULT_CAPS, Caps, check_caps, read_config
 from .dsl import Session, parse_script
 from .errors import ConfigError, GroupEqError, ParseError
 from .report import SCHEMA, canonical_json, fmt_elem, fmt_elems, make_report, render_text
-
-COMMANDS = (
-    "classify",
-    "rewrite-coset",
-    "conjugate-family",
-    "emit-ky",
-    "emit-solution-group",
-    "reduce",
-    "verdict",
-    "normal-form-6",
-    "emit-system-7",
-    "up-check",
-    "strong-up",
-    "up4",
-    "strojnowski",
-    "search-nonup",
-    "proper-power",
-    "corollary-precheck",
-    "solve-finite",
-    "verify",
-)
-
 
 # parsed values that are not command args: they never enter a report
 _NOT_ARGS = ("command", "script", "format", "config", "help")
@@ -63,38 +41,16 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
     top = argparse.ArgumentParser(prog="groupeq", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     options: dict[str, dict[str, argparse.Action]] = {}
-    for cmd in COMMANDS:
+    for cmd, (_, flags) in COMMANDS.items():
         p = sub.add_parser(cmd)
-        if cmd == "verify":
-            p.add_argument("report", help="structured report file to re-run and compare")
-            continue
         p.add_argument("script", nargs="?", default="-", help="script file or - for stdin")
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--name", default=None, help="declared object to operate on")
-        p.add_argument("--radius", type=int, default=None)
-        p.add_argument("--max-size", type=int, default=None)
-        p.add_argument("--max-len", type=int, default=None)
-        p.add_argument("--window", type=int, default=None)
-        p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--budget-ms", type=int, default=None)
         p.add_argument("--config", default=None, help="JSON file with cap overrides")
-        if cmd in ("conjugate-family", "emit-ky", "emit-solution-group"):
-            p.add_argument("--cosets", default=None, help="';'-separated T-element literals")
-        if cmd in ("emit-ky", "emit-solution-group"):
-            p.add_argument("--witness-var", default="t~")
-        if cmd == "reduce":
-            p.add_argument("--ambient", choices=("free-product", "direct-product"), default="free-product")
-        if cmd in ("normal-form-6", "emit-system-7"):
-            p.add_argument("--split", default=None, help="H and K factor indices, e.g. 0|1")
-        if cmd in ("up-check", "strong-up", "strojnowski"):
-            p.add_argument("--sets", required=True, help="two declared set names, e.g. X,Y")
-        if cmd == "up4":
-            p.add_argument("--sets", required=True, help="four declared set names")
-        if cmd == "search-nonup":
-            p.add_argument("--group", default=None, help="declared group name")
-        if cmd == "proper-power":
-            p.add_argument("--elem", required=True, help="declared element name")
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
         options[cmd] = {a.dest: a for a in p._actions if a.dest not in _NOT_ARGS}
+    p = sub.add_parser("verify")
+    p.add_argument("report", help="structured report file to re-run and compare")
     return top, options
 
 
@@ -239,7 +195,7 @@ def _witness_struct(w) -> list:
 
 def _run_verdict(sess: Session, args: dict, caps: Caps):
     ge = _pick(sess, "geq", sess.geqs, args.get("name"))
-    v = gen.unimodular_verdict(ge, caps)
+    v = gen.unimodular_verdict(ge)
     code = 1 if v.overall == "not-unimodular" else 0
     status = "falsified" if code else "ok"
     return status, {
@@ -255,7 +211,7 @@ def _run_verdict(sess: Session, args: dict, caps: Caps):
 def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
     e = _pick(sess, "equation", sess.equations, args.get("name"))
     split = _split_of(e, args.get("split"))
-    res = eqmod.normal_form_6(e, split, caps)
+    res = eqmod.normal_form_6(e, split)
     if res.kind == "length-one":
         lf = res.length_one
         return "ok", {
@@ -284,15 +240,14 @@ def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
 def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
     e = _pick(sess, "equation", sess.equations, args.get("name"))
     split = _split_of(e, args.get("split"))
-    res = eqmod.normal_form_6(e, split, caps)
+    res = eqmod.normal_form_6(e, split)
     if res.kind == "length-one":
         return "ok", {
             "kind": "length-one",
             "note": "system degenerates to the shift relations with u substituted",
             "u": str(res.length_one.u),
         }, 0
-    window = args.get("window")
-    pres = eqmod.emit_system_7(res.form6, caps.window if window is None else window)
+    pres = eqmod.emit_system_7(res.form6, caps.window)
     return "ok", {"kind": "form6", "presentation": pres.to_struct(), "text": pres.to_text()}, 0
 
 
@@ -397,7 +352,7 @@ def _run_corollary_precheck(sess: Session, args: dict, caps: Caps):
 
 def _run_solve_finite(sess: Session, args: dict, caps: Caps):
     e = _pick(sess, "equation", sess.equations, args.get("name"))
-    rep = solver.solve_over_finite(e, args.get("max_degree"), caps)
+    rep = solver.solve_over_finite(e, caps=caps)
     if rep.found:
         cert = rep.certificate
         ok = solver.verify_certificate(cert, e)
@@ -417,32 +372,58 @@ def _run_solve_finite(sess: Session, args: dict, caps: Caps):
     }, 1
 
 
-RUNNERS = {
-    "classify": _run_classify,
-    "rewrite-coset": _run_rewrite_coset,
-    "conjugate-family": _run_conjugate_family,
-    "emit-ky": _run_emit_ky,
-    "emit-solution-group": _run_emit_solution_group,
-    "reduce": _run_reduce,
-    "verdict": _run_verdict,
-    "normal-form-6": _run_normal_form_6,
-    "emit-system-7": _run_emit_system_7,
-    "up-check": _run_up_check,
-    "strong-up": _run_strong_up,
-    "up4": _run_up4,
-    "strojnowski": _run_strojnowski,
-    "search-nonup": _run_search_nonup,
-    "proper-power": _run_proper_power,
-    "corollary-precheck": _run_corollary_precheck,
-    "solve-finite": _run_solve_finite,
+# each flag a command may declare, with its argparse settings; a flag with no
+# default leaves its arg out of the report when it is not given
+_FLAGS = {
+    "name": {"help": "declared object to operate on"},
+    "cosets": {"help": "';'-separated T-element literals"},
+    "witness-var": {"default": "t~"},
+    "window": {"type": int},
+    "ambient": {"choices": ("free-product", "direct-product"), "default": "free-product"},
+    "split": {"help": "H and K factor indices, e.g. 0|1"},
+    "max-degree": {"type": int},
+    "sets": {"required": True, "help": "comma-separated declared set names, e.g. X,Y"},
+    "group": {"help": "declared group name"},
+    "radius": {"type": int},
+    "max-size": {"type": int},
+    "budget-ms": {"type": int},
+    "elem": {"required": True, "help": "declared element name"},
+}
+
+# every command but verify: its runner and the flags it reads
+COMMANDS = {
+    "classify": (_run_classify, ("name",)),
+    "rewrite-coset": (_run_rewrite_coset, ("name",)),
+    "conjugate-family": (_run_conjugate_family, ("name", "cosets")),
+    "emit-ky": (_run_emit_ky, ("name", "cosets", "witness-var")),
+    "emit-solution-group": (_run_emit_solution_group, ("name", "cosets", "witness-var", "window")),
+    "reduce": (_run_reduce, ("name", "ambient")),
+    "verdict": (_run_verdict, ("name",)),
+    "normal-form-6": (_run_normal_form_6, ("name", "split")),
+    "emit-system-7": (_run_emit_system_7, ("name", "split", "window")),
+    "up-check": (_run_up_check, ("sets",)),
+    "strong-up": (_run_strong_up, ("sets",)),
+    "up4": (_run_up4, ("sets",)),
+    "strojnowski": (_run_strojnowski, ("sets",)),
+    "search-nonup": (_run_search_nonup, ("group", "radius", "max-size", "budget-ms")),
+    "proper-power": (_run_proper_power, ("elem",)),
+    "corollary-precheck": (_run_corollary_precheck, ("name",)),
+    "solve-finite": (_run_solve_finite, ("name", "max-degree")),
 }
 
 
 def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict, int]:
-    """Parse the script, dispatch, and build the structured report."""
+    """Parse the script, dispatch under `caps` with the command's cap flags
+    on top, and build the structured report."""
+    caps = caps.with_overrides(
+        radius=args.get("radius"),
+        window=args.get("window"),
+        max_degree=args.get("max_degree"),
+        budget_ms=args.get("budget_ms"),
+    )
     try:
         sess = parse_script(script, caps)
-        status, result, code = RUNNERS[command](sess, args, caps)
+        status, result, code = COMMANDS[command][0](sess, args, caps)
         return make_report(command, args, script, status, result), code
     except ParseError as exc:
         err = {"type": "ParseError", "message": exc.message, "line": exc.line, "column": exc.column}
@@ -452,16 +433,15 @@ def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict
         return make_report(command, args, script, "error", {}, err), 2
 
 
-def _caps(config: Optional[str], args: dict) -> Caps:
-    """The config file's caps (or $GROUPEQ_CONFIG's, or the defaults) with
-    the command's cap flags on top; `verify` passes a report's args."""
-    return load_caps(config).with_overrides(
-        radius=args.get("radius"),
-        max_len=args.get("max_len"),
-        window=args.get("window"),
-        max_degree=args.get("max_degree"),
-        budget_ms=args.get("budget_ms"),
-    )
+def _run(command: str, args: dict, script: str, config: dict) -> tuple[dict, int]:
+    """`run_command` under the default caps with a config's overrides on top
+    (a file's when running, the report's own when verifying); the report
+    embeds the values that differ from the defaults, under `caps`."""
+    report, code = run_command(command, args, script, DEFAULT_CAPS.with_overrides(**config))
+    changed = {k: v for k, v in sorted(config.items()) if v != getattr(DEFAULT_CAPS, k)}
+    if changed:
+        report["caps"] = changed
+    return report, code
 
 
 def _command_args(ns: argparse.Namespace) -> dict:
@@ -501,13 +481,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read script: {exc}", file=sys.stderr)
         return 2
-    args = _command_args(ns)
     try:
-        caps = _caps(ns.config, args)
+        config = read_config(ns.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report, code = run_command(ns.command, args, script, caps)
+    report, code = _run(ns.command, _command_args(ns), script, config)
     if ns.format == "structured":
         print(canonical_json(report))
     else:
@@ -527,22 +506,22 @@ def _verify(path: str) -> int:
         print("unknown report schema", file=sys.stderr)
         return 2
     command, args, script = stored.get("command"), stored.get("args"), stored.get("script")
-    if command not in RUNNERS:
+    if command not in COMMANDS:
         print(f"malformed report: unknown command {command!r}", file=sys.stderr)
         return 2
     if not isinstance(args, dict) or not isinstance(script, str):
         print("malformed report: it needs an args object and a script string", file=sys.stderr)
         return 2
+    try:
+        config = check_caps(stored.get("caps", {}), "the report's caps")
+    except ConfigError as exc:
+        print(f"malformed report: {exc}", file=sys.stderr)
+        return 2
     problem = _args_problem(command, args)
     if problem is not None:
         print(f"malformed report: {problem}", file=sys.stderr)
         return 2
-    try:
-        caps = _caps(None, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    fresh, _ = run_command(command, args, script, caps)
+    fresh, _ = _run(command, args, script, config)
     match = canonical_json(fresh) == canonical_json(stored)
     print("verified: reports match" if match else "MISMATCH: report does not reproduce")
     return 0 if match else 1

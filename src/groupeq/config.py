@@ -25,8 +25,6 @@ class Caps:
     window: int = 8               # default index window for presentations
     max_degree: int = 12          # symmetric-group degree for the finite solver
     perms_per_degree: int = 250_000
-    oracle_m: int = 4             # brute-force minimizer windows
-    oracle_n: int = 8
     budget_ms: int = 600_000      # wall-clock budget for witness search
 
     def with_overrides(self, **kw) -> "Caps":
@@ -39,15 +37,28 @@ DEFAULT_CAPS = Caps()
 CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 
 
-def load_caps(path: str | None = None) -> Caps:
-    """Read caps from a JSON file, or from $GROUPEQ_CONFIG, or defaults.
+def check_caps(data, where: str) -> dict:
+    """`data` when it is a JSON object mapping cap names to integers; for
+    anything else a ConfigError naming `where` (a config file or a report)."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    unknown = sorted(set(data) - {f.name for f in fields(Caps)})
+    if unknown:
+        raise ConfigError(f"unknown cap(s) in {where}: {', '.join(unknown)}")
+    for key, value in data.items():
+        if type(value) is not int:
+            raise ConfigError(f"cap {key!r} in {where} needs an integer, got {value!r}")
+    return data
 
-    A named file must exist and hold one JSON object whose keys are cap
-    names and whose values are integers; anything else raises ConfigError.
+
+def read_config(path: str | None = None) -> dict:
+    """The cap overrides in a JSON file, or in $GROUPEQ_CONFIG's, or none.
+
+    A named file must exist and pass `check_caps`; otherwise ConfigError.
     """
     path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
-        return DEFAULT_CAPS
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -55,12 +66,4 @@ def load_caps(path: str | None = None) -> Caps:
         raise ConfigError(f"cannot read config file {path!r}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path!r} must hold a JSON object")
-    unknown = sorted(set(data) - {f.name for f in fields(Caps)})
-    if unknown:
-        raise ConfigError(f"unknown config key(s) in {path!r}: {', '.join(unknown)}")
-    for key, value in data.items():
-        if type(value) is not int:
-            raise ConfigError(f"config key {key!r} needs an integer, got {value!r}")
-    return DEFAULT_CAPS.with_overrides(**data)
+    return check_caps(data, f"config file {path!r}")

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .backends import FreeGroup, FreeProductGroup, Group, GroupElement
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     EquationError,
     EquationOverFactorError,
@@ -374,18 +373,13 @@ def _leveled_span(word: GroupElement, split: Split) -> int:
     return max(lvls) - min(lvls)
 
 
-def normal_form_6(
-    e: Equation,
-    split: Split,
-    caps: Caps = DEFAULT_CAPS,
-    verify: bool = False,
-) -> NormalFormResult:
+def normal_form_6(e: Equation, split: Split) -> NormalFormResult:
     """Minimal (m, then n) expression of a unimodular equation over H * K.
 
     Returns the length-one certificate t = u when the reduced expression has
     a single t, and the Form6 data otherwise.  Minimality over all conjugate
     expressions follows from the invariance of the reduced cyclic t-pattern;
-    the `verify` flag cross-checks against the exhaustive minimizer.
+    `bruteforce_min_form6` is the independent exhaustive check.
     """
     e, inverted, w = _prepare(e, split)
     core, _ = w.group.cyclically_reduce(w)
@@ -412,8 +406,6 @@ def normal_form_6(
             break
     if result is None:
         raise InternalError("no expressible window up to the leveled span")
-    if verify:
-        _verify_against_oracle(e, split, result, caps)
     return result
 
 
@@ -456,19 +448,6 @@ def _check_expansion_length_one(lf: LengthOneForm) -> None:
     expansion = _t_in(group) * ~lf.u
     if not group.are_conjugate(expansion, lf.equation.refined_word()):
         raise InternalError("length-one expansion is not conjugate to the input word")
-
-
-def _verify_against_oracle(e: Equation, split: Split, result: NormalFormResult, caps: Caps) -> None:
-    oracle = bruteforce_min_form6(e, split, caps.oracle_m, caps.oracle_n)
-    if oracle is None:
-        raise InternalError("oracle found no expression inside its caps")
-    om, on = oracle
-    if result.kind == "length-one":
-        got = (result.length_one.m, 0)
-    else:
-        got = (result.form6.m, result.form6.n)
-    if got != (om, on):
-        raise InternalError(f"minimizer disagreement: reduction {got}, oracle {oracle}")
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .backends import (
     GroupElement,
     QuotientFreeAbelianGroup,
 )
-from .config import DEFAULT_CAPS, Caps
 from .errors import (
     EquationError,
     GroupMismatchError,
@@ -172,7 +171,7 @@ def quotient_strong_up_condition(T: Group, t: GroupElement) -> tuple[Condition, 
     return strong, tor
 
 
-def unimodular_verdict(ge: GeneralizedEquation, caps: Caps = DEFAULT_CAPS) -> UnimodularVerdict:
+def unimodular_verdict(ge: GeneralizedEquation) -> UnimodularVerdict:
     T = ge.vargroup
     _require_coset_backend(T)
     t = total_product(ge)

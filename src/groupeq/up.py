@@ -64,6 +64,15 @@ class UPReport:
         return len(ys)
 
 
+def _census(xs: Sequence[GroupElement], ys: Sequence[GroupElement]) -> dict[GroupElement, list]:
+    """Each product x*y with its factor pairs, in the order of xs, then ys."""
+    census: dict[GroupElement, list] = {}
+    for x in xs:
+        for y in ys:
+            census.setdefault(x * y, []).append((x, y))
+    return census
+
+
 def up_check(X: Iterable[GroupElement], Y: Iterable[GroupElement]) -> UPReport:
     """Exact factorization census of X*Y; UP holds iff a unique element exists."""
     xs = list(X)
@@ -72,10 +81,7 @@ def up_check(X: Iterable[GroupElement], Y: Iterable[GroupElement]) -> UPReport:
     group = xs[0].group
     xt = _as_sorted_set(group, xs, "X")
     yt = _as_sorted_set(group, Y, "Y")
-    census: dict[GroupElement, list] = {}
-    for x in xt:
-        for y in yt:
-            census.setdefault(x * y, []).append((x, y))
+    census = _census(xt, yt)
     products = tuple(
         (v, tuple(census[v])) for v in sorted(census, key=group.sort_key)
     )
@@ -120,26 +126,36 @@ def up4_check(
     C: Iterable[GroupElement],
     D: Iterable[GroupElement],
 ) -> UP4Result:
-    """A product abcd with exactly one factorization, or fails."""
+    """A product abcd with exactly one factorization, or fails.
+
+    Counts through the A*B and C*D censuses: v = p*q has as many
+    factorizations as the sum over such (p, q) of the products of their
+    factor-pair counts, so v is unique iff exactly one (p, q) gives it and
+    p and q are unique in their censuses.  The witness is the smallest
+    unique v by sort key, with its one quadruple.
+    """
     sets = [list(s) for s in (A, B, C, D)]
     if any(not s for s in sets):
         raise ValueError("all four subsets must be nonempty")
     group = sets[0][0].group
     a4, b4, c4, d4 = (_as_sorted_set(group, s, nm) for s, nm in zip(sets, "ABCD"))
-    census: dict[GroupElement, list] = {}
-    for a in a4:
-        ab = a
-        for b in b4:
-            ab2 = ab * b
-            for c in c4:
-                abc = ab2 * c
-                for d in d4:
-                    census.setdefault(abc * d, []).append((a, b, c, d))
+    cd = _census(c4, d4).items()
+    counts: dict[GroupElement, list] = {}  # v -> [factorizations, first (ab pairs, cd pairs)]
+    for p, ab_pairs in _census(a4, b4).items():
+        for q, cd_pairs in cd:
+            v = p * q
+            entry = counts.get(v)
+            if entry is None:
+                counts[v] = [len(ab_pairs) * len(cd_pairs), ab_pairs, cd_pairs]
+            else:
+                entry[0] += len(ab_pairs) * len(cd_pairs)
     total = len(a4) * len(b4) * len(c4) * len(d4)
-    for v in sorted(census, key=group.sort_key):
-        if len(census[v]) == 1:
-            return UP4Result(True, (v, census[v][0]), total)
-    return UP4Result(False, None, total)
+    unique = [v for v, entry in counts.items() if entry[0] == 1]
+    if not unique:
+        return UP4Result(False, None, total)
+    v = min(unique, key=group.sort_key)
+    _, ((a, b),), ((c, d),) = counts[v]
+    return UP4Result(True, (v, (a, b, c, d)), total)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,13 @@ def test_solve_finite_command():
     assert report["result"]["found"] and report["result"]["reverified"]
 
 
+def test_solve_finite_stops_at_max_degree():
+    report, code = run("solve-finite", {"max_degree": 7}, "group C = cyclic(3)\neq E over C: a t^3 = 1\n")
+    assert code == 1
+    assert report["result"]["degrees_tested"] == [3, 4, 5, 6, 7]
+    assert report["result"]["degrees_capped"] == []
+
+
 def test_corollary_command():
     report, code = run("corollary-precheck", {}, MV_SCRIPT)
     assert code == 0
@@ -254,8 +261,9 @@ def test_config_missing_env_file_exits_two(tmp_path, capsys, monkeypatch):
         ('{"radius": 3, "bogus": 1}', "bogus"),
         ('{"radius": "3"}', "integer"),
         ('{"radius": true}', "integer"),
+        ('{"oracle_m": 4}', "oracle_m"),
     ],
-    ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value"],
+    ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value", "removed-cap"],
 )
 def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     cfg = tmp_path / "caps.json"
@@ -266,16 +274,49 @@ def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     assert needle in captured.err
 
 
-def test_verify_bad_env_config_exits_two(tmp_path, capsys, monkeypatch):
-    report, _ = run("up-check", {"sets": "X,Y"}, UP_SCRIPT)
+def _fours_search_with_config(tmp_path, capsys, config, flags=("--radius", "2", "--max-size", "4")):
+    script = tmp_path / "fours.ge"
+    script.write_text("group F = fours\n")
+    cfg = tmp_path / "made-with.json"
+    cfg.write_text(config)
+    code = main(["search-nonup", str(script), *flags, "--config", str(cfg), "--format", "structured"])
     path = tmp_path / "report.json"
-    path.write_text(canonical_json(report))
-    cfg = tmp_path / "caps.json"
-    cfg.write_text('{"radius": 3, "bogus": 1}')
-    monkeypatch.setenv("GROUPEQ_CONFIG", str(cfg))
-    assert main(["verify", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert "bogus" in captured.err and "verified" not in captured.out
+    path.write_text(capsys.readouterr().out)
+    return code, json.loads(path.read_text()), str(path)
+
+
+@pytest.mark.parametrize(
+    "env_config",
+    [None, '{"window": 2}', '{"ball_size": 300000}', '{"radius": 3, "bogus": 1}', "{oops"],
+    ids=["no-env", "other-valid", "same-key", "unknown-key", "malformed-json"],
+)
+def test_verify_uses_the_reports_config_caps_not_the_env(tmp_path, capsys, monkeypatch, env_config):
+    # a ball cap no flag can set turns the search into an error report; the
+    # report carries that cap, and verify reads no $GROUPEQ_CONFIG at all
+    code, report, path = _fours_search_with_config(tmp_path, capsys, '{"ball_size": 30}')
+    assert code == 2 and report["status"] == "error"
+    assert report["error"]["message"] == "ball size exceeds cap 30"
+    assert report["caps"] == {"ball_size": 30}
+    if env_config is not None:
+        env = tmp_path / "env.json"
+        env.write_text(env_config)
+        monkeypatch.setenv("GROUPEQ_CONFIG", str(env))
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+def test_report_caps_hold_only_non_default_config_values(tmp_path, capsys):
+    # a config value equal to its default and a cap set by a flag stay out of caps
+    code, report, path = _fours_search_with_config(
+        tmp_path, capsys, '{"radius": 3, "max_degree": 12, "window": 5}', ("--radius", "1", "--max-size", "2"))
+    assert code == 0 and report["status"] == "ok"
+    assert report["caps"] == {"radius": 3, "window": 5}
+    assert report["args"] == {"max_size": 2, "radius": 1}
+    assert main(["verify", path]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+    # a config of defaults only leaves the report as it is without a config
+    code, report, _ = _fours_search_with_config(tmp_path, capsys, '{"ball_size": 200000}', ("--radius", "1"))
+    assert code == 0 and "caps" not in report
 
 
 def _report(command, args):
@@ -296,10 +337,18 @@ def _report(command, args):
         (_report("reduce", {"ambient": "semi"}), "'semi' is not a value of reduce's arg 'ambient'"),
         (_report("classify", {"format": "text"}), "classify takes no arg 'format'"),
         (_report("up-check", {}), "up-check needs the arg 'sets'"),
+        (_report("classify", {"radius": 3}), "classify takes no arg 'radius'"),
+        (_report("up-check", {"sets": "X,Y", "name": "X"}), "up-check takes no arg 'name'"),
+        (_report("search-nonup", {"max_len": 3}), "search-nonup takes no arg 'max_len'"),
+        (dict(_report("classify", {}), caps=[1]), "the report's caps must hold a JSON object"),
+        (dict(_report("classify", {}), caps={"oracle_n": 8}), "unknown cap(s) in the report's caps: oracle_n"),
+        (dict(_report("classify", {}), caps={"radius": "3"}), "needs an integer"),
     ],
     ids=[
         "no-args", "unknown-command", "list-args", "no-script", "not-an-object",
         "string-radius", "int-sets", "bool-radius", "bad-choice", "unknown-arg", "missing-required",
+        "removed-flag-radius", "removed-flag-name", "removed-flag-max-len",
+        "caps-not-object", "caps-unknown-key", "caps-string-value",
     ],
 )
 def test_verify_malformed_report_exits_two(tmp_path, capsys, report, needle):
@@ -362,6 +411,53 @@ def test_golden_reports_reproduce_byte_for_byte(name):
     fresh, code = run(data["command"], data["args"], data["script"])
     assert canonical_json(fresh) + "\n" == stored
     assert code == GOLDEN_CODES[data["status"]]
+
+
+# the flags each command reads, by the key they take in a report's args
+DECLARED_FLAGS = {
+    "classify": {"name"},
+    "rewrite-coset": {"name"},
+    "verdict": {"name"},
+    "corollary-precheck": {"name"},
+    "conjugate-family": {"name", "cosets"},
+    "emit-ky": {"name", "cosets", "witness_var"},
+    "emit-solution-group": {"name", "cosets", "witness_var", "window"},
+    "reduce": {"name", "ambient"},
+    "normal-form-6": {"name", "split"},
+    "emit-system-7": {"name", "split", "window"},
+    "solve-finite": {"name", "max_degree"},
+    "up-check": {"sets"},
+    "strong-up": {"sets"},
+    "up4": {"sets"},
+    "strojnowski": {"sets"},
+    "search-nonup": {"group", "radius", "max_size", "budget_ms"},
+    "proper-power": {"elem"},
+}
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    options = cli._parser()[1]
+    assert {cmd: set(opts) for cmd, opts in options.items()} == DECLARED_FLAGS
+    assert sum(len(opts) for opts in options.values()) == 31
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["classify", "--max-len", "3"], EQ_SCRIPT),
+        (["up-check", "--sets", "X,Y", "--name", "X"], UP_SCRIPT),
+        (["search-nonup", "--name", "C"], "group C = cyclic(3)\n"),
+        (["verdict", "--window", "2"], GEQ_SCRIPT),
+        (["solve-finite", "--radius", "2"], FIN_SCRIPT),
+    ],
+    ids=["classify-max-len", "up-check-name", "search-nonup-name", "verdict-window", "solve-finite-radius"],
+)
+def test_a_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv, text):
+    script = tmp_path / "in.ge"
+    script.write_text(text)
+    assert main([argv[0], str(script), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
 
 
 def test_one_parser_serves_every_main_call(tmp_path, capsys):

@@ -225,10 +225,11 @@ def test_normal_form_paper_length_one_case(setup):
 def test_normal_form_form6_case(setup):
     G, a, b, split = setup
     e = Equation(G, ((b, 1), (b, 1), (b, -1)))
-    res = normal_form_6(e, split, verify=True)
+    res = normal_form_6(e, split)
     assert res.kind == "form6"
     f = res.form6
     assert (f.m, f.n) == (0, 1)
+    assert bruteforce_min_form6(e, split) == (f.m, f.n)
     assert f.side_conditions.all_pass
     assert e.refined_group().are_conjugate(f.expand(), e.refined_word())
 
@@ -242,9 +243,10 @@ def test_normal_form_needs_unimodular(setup):
 def test_normal_form_sigma_minus_one_inverted(setup):
     G, a, b, split = setup
     e = Equation(G, ((b, -1), (b, -1), (b, 1)))
-    res = normal_form_6(e, split, verify=True)
+    res = normal_form_6(e, split)
     assert res.kind == "form6"
     assert res.form6.sigma_inverted
+    assert bruteforce_min_form6(e, split) == (res.form6.m, res.form6.n)
 
 
 def test_normal_form_rejects_equation_over_h(setup):

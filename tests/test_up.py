@@ -133,6 +133,45 @@ def test_up4_examples(z1, klein):
     assert up4_check(*singles).holds
 
 
+def _up4_by_quadruples(A, B, C, D):
+    """The quadruple census up4_check replaced: every abcd, four loops deep."""
+    group = A[0].group
+    a4, b4, c4, d4 = (sorted(set(s), key=group.sort_key) for s in (A, B, C, D))
+    census = {}
+    for a, b, c, d in itertools.product(a4, b4, c4, d4):
+        census.setdefault(a * b * c * d, []).append((a, b, c, d))
+    total = len(a4) * len(b4) * len(c4) * len(d4)
+    for v in sorted(census, key=group.sort_key):
+        if len(census[v]) == 1:
+            return up.UP4Result(True, (v, census[v][0]), total)
+    return up.UP4Result(False, None, total)
+
+
+@functools.lru_cache(maxsize=None)
+def _up4_pool(name):
+    if name == "fours":
+        group = FoursGroup()
+        return tuple(sorted(group.ball(2), key=group.sort_key))
+    if name == "s3":
+        return tuple(PermutationGroup(3).elements())
+    if name == "z1":
+        return tuple(FreeAbelianGroup(1).vector([c]) for c in range(-3, 4))
+    return tuple(klein_four_group().elements())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["fours", "s3", "z1", "klein"]),
+    picks=st.lists(st.lists(st.integers(min_value=0, max_value=10 ** 6), min_size=1, max_size=5),
+                   min_size=4, max_size=4),
+)
+def test_up4_matches_quadruple_census(name, picks):
+    # the A*B by C*D count gives the verdict, witness and total of the full census
+    pool = _up4_pool(name)
+    sets = [[pool[i % len(pool)] for i in idx] for idx in picks]
+    assert up4_check(*sets) == _up4_by_quadruples(*sets)
+
+
 def test_up4_implies_strong(z1, klein):
     X = vecs(z1, [0, 1])
     rep = verify_up4_implies_strong(X, X)
