@@ -58,38 +58,17 @@ def _parser() -> tuple[argparse.ArgumentParser, dict[str, dict[str, argparse.Act
 # helpers
 
 
-def _pick(sess: Session, kind: str, store: dict, name: Optional[str]):
-    if name is not None:
-        if name not in store:
-            raise GroupEqError(f"no declared {kind} named {name!r}")
-        return store[name]
-    last = sess.last_of(kind)
-    if last is None:
-        raise GroupEqError(f"the script declares no {kind}")
-    return store[last]
-
-
 def _named_sets(sess: Session, spec: str, count: int):
-    names = [n.strip() for n in spec.split(",")]
+    names = spec.split(",")
     if len(names) != count:
         raise GroupEqError(f"--sets needs {count} comma-separated names")
-    out = []
-    for n in names:
-        if n not in sess.sets:
-            raise GroupEqError(f"no declared set named {n!r}")
-        out.append(sess.sets[n])
-    return out
+    return [sess.get("set", n.strip()) for n in names]
 
 
-def _cosets(sess: Session, ge: gen.GeneralizedEquation, spec: Optional[str]):
+def _cosets(ge: gen.GeneralizedEquation, spec: Optional[str]):
     if spec is None:
         return None
-    out = []
-    for lit in spec.split(";"):
-        lit = lit.strip()
-        if lit:
-            out.append(ge.vargroup.parse_element(lit))
-    return out
+    return [ge.vargroup.parse_element(lit.strip()) for lit in spec.split(";") if lit.strip()]
 
 
 def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:
@@ -104,7 +83,7 @@ def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: (status, result, exit_code)
+# command implementations: (result, falsified)
 
 
 def _classification(e: eqmod.Equation) -> dict:
@@ -113,29 +92,28 @@ def _classification(e: eqmod.Equation) -> dict:
 
 
 def _run_classify(sess: Session, args: dict, caps: Caps):
-    e = _pick(sess, "equation", sess.equations, args.get("name"))
-    return "ok", _classification(e), 0
+    return _classification(sess.get("equation", args.get("name"))), False
 
 
 def _run_rewrite_coset(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
+    ge = sess.get("geq", args.get("name"))
     re = gen.coset_rewrite(ge)
     ok = re.expansion() == ge.word()
-    return "ok", {
+    return {
         "total_product": fmt_elem(re.t),
         "coset_reps": fmt_elems(re.coset_reps()),
         "terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in re.terms],
         "sign": re.sign,
         "expansion_verified": ok,
-    }, 0
+    }, False
 
 
 def _run_conjugate_family(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
+    ge = sess.get("geq", args.get("name"))
     re = gen.coset_rewrite(ge)
-    xs = _cosets(sess, ge, args.get("cosets")) or list(re.coset_reps())
+    xs = _cosets(ge, args.get("cosets")) or list(re.coset_reps())
     fam = gen.conjugate_family(re, xs)
-    return "ok", {
+    return {
         "labels": fmt_elems(xs),
         "members": [
             {
@@ -144,34 +122,33 @@ def _run_conjugate_family(sess: Session, args: dict, caps: Caps):
             }
             for w in fam
         ],
-    }, 0
+    }, False
 
 
 def _run_emit_ky(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
+    ge = sess.get("geq", args.get("name"))
     re = gen.coset_rewrite(ge)
-    ys = _cosets(sess, ge, args.get("cosets")) or [ge.vargroup.identity()]
+    ys = _cosets(ge, args.get("cosets")) or [ge.vargroup.identity()]
     pres = gen.emit_ky(re, ys, args.get("witness_var", "t~"))
-    return "ok", {"presentation": pres.to_struct(), "text": pres.to_text()}, 0
+    return {"presentation": pres.to_struct(), "text": pres.to_text()}, False
 
 
 def _run_emit_solution_group(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
+    ge = sess.get("geq", args.get("name"))
     re = gen.coset_rewrite(ge)
-    ys = _cosets(sess, ge, args.get("cosets")) or [ge.vargroup.identity()]
-    window = args.get("window")
-    pres = gen.emit_solution_group(re, ys, 1 if window is None else window, args.get("witness_var", "t~"))
-    return "ok", {"presentation": pres.to_struct(), "text": pres.to_text()}, 0
+    ys = _cosets(ge, args.get("cosets")) or [ge.vargroup.identity()]
+    pres = gen.emit_solution_group(re, ys, caps.window, args.get("witness_var", "t~"))
+    return {"presentation": pres.to_struct(), "text": pres.to_text()}, False
 
 
 def _run_reduce(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
-    eq = gen.reduce_to_ordinary(ge, args.get("ambient", "free-product"))
-    return "ok", {
-        "ambient": args.get("ambient", "free-product"),
+    ambient = args.get("ambient", "free-product")
+    eq = gen.reduce_to_ordinary(sess.get("geq", args.get("name")), ambient)
+    return {
+        "ambient": ambient,
         "terms": [[fmt_elem(g), e] for g, e in eq.terms],
         "classification": _classification(eq),
-    }, 0
+    }, False
 
 
 def _cond_struct(c: gen.Condition) -> dict:
@@ -194,34 +171,25 @@ def _witness_struct(w) -> list:
 
 
 def _run_verdict(sess: Session, args: dict, caps: Caps):
-    ge = _pick(sess, "geq", sess.geqs, args.get("name"))
-    v = gen.unimodular_verdict(ge)
-    code = 1 if v.overall == "not-unimodular" else 0
-    status = "falsified" if code else "ok"
-    return status, {
+    v = gen.unimodular_verdict(sess.get("geq", args.get("name")))
+    return {
         "overall": v.overall,
         "weak_overall": v.weak_overall,
         "order_infinite": _cond_struct(v.order_infinite),
         "subgroup_normal": _cond_struct(v.subgroup_normal),
         "quotient_strong_up": _cond_struct(v.quotient_strong_up),
         "quotient_torsion_free": _cond_struct(v.quotient_torsion_free),
-    }, code
+    }, v.overall == "not-unimodular"
 
 
 def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
-    e = _pick(sess, "equation", sess.equations, args.get("name"))
-    split = _split_of(e, args.get("split"))
-    res = eqmod.normal_form_6(e, split)
+    e = sess.get("equation", args.get("name"))
+    res = eqmod.normal_form_6(e, _split_of(e, args.get("split")))
     if res.kind == "length-one":
         lf = res.length_one
-        return "ok", {
-            "kind": "length-one",
-            "m": lf.m,
-            "u": str(lf.u),
-            "sigma_inverted": lf.sigma_inverted,
-        }, 0
+        return {"kind": "length-one", "m": lf.m, "u": str(lf.u), "sigma_inverted": lf.sigma_inverted}, False
     f = res.form6
-    return "ok", {
+    return {
         "kind": "form6",
         "m": f.m,
         "n": f.n,
@@ -234,28 +202,25 @@ def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
             "transcendence": f.side_conditions.transcendence_note,
         },
         "sigma_inverted": f.sigma_inverted,
-    }, 0
+    }, False
 
 
 def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
-    e = _pick(sess, "equation", sess.equations, args.get("name"))
-    split = _split_of(e, args.get("split"))
-    res = eqmod.normal_form_6(e, split)
+    e = sess.get("equation", args.get("name"))
+    res = eqmod.normal_form_6(e, _split_of(e, args.get("split")))
     if res.kind == "length-one":
-        return "ok", {
+        return {
             "kind": "length-one",
             "note": "system degenerates to the shift relations with u substituted",
             "u": str(res.length_one.u),
-        }, 0
+        }, False
     pres = eqmod.emit_system_7(res.form6, caps.window)
-    return "ok", {"kind": "form6", "presentation": pres.to_struct(), "text": pres.to_text()}, 0
+    return {"kind": "form6", "presentation": pres.to_struct(), "text": pres.to_text()}, False
 
 
 def _run_up_check(sess: Session, args: dict, caps: Caps):
-    X, Y = _named_sets(sess, args["sets"], 2)
-    rep = upmod.up_check(X, Y)
-    code = 0 if rep.has_unique_product else 1
-    return ("ok" if not code else "falsified"), {
+    rep = upmod.up_check(*_named_sets(sess, args["sets"], 2))
+    return {
         "x_size": len(rep.x),
         "y_size": len(rep.y),
         "unique_elements": fmt_elems(rep.unique_elements),
@@ -266,13 +231,11 @@ def _run_up_check(sess: Session, args: dict, caps: Caps):
             [fmt_elem(v), [[fmt_elem(x), fmt_elem(y)] for x, y in pairs]]
             for v, pairs in rep.products
         ],
-    }, code
+    }, not rep.has_unique_product
 
 
 def _run_strong_up(sess: Session, args: dict, caps: Caps):
-    X, Y = _named_sets(sess, args["sets"], 2)
-    res = upmod.strong_up_check(X, Y)
-    code = 0 if res.holds else 1
+    res = upmod.strong_up_check(*_named_sets(sess, args["sets"], 2))
     result = {
         "holds": res.holds,
         "unique_count": res.report.unique_count,
@@ -280,96 +243,84 @@ def _run_strong_up(sess: Session, args: dict, caps: Caps):
     }
     if res.witness:
         result["witness"] = [[fmt_elem(a), fmt_elem(b)] for a, b in res.witness]
-    return ("ok" if not code else "falsified"), result, code
+    return result, not res.holds
 
 
 def _run_up4(sess: Session, args: dict, caps: Caps):
-    A, B, C, D = _named_sets(sess, args["sets"], 4)
-    res = upmod.up4_check(A, B, C, D)
-    code = 0 if res.holds else 1
+    res = upmod.up4_check(*_named_sets(sess, args["sets"], 4))
     result = {"holds": res.holds, "total_quadruples": res.total_quadruples}
     if res.witness:
         v, quad = res.witness
         result["witness"] = {"product": fmt_elem(v), "quadruple": fmt_elems(quad)}
-    return ("ok" if not code else "falsified"), result, code
+    return result, not res.holds
 
 
 def _run_strojnowski(sess: Session, args: dict, caps: Caps):
-    X, Y = _named_sets(sess, args["sets"], 2)
-    res = upmod.strojnowski_check(X, Y)
-    code = 0 if (not res.certified or res.bound_met) else 1
-    return ("ok" if not code else "falsified"), {
+    res = upmod.strojnowski_check(*_named_sets(sess, args["sets"], 2))
+    return {
         "certified": res.certified,
         "reason": res.reason,
         "unique_count": res.unique_count,
         "bound_met": res.bound_met,
-    }, code
+    }, res.certified and not res.bound_met
 
 
 def _run_search_nonup(sess: Session, args: dict, caps: Caps):
-    group = _pick(sess, "group", sess.groups, args.get("group"))
+    group = sess.get("group", args.get("group"))
     radius = 3 if args.get("radius") is None else args["radius"]
     maxsize = 14 if args.get("max_size") is None else args["max_size"]
     res = upmod.search_nonup_witness(group, radius, maxsize, caps=caps)
-    code = 1 if res.found else 0
-    return ("falsified" if res.found else "ok"), {
+    return {
         "found": res.found,
         "witness": fmt_elems(res.witness) if res.witness else None,
         "reverified": res.verified,
         "sizes_exhausted": list(res.sizes_exhausted),
         "sizes_truncated": list(res.sizes_truncated),
         "subsets_tested": res.subsets_tested,
-    }, code
+    }, res.found
 
 
 def _run_proper_power(sess: Session, args: dict, caps: Caps):
-    name = args["elem"]
-    if name not in sess.elements:
-        raise GroupEqError(f"no declared element named {name!r}")
-    w = sess.elements[name]
-    dec = fg.proper_power(w)
-    return "ok", {
+    dec = fg.proper_power(sess.get("element", args["elem"]))
+    return {
         "root": fmt_elem(dec.root),
         "exponent": dec.exponent,
         "core_root": fmt_elem(dec.core_root),
         "conjugator": fmt_elem(dec.conjugator),
         "is_proper_power": dec.is_proper_power,
-    }, 0
+    }, False
 
 
 def _run_corollary_precheck(sess: Session, args: dict, caps: Caps):
-    mv = _pick(sess, "mveq", sess.mveqs, args.get("name"))
-    rep = fg.corollary_precheck(mv)
-    code = 0 if rep.status == "corollary-applies" else 1
+    rep = fg.corollary_precheck(sess.get("mveq", args.get("name")))
     result = {"status": rep.status}
     if rep.variable_word is not None:
         result["variable_word"] = fmt_elem(rep.variable_word)
     if rep.decomposition is not None:
         result["root"] = fmt_elem(rep.decomposition.root)
         result["exponent"] = rep.decomposition.exponent
-    return ("ok" if not code else "falsified"), result, code
+    return result, rep.status != "corollary-applies"
 
 
 def _run_solve_finite(sess: Session, args: dict, caps: Caps):
-    e = _pick(sess, "equation", sess.equations, args.get("name"))
+    e = sess.get("equation", args.get("name"))
     rep = solver.solve_over_finite(e, caps=caps)
     if rep.found:
         cert = rep.certificate
         ok = solver.verify_certificate(cert, e)
-        result = {
+        return {
             "found": True,
             "degree": cert.degree,
             "solution": list(cert.solution),
             "reverified": ok,
             "degrees_tested": list(rep.degrees_tested),
             "degrees_capped": list(rep.degrees_capped),
-        }
-        return "ok", result, 0
-    return "falsified", {
+        }, False
+    return {
         "found": False,
         "degrees_tested": list(rep.degrees_tested),
         "degrees_capped": list(rep.degrees_capped),
-    }, 1
+    }, True
 
 
 # each flag a command may declare, with its argparse settings; a flag with no
@@ -422,9 +373,8 @@ def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict
         budget_ms=args.get("budget_ms"),
     )
     try:
-        sess = parse_script(script, caps)
-        status, result, code = COMMANDS[command][0](sess, args, caps)
-        return make_report(command, args, script, status, result), code
+        result, falsified = COMMANDS[command][0](parse_script(script, caps), args, caps)
+        return make_report(command, args, script, "falsified" if falsified else "ok", result), 1 if falsified else 0
     except ParseError as exc:
         err = {"type": "ParseError", "message": exc.message, "line": exc.line, "column": exc.column}
         return make_report(command, args, script, "error", {}, err), 2

@@ -10,7 +10,8 @@ Statements:
     geq W over G with T: g u a v = 1        (u, v declared over T)
     mveq M over G vars x1, x2: g x1 x2^-1 = 1
 
-Comments start with '#'.  Errors carry line and column positions.
+Every statement declares one name, unique across kinds.  Comments start
+with '#'.  Errors carry line and column positions.
 """
 
 from __future__ import annotations
@@ -39,25 +40,28 @@ from .generalized import GeneralizedEquation
 @dataclass
 class Session:
     caps: Caps = DEFAULT_CAPS
-    groups: dict[str, Group] = field(default_factory=dict)
-    elements: dict[str, GroupElement] = field(default_factory=dict)
-    sets: dict[str, tuple[GroupElement, ...]] = field(default_factory=dict)
-    equations: dict[str, Equation] = field(default_factory=dict)
-    geqs: dict[str, GeneralizedEquation] = field(default_factory=dict)
-    mveqs: dict[str, MultiVarEquation] = field(default_factory=dict)
-    order: list[tuple[str, str]] = field(default_factory=list)
+    # every declaration in script order: name -> (kind, value); a name is
+    # unique across kinds
+    names: dict[str, tuple[str, object]] = field(default_factory=dict)
 
-    def declare(self, kind: str, name: str, line: int) -> None:
-        for store in (self.groups, self.elements, self.sets, self.equations, self.geqs, self.mveqs):
-            if name in store:
-                raise ParseError(f"name {name!r} is already declared", line, 1)
-        self.order.append((kind, name))
+    def get(self, kind: str, name: Optional[str] = None):
+        """The declared `kind` named `name`, or the last one declared when
+        `name` is None."""
+        if name is None:
+            for k, value in reversed(self.names.values()):
+                if k == kind:
+                    return value
+            raise GroupEqError(f"the script declares no {kind}")
+        value = _declared(self, kind, name)
+        if value is None:
+            raise GroupEqError(f"no declared {kind} named {name!r}")
+        return value
 
-    def last_of(self, kind: str) -> Optional[str]:
-        for k, name in reversed(self.order):
-            if k == kind:
-                return name
-        return None
+
+def _declared(sess: Session, kind: str, name: str):
+    """The declared `kind` named `name`, or None."""
+    k, value = sess.names.get(name, (None, None))
+    return value if k == kind else None
 
 
 def _split_top(text: str, sep: str) -> list[str]:
@@ -77,19 +81,15 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def _parse_group_expr(sess: Session, expr: str, line: int) -> Group:
-    expr = expr.strip()
-    parts = [p.strip() for p in _split_top(expr, "*")]
+    parts = _split_top(expr, "*")
     if len(parts) > 1:
-        return FreeProductGroup(tuple(_parse_group_atom(sess, p, line) for p in parts))
-    return _parse_group_atom(sess, parts[0], line)
-
-
-def _parse_group_atom(sess: Session, expr: str, line: int) -> Group:
+        return FreeProductGroup(tuple(_parse_group_expr(sess, p, line) for p in parts))
     expr = expr.strip()
     if not expr:
         raise ParseError("empty group expression", line, 1)
-    if expr in sess.groups:
-        return sess.groups[expr]
+    group = _declared(sess, "group", expr)
+    if group is not None:
+        return group
     try:
         if expr.startswith("free(") and expr.endswith(")"):
             names = [t.strip() for t in expr[5:-1].split(",") if t.strip()]
@@ -111,11 +111,7 @@ def _parse_group_atom(sess: Session, expr: str, line: int) -> Group:
             degree = int(head[5:].rstrip(") "))
             body = body[:-1].strip()
             pg = PermutationGroup(degree)
-            gens = []
-            for lit in _split_top(body, ","):
-                lit = lit.strip()
-                if lit:
-                    gens.append(pg.parse_element(lit).payload)
+            gens = [pg.parse_element(lit.strip()).payload for lit in _split_top(body, ",") if lit.strip()]
             return PermutationGroup(degree, gens or None)
         if expr.startswith("perm(") and expr.endswith(")"):
             return PermutationGroup(int(expr[5:-1]))
@@ -127,8 +123,8 @@ def _parse_group_atom(sess: Session, expr: str, line: int) -> Group:
 
 
 def _resolve_element(sess: Session, group: Group, token: str, line: int, col: int) -> GroupElement:
-    if token in sess.elements:
-        el = sess.elements[token]
+    el = _declared(sess, "element", token)
+    if el is not None:
         if el.group != group:
             raise ParseError(f"element {token!r} lives in a different group", line, col)
         return el
@@ -138,94 +134,133 @@ def _resolve_element(sess: Session, group: Group, token: str, line: int, col: in
         raise ParseError(f"cannot read {token!r} as an element: {exc}", line, col) from exc
 
 
-def _strip_equals_one(tokens: list[str], line: int) -> list[str]:
-    if len(tokens) >= 2 and tokens[-2] == "=" and tokens[-1] == "1":
-        return tokens[:-2]
-    raise ParseError("equation must end with '= 1'", line, 1)
-
-
-def _parse_eq_body(sess: Session, group: Group, body: str, line: int) -> Equation:
-    tokens = _strip_equals_one(_split_top(body, " "), line)
-    terms: list[tuple[GroupElement, int]] = []
+def _terms(group: Group, body: str, line: int, read, empty: str, empty_ok: bool = False) -> tuple:
+    """The (coefficient, variable) pairs of `body`, a space-separated product
+    ending in '= 1': each variable comes with the product of the coefficients
+    before it, and the coefficients after the last variable fold cyclically
+    into the first pair.  `read(token, column)` gives (coefficient, None) or
+    (None, variable).  With no variable `empty` is the error, unless
+    `empty_ok` and there is no coefficient either."""
+    tokens = _split_top(body.strip(), " ")
+    if tokens[-2:] != ["=", "1"]:
+        raise ParseError("equation must end with '= 1'", line, 1)
+    pairs: list[tuple[GroupElement, object]] = []
     coef = group.identity()
-    for col, tok in enumerate(tokens, start=1):
+    for col, tok in enumerate(tokens[:-2], start=1):
         tok = tok.strip()
         if not tok:
             continue
-        if tok == "t" or tok.startswith("t^"):
-            exp = 1 if tok == "t" else int(tok[2:])
-            if exp == 0:
-                raise ParseError("t^0 is not a valid occurrence", line, col)
-            terms.append((coef, exp))
-            coef = group.identity()
+        g, var = read(tok, col)
+        if var is None:
+            coef = coef * g
         else:
-            coef = coef * _resolve_element(sess, group, tok, line, col)
-    if not terms:
-        raise ParseError("equation has no occurrences of t", line, 1)
-    if not coef.is_identity:
-        g0, e0 = terms[0]
-        terms[0] = (coef * g0, e0)  # fold the trailing constant cyclically
-    return Equation(group, tuple(terms))
-
-
-def _parse_geq_body(
-    sess: Session, group: Group, vargroup: Group, body: str, line: int
-) -> GeneralizedEquation:
-    tokens = _strip_equals_one(_split_top(body, " "), line)
-    pairs: list[tuple[GroupElement, GroupElement]] = []
-    coef = group.identity()
-    for col, tok in enumerate(tokens, start=1):
-        tok = tok.strip()
-        if not tok:
-            continue
-        if tok in sess.elements and sess.elements[tok].group == vargroup:
-            pairs.append((coef, sess.elements[tok]))
+            pairs.append((coef, var))
             coef = group.identity()
-            continue
-        got: Optional[GroupElement] = None
+    if not pairs and not (empty_ok and coef.is_identity):
+        raise ParseError(empty, line, 1)
+    if not coef.is_identity:
+        pairs[0] = (coef * pairs[0][0], pairs[0][1])
+    return tuple(pairs)
+
+
+# Each statement reader gets the session, the text after the declared name
+# and the line; it checks what comes before the duplicate-name check and
+# returns a function that reads the declared value.
+
+
+def _group(sess: Session, rest: str, line: int):
+    return lambda: _parse_group_expr(sess, rest, line)
+
+
+def _let(sess: Session, rest: str, line: int):
+    gname, _, lit = rest.partition(":")
+    group = _lookup_group(sess, gname, line)
+    return lambda: _resolve_element(sess, group, lit.strip(), line, 1)
+
+
+def _set(sess: Session, rest: str, line: int):
+    gname, _, body = rest.partition(":")
+    group = _lookup_group(sess, gname, line)
+    body = body.strip()
+    if body.startswith("{") and body.endswith("}"):
+        body = body[1:-1]
+    elems = tuple(_resolve_element(sess, group, lit.strip(), line, 1) for lit in _split_top(body, ",") if lit.strip())
+    if not elems:
+        raise ParseError("empty set", line, 1)
+    return lambda: elems
+
+
+def _eq(sess: Session, rest: str, line: int):
+    gname, _, body = rest.partition(":")
+    group = _lookup_group(sess, gname, line)
+
+    def read(tok: str, col: int):
+        if tok != "t" and not tok.startswith("t^"):
+            return _resolve_element(sess, group, tok, line, col), None
+        exp = 1 if tok == "t" else int(tok[2:])
+        if exp == 0:
+            raise ParseError("t^0 is not a valid occurrence", line, col)
+        return None, exp
+
+    return lambda: Equation(group, _terms(group, body, line, read, "equation has no occurrences of t"))
+
+
+def _geq(sess: Session, rest: str, line: int):
+    spec, _, body = rest.partition(":")
+    gname, _, tname = spec.partition(" with ")
+    group, vargroup = _lookup_group(sess, gname, line), _lookup_group(sess, tname, line)
+
+    def read(tok: str, col: int):
+        # a declared element of T is a variable entry, then anything G reads
+        # is a coefficient, and T reads the rest
+        el = _declared(sess, "element", tok)
+        if el is not None and el.group == vargroup:
+            return None, el
         try:
-            got = group.parse_element(tok) if tok not in sess.elements else sess.elements[tok]
+            got = group.parse_element(tok) if el is None else el
         except (ValueError, GroupEqError):
             got = None
         if got is not None and got.group == group:
-            coef = coef * got
-            continue
+            return got, None
         try:
-            tval = vargroup.parse_element(tok)
+            return None, vargroup.parse_element(tok)
         except (ValueError, GroupEqError) as exc:
             raise ParseError(f"cannot read {tok!r} in G or T: {exc}", line, col) from exc
-        pairs.append((coef, tval))
-        coef = group.identity()
-    if not pairs:
-        raise ParseError("generalized equation has no variable entries", line, 1)
-    if not coef.is_identity:
-        g0, t0 = pairs[0]
-        pairs[0] = (coef * g0, t0)
-    return GeneralizedEquation(group, vargroup, tuple(pairs))
+
+    empty = "generalized equation has no variable entries"
+    return lambda: GeneralizedEquation(group, vargroup, _terms(group, body, line, read, empty))
 
 
-def _parse_mveq_body(
-    sess: Session, group: Group, variables: tuple[str, ...], body: str, line: int
-) -> MultiVarEquation:
-    tokens = _strip_equals_one(_split_top(body, " "), line)
-    terms: list[tuple[GroupElement, str, int]] = []
-    coef = group.identity()
-    for col, tok in enumerate(tokens, start=1):
-        tok = tok.strip()
-        if not tok:
-            continue
+def _mveq(sess: Session, rest: str, line: int):
+    spec, _, body = rest.partition(":")
+    gname, _, vspec = spec.partition(" vars ")
+    group = _lookup_group(sess, gname, line)
+    variables = tuple(v.strip() for v in vspec.split(",") if v.strip())
+    if not variables:
+        raise ParseError("mveq needs declared variables", line, 1)
+
+    def read(tok: str, col: int):
         base, _, exp = tok.partition("^")
         if base in variables:
-            terms.append((coef, base, int(exp) if exp else 1))
-            coef = group.identity()
-        else:
-            coef = coef * _resolve_element(sess, group, tok, line, col)
-    if not coef.is_identity:
-        if not terms:
-            raise ParseError("multivariable equation has no variable entries", line, 1)
-        g0, v0, e0 = terms[0]
-        terms[0] = (coef * g0, v0, e0)
-    return MultiVarEquation(group, variables, tuple(terms))
+            return None, (base, int(exp) if exp else 1)
+        return _resolve_element(sess, group, tok, line, col), None
+
+    def value() -> MultiVarEquation:
+        pairs = _terms(group, body, line, read, "multivariable equation has no variable entries", empty_ok=True)
+        return MultiVarEquation(group, variables, tuple((g, v, e) for g, (v, e) in pairs))
+
+    return value
+
+
+# statement keyword: (kind declared, separator after the name, reader)
+_STATEMENTS = {
+    "group": ("group", "=", _group),
+    "let": ("element", "=", _let),
+    "set": ("set", " in ", _set),
+    "eq": ("equation", " over ", _eq),
+    "geq": ("geq", " over ", _geq),
+    "mveq": ("mveq", " over ", _mveq),
+}
 
 
 def parse_script(text: str, caps: Caps = DEFAULT_CAPS) -> Session:
@@ -236,70 +271,19 @@ def parse_script(text: str, caps: Caps = DEFAULT_CAPS) -> Session:
             continue
         head, _, rest = line.partition(" ")
         try:
-            if head == "group":
-                name, _, expr = rest.partition("=")
-                name = name.strip()
-                _check_name(name, lineno)
-                sess.declare("group", name, lineno)
-                sess.groups[name] = _parse_group_expr(sess, expr, lineno)
-            elif head == "let":
-                name, _, expr = rest.partition("=")
-                name = name.strip()
-                _check_name(name, lineno)
-                gname, _, lit = expr.partition(":")
-                group = _lookup_group(sess, gname.strip(), lineno)
-                sess.declare("element", name, lineno)
-                sess.elements[name] = _resolve_element(sess, group, lit.strip(), lineno, 1)
-            elif head == "set":
-                name, _, expr = rest.partition(" in ")
-                name = name.strip()
-                _check_name(name, lineno)
-                gname, _, lits = expr.partition(":")
-                group = _lookup_group(sess, gname.strip(), lineno)
-                body = lits.strip()
-                if body.startswith("{") and body.endswith("}"):
-                    body = body[1:-1]
-                elems = []
-                for lit in _split_top(body, ","):
-                    lit = lit.strip()
-                    if lit:
-                        elems.append(_resolve_element(sess, group, lit, lineno, 1))
-                if not elems:
-                    raise ParseError("empty set", lineno, 1)
-                sess.declare("set", name, lineno)
-                sess.sets[name] = tuple(elems)
-            elif head == "eq":
-                name, _, expr = rest.partition(" over ")
-                name = name.strip()
-                _check_name(name, lineno)
-                gname, _, body = expr.partition(":")
-                group = _lookup_group(sess, gname.strip(), lineno)
-                sess.declare("equation", name, lineno)
-                sess.equations[name] = _parse_eq_body(sess, group, body.strip(), lineno)
-            elif head == "geq":
-                name, _, expr = rest.partition(" over ")
-                name = name.strip()
-                _check_name(name, lineno)
-                spec, _, body = expr.partition(":")
-                gname, _, tname = spec.partition(" with ")
-                group = _lookup_group(sess, gname.strip(), lineno)
-                vargroup = _lookup_group(sess, tname.strip(), lineno)
-                sess.declare("geq", name, lineno)
-                sess.geqs[name] = _parse_geq_body(sess, group, vargroup, body.strip(), lineno)
-            elif head == "mveq":
-                name, _, expr = rest.partition(" over ")
-                name = name.strip()
-                _check_name(name, lineno)
-                spec, _, body = expr.partition(":")
-                gname, _, vspec = spec.partition(" vars ")
-                group = _lookup_group(sess, gname.strip(), lineno)
-                variables = tuple(v.strip() for v in vspec.split(",") if v.strip())
-                if not variables:
-                    raise ParseError("mveq needs declared variables", lineno, 1)
-                sess.declare("mveq", name, lineno)
-                sess.mveqs[name] = _parse_mveq_body(sess, group, variables, body.strip(), lineno)
-            else:
+            if head not in _STATEMENTS:
                 raise ParseError(f"unknown statement {head!r}", lineno, 1)
+            kind, sep, reader = _STATEMENTS[head]
+            name, _, rest = rest.partition(sep)
+            name = name.strip()
+            if not name or not all(ch.isalnum() or ch == "_" for ch in name):
+                raise ParseError(f"bad name {name!r}", lineno, 1)
+            if name in ("t", "1"):
+                raise ParseError(f"name {name!r} is reserved", lineno, 1)
+            value = reader(sess, rest, lineno)
+            if name in sess.names:
+                raise ParseError(f"name {name!r} is already declared", lineno, 1)
+            sess.names[name] = (kind, value())
         except ParseError:
             raise
         except GroupEqError as exc:
@@ -309,14 +293,9 @@ def parse_script(text: str, caps: Caps = DEFAULT_CAPS) -> Session:
     return sess
 
 
-def _check_name(name: str, line: int) -> None:
-    if not name or not all(ch.isalnum() or ch in "_" for ch in name):
-        raise ParseError(f"bad name {name!r}", line, 1)
-    if name in ("t", "1"):
-        raise ParseError(f"name {name!r} is reserved", line, 1)
-
-
 def _lookup_group(sess: Session, name: str, line: int) -> Group:
-    if name in sess.groups:
-        return sess.groups[name]
-    raise ParseError(f"unknown group {name!r}", line, 1)
+    name = name.strip()
+    group = _declared(sess, "group", name)
+    if group is None:
+        raise ParseError(f"unknown group {name!r}", line, 1)
+    return group

@@ -33,7 +33,7 @@ from .errors import (
     WindowError,
 )
 from .equations import Equation
-from .up import strong_up_check, up_check
+from .up import strong_up_check
 from .words import Presentation, copy_name
 
 
@@ -358,9 +358,14 @@ def emit_ky(
     Y: Sequence[GroupElement],
     witness_var: str = "t~",
 ) -> Presentation:
-    """K_Y: one copy of G per coset in X_1 Y, one letter, one relator per y."""
+    """K_Y: one copy of G per coset in X_1 Y, one letter, and one relator
+    per coset of <t> that meets Y (conjugating by y and by y t^k gives the
+    same relator)."""
     T, G = re.vargroup, re.group
-    family = conjugate_family(re, list(Y))
+    firsts: dict[GroupElement, GroupElement] = {}
+    for y in Y:
+        firsts.setdefault(T.coset_decompose(y, re.t)[0], y)
+    family = conjugate_family(re, list(firsts.values()))
     gens: list[str] = []
     for c in _ky_copies(re, Y):
         lbl = _label(T, c)

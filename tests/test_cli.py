@@ -53,9 +53,10 @@ def run(cmd, args, script):
 
 def test_parse_script_declarations():
     sess = parse_script(GEQ_SCRIPT)
-    assert set(sess.groups) == {"G", "T"}
-    assert set(sess.elements) == {"u", "v"}
-    assert set(sess.geqs) == {"W"}
+    kinds = {name: kind for name, (kind, _) in sess.names.items()}
+    assert {n for n, k in kinds.items() if k == "group"} == {"G", "T"}
+    assert {n for n, k in kinds.items() if k == "element"} == {"u", "v"}
+    assert {n for n, k in kinds.items() if k == "geq"} == {"W"}
 
 
 def test_parse_errors_carry_position():
@@ -393,6 +394,31 @@ def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
     assert capsys.readouterr().out == "verified: reports match\n"
 
 
+def test_emit_solution_group_reads_the_config_window(tmp_path, capsys):
+    # window 0 drops the action relators; the report carries the cap and verifies
+    script = tmp_path / "in.ge"
+    script.write_text("group G = free(g, h)\ngroup T = zn(1)\nlet u = T: (1)\nlet z = T: (0)\ngeq W over G with T: g u h z = 1\n")
+    cfg = tmp_path / "caps.json"
+    cfg.write_text('{"window": 0}')
+    assert main(["emit-solution-group", str(script), "--config", str(cfg), "--format", "structured"]) == 0
+    path = tmp_path / "report.json"
+    path.write_text(capsys.readouterr().out)
+    report = json.loads(path.read_text())
+    assert report["caps"] == {"window": 0}
+    assert report["result"]["text"].splitlines()[1:] == ["rel: g@0 t~ h@0", "rel: t~ e1^-1"]
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+def test_emit_ky_emits_one_relator_per_coset_of_t():
+    # x^-1 and x lie in one coset of <t> = <x^2>, so they give one relator
+    script = "group G = fours\ngroup T = free(x)\nlet u = T: x\ngeq W over G with T: a u b u = 1\n"
+    report, code = run("emit-ky", {"cosets": "x^-1;1;x"}, script)
+    assert code == 0
+    rels = report["result"]["text"].splitlines()[1:]
+    assert rels == ["rel: a@x b@1 t~", "rel: a@1 t~ b@x"]
+
+
 # ---------------------------------------------------------------------------
 # golden reports: fixed inputs whose structured reports must not change by a byte
 
@@ -400,7 +426,7 @@ def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 # the exit code each golden report must come with, read from its status
-GOLDEN_CODES = {"ok": 0, "falsified": 1}
+GOLDEN_CODES = {"ok": 0, "falsified": 1, "error": 2}
 
 
 @pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")))
