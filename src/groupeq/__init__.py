@@ -8,7 +8,6 @@ finite brute-force solver.
 
 from .backends import (
     DirectProductGroup,
-    ElementOrder,
     FiniteTableGroup,
     FoursGroup,
     FreeAbelianGroup,

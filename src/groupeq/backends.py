@@ -31,31 +31,6 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# orders
-
-
-@dataclass(frozen=True)
-class ElementOrder:
-    kind: str  # "finite" | "infinite" | "unknown"
-    value: Optional[int] = None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == "infinite"
-
-    def __str__(self) -> str:
-        return str(self.value) if self.kind == "finite" else self.kind
-
-
-INFINITE_ORDER = ElementOrder("infinite")
-UNKNOWN_ORDER = ElementOrder("unknown")
-
-
-def finite_order(n: int) -> ElementOrder:
-    return ElementOrder("finite", n)
-
-
-# ---------------------------------------------------------------------------
 # elements
 
 
@@ -122,7 +97,8 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.payload == self.group._one
 
-    def order(self) -> ElementOrder:
+    def order(self) -> Optional[int]:
+        """The finite order of this element, or None when it is infinite."""
         return self.group.element_order(self)
 
     def __repr__(self) -> str:
@@ -188,16 +164,12 @@ class Group(ABC):
     # -- structure queries
 
     @abstractmethod
-    def element_order(self, x: GroupElement) -> ElementOrder:
-        ...
+    def element_order(self, x: GroupElement) -> Optional[int]:
+        """The finite order of x, or None when it is infinite."""
 
     @abstractmethod
     def generators(self) -> tuple[GroupElement, ...]:
         ...
-
-    def torsion_free(self) -> Optional[bool]:
-        """True/False when known, None when the backend cannot tell."""
-        return None
 
     def orderable_certificate(self) -> Optional[str]:
         """Reason string when the backend is certified right orderable."""
@@ -318,9 +290,12 @@ class FiniteTableGroup(Group):
         if ident is None:
             raise ValueError("table has no identity element")
         # inverses
+        inverses = []
         for x in range(n):
-            if not any(tbl[x][y] == ident and tbl[y][x] == ident for y in range(n)):
+            inv = next((y for y in range(n) if tbl[x][y] == ident and tbl[y][x] == ident), None)
+            if inv is None:
                 raise ValueError(f"element {x} has no inverse")
+            inverses.append(inv)
         # associativity, all triples
         for a in range(n):
             for b in range(n):
@@ -332,6 +307,7 @@ class FiniteTableGroup(Group):
         self.table = tbl
         self.size = n
         self._one = ident
+        self.inverses = tuple(inverses)
         self.names = tuple(names) if names is not None else tuple(f"x{i}" for i in range(n))
         if len(self.names) != n or len(set(self.names)) != n:
             raise ValueError("names must be distinct and match the table size")
@@ -344,23 +320,17 @@ class FiniteTableGroup(Group):
         return self.table[a][b]
 
     def _inv(self, a: int) -> int:
-        for b in range(self.size):
-            if self.table[a][b] == self._one:
-                return b
-        raise GroupEqError("unreachable: table verified at construction")
+        return self.inverses[a]
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
+    def element_order(self, x: GroupElement) -> int:
         k, cur = 1, x.payload
         while cur != self._one:
             cur = self.table[cur][x.payload]
             k += 1
-        return finite_order(k)
+        return k
 
     def generators(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, i) for i in range(self.size) if i != self._one)
-
-    def torsion_free(self) -> Optional[bool]:
-        return self.size == 1
 
     def elements(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, i) for i in range(self.size))
@@ -511,9 +481,8 @@ class PermutationGroup(Group):
                 out.append(tuple(cyc))
         return out
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
-        lens = [len(c) for c in self.cycles(x)]
-        return finite_order(lcm(*lens) if lens else 1)
+    def element_order(self, x: GroupElement) -> int:
+        return lcm(*[len(c) for c in self.cycles(x)])
 
     def generators(self) -> tuple[GroupElement, ...]:
         if self._gens:
@@ -525,9 +494,6 @@ class PermutationGroup(Group):
         if n == 2:
             return (swap,)
         return (swap, self.from_cycles([tuple(range(1, n + 1))]))
-
-    def torsion_free(self) -> Optional[bool]:
-        return self.degree == 1
 
     def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[GroupElement, ...]:
         if factorial(self.degree) > caps.perms_per_degree:
@@ -719,11 +685,8 @@ class FreeGroup(SyllableGroup):
     def gen(self, name: str) -> GroupElement:
         return self.word([(name, 1)])
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
-        return finite_order(1) if not x.payload else INFINITE_ORDER
-
-    def torsion_free(self) -> Optional[bool]:
-        return True
+    def element_order(self, x: GroupElement) -> Optional[int]:
+        return 1 if not x.payload else None
 
     @staticmethod
     def letters(x: GroupElement) -> tuple[tuple[int, int], ...]:
@@ -851,12 +814,6 @@ class Presentation:
         F = Presentation.free_group(generators)
         return Presentation(F.names, tuple(F.word(rel) for rel in relators))
 
-    def group(self) -> FreeGroup:
-        return FreeGroup(self.generators)
-
-    def word(self, items: Sequence[tuple[str, int]]) -> GroupElement:
-        return self.group().word(items)
-
     # -- serialization: a line-oriented text format plus a structured dict
 
     def to_text(self) -> str:
@@ -934,11 +891,8 @@ class FreeAbelianGroup(Group):
             for i in range(self.rank)
         )
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
-        return finite_order(1) if x.is_identity else INFINITE_ORDER
-
-    def torsion_free(self) -> Optional[bool]:
-        return True
+    def element_order(self, x: GroupElement) -> Optional[int]:
+        return 1 if x.is_identity else None
 
     def orderable_certificate(self) -> Optional[str]:
         return "lexicographic order on Z^r is a bi-invariant total order"
@@ -1078,16 +1032,11 @@ class FoursGroup(Group):
         d = x.payload[1]
         return (d[0] // 2, d[1] // 2, d[2] // 2)
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
+    def element_order(self, x: GroupElement) -> Optional[int]:
         # square of every element is a translation; nonzero translations
         # have infinite order, and the parity condition forbids g^2 = 1
         # for g != 1
-        if x.is_identity:
-            return finite_order(1)
-        return INFINITE_ORDER
-
-    def torsion_free(self) -> Optional[bool]:
-        return True
+        return 1 if x.is_identity else None
 
     def format_element(self, x: GroupElement) -> str:
         stack: list[list] = []
@@ -1108,12 +1057,15 @@ class FoursGroup(Group):
             return self.identity()
         cur = self.identity()
         table = {"a": self.a(), "b": self.b()}
-        for tok in text.split():
-            if "^" in tok:
-                nm, _, exp = tok.partition("^")
-                cur = cur * table[nm] ** int(exp)
-            else:
-                cur = cur * table[tok]
+        try:
+            for tok in text.split():
+                if "^" in tok:
+                    nm, _, exp = tok.partition("^")
+                    cur = cur * table[nm] ** int(exp)
+                else:
+                    cur = cur * table[tok]
+        except KeyError as exc:
+            raise ValueError(f"unknown generator {exc.args[0]!r}") from exc
         return cur
 
     @cached_property
@@ -1203,21 +1155,13 @@ class FreeProductGroup(SyllableGroup):
             out.extend(self.embed(i, g) for g in f.generators())
         return tuple(out)
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
+    def element_order(self, x: GroupElement) -> Optional[int]:
         core, _ = self.cyclically_reduce(x)
         w = core.payload
         if not w:
-            return finite_order(1)
+            return 1
         if len(w) == 1:
             return self.factors[w[0][0]].element_order(w[0][1])
-        return INFINITE_ORDER
-
-    def torsion_free(self) -> Optional[bool]:
-        flags = [f.torsion_free() for f in self.factors]
-        if all(fl is True for fl in flags):
-            return True
-        if any(fl is False for fl in flags):
-            return False
         return None
 
     def sort_key(self, x: GroupElement) -> tuple:
@@ -1316,22 +1260,9 @@ class DirectProductGroup(Group):
             out.extend(self.embed(i, g) for g in f.generators())
         return tuple(out)
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
+    def element_order(self, x: GroupElement) -> Optional[int]:
         orders = [f.element_order(c) for f, c in zip(self.factors, x.payload)]
-        if any(o.is_infinite for o in orders):
-            return INFINITE_ORDER
-        if any(o.kind == "unknown" for o in orders):
-            return UNKNOWN_ORDER
-        return finite_order(lcm(*[o.value for o in orders]))
-
-    def torsion_free(self) -> Optional[bool]:
-        flags = [f.torsion_free() for f in self.factors]
-        nontrivial_torsion = any(fl is False for fl in flags)
-        if nontrivial_torsion:
-            return False
-        if all(fl is True for fl in flags):
-            return True
-        return None
+        return None if None in orders else lcm(*orders)
 
     def sort_key(self, x: GroupElement) -> tuple:
         return tuple(f.sort_key(c) for f, c in zip(self.factors, x.payload))
@@ -1386,21 +1317,18 @@ class QuotientFreeAbelianGroup(Group):
     def generators(self) -> tuple[GroupElement, ...]:
         return tuple(self.project(g) for g in self.base.generators())
 
-    def element_order(self, x: GroupElement) -> ElementOrder:
+    def element_order(self, x: GroupElement) -> Optional[int]:
         w, v = x.payload, self.modulus
         if all(c == 0 for c in w):
-            return finite_order(1)
+            return 1
         # finite order iff w is parallel to v; then order is the reduced denominator
         for i in range(len(w)):
             for j in range(len(w)):
                 if w[i] * v[j] != w[j] * v[i]:
-                    return INFINITE_ORDER
+                    return None
         p = self.pivot
         g = gcd(abs(w[p]), abs(v[p]))
-        return finite_order(abs(v[p]) // g)
-
-    def torsion_free(self) -> Optional[bool]:
-        return self.content == 1
+        return abs(v[p]) // g
 
     def orderable_certificate(self) -> Optional[str]:
         if self.content == 1:

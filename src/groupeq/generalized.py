@@ -122,33 +122,27 @@ def cyclic_subgroup_normal(T: Group, t: GroupElement) -> Condition:
     return Condition("yes", "all generator conjugates stay in <t>")
 
 
-def _quotient_of(T: Group, t: GroupElement) -> QuotientFreeAbelianGroup:
-    if isinstance(T, FreeAbelianGroup):
-        return QuotientFreeAbelianGroup(T, t.payload)
-    if isinstance(T, FreeGroup) and T.rank == 1:
-        k = T.power_solve(t, T.gens()[0])
-        if k is None:
-            raise InternalError("rank-1 free group element is always a power")
-        return QuotientFreeAbelianGroup(FreeAbelianGroup(1), (k,))
-    raise UnsupportedBackendError(f"no quotient construction for {T.kind}")
-
-
 def quotient_strong_up_condition(T: Group, t: GroupElement) -> tuple[Condition, Condition]:
-    """(strong-UP condition, torsion-free condition) for T/<t>.
+    """(strong-UP condition, torsion-free condition) for T/<t>, t != 1 with
+    <t> normal: T is free abelian or free of rank 1, since a nontrivial t
+    never generates a normal subgroup of a free group of rank 2 or more.
 
-    Certification is structural: a torsion-free quotient of these backends is
-    free abelian (or trivial), hence right orderable, hence strong UP.
+    The quotient is Z^r/<v>.  Certification is structural: with content 1 it
+    is free abelian (or trivial), hence right orderable, hence strong UP.
     Falsification exhibits the finite cyclic torsion subgroup as X = Y and
     verifies by census that strong UP fails on it.
     """
-    if isinstance(T, FreeGroup) and T.rank > 1:
-        return (
-            Condition("unknown", "quotient is not a group when <t> is not normal"),
-            Condition("unknown", "quotient is not a group when <t> is not normal"),
-        )
-    q = _quotient_of(T, t)
+    if isinstance(T, FreeAbelianGroup):
+        q = QuotientFreeAbelianGroup(T, t.payload)
+    elif isinstance(T, FreeGroup) and T.rank == 1:
+        k = T.power_solve(t, T.gens()[0])
+        if k is None:
+            raise InternalError("rank-1 free group element is always a power")
+        q = QuotientFreeAbelianGroup(FreeAbelianGroup(1), (k,))
+    else:
+        raise UnsupportedBackendError(f"no quotient construction for {T.kind}")
     if q.content == 1:
-        reason = q.orderable_certificate() or "torsion-free quotient"
+        reason = q.orderable_certificate()
         return (
             Condition("yes", f"certified structurally: {reason}"),
             Condition("yes", reason),
@@ -176,23 +170,19 @@ def unimodular_verdict(ge: GeneralizedEquation) -> UnimodularVerdict:
     _require_coset_backend(T)
     t = total_product(ge)
     order = T.element_order(t)
-    if order.is_infinite:
+    if order is None:
         cond1 = Condition("yes", "total product has infinite order")
-    elif order.kind == "finite":
-        cond1 = Condition("no", f"total product has order {order.value}", witness=(order.value,))
     else:
-        cond1 = Condition("unknown", "order undecided by this backend")
+        cond1 = Condition("no", f"total product has order {order}", witness=(order,))
     cond2 = cyclic_subgroup_normal(T, t) if not t.is_identity else Condition(
         "yes", "trivial subgroup is normal"
     )
     if t.is_identity:
-        cond3 = Condition("unknown", "degenerate equation: total product is trivial")
-        cond3t = Condition("unknown", "degenerate equation: total product is trivial")
+        cond3 = cond3t = Condition("unknown", "degenerate equation: total product is trivial")
     elif cond2.holds:
         cond3, cond3t = quotient_strong_up_condition(T, t)
     else:
-        cond3 = Condition("unknown", "quotient is not a group when <t> is not normal")
-        cond3t = Condition("unknown", "quotient is not a group when <t> is not normal")
+        cond3 = cond3t = Condition("unknown", "quotient is not a group when <t> is not normal")
 
     def overall(third: Condition) -> str:
         if cond1.holds and cond2.holds and third.holds:
@@ -291,17 +281,21 @@ def coset_rewrite(ge: GeneralizedEquation) -> RewrittenEquation:
     return re
 
 
+def _twist(t: GroupElement, y: GroupElement) -> int:
+    """The sign eps with t^y = t^eps."""
+    u = t.conj(y)
+    if u == t:
+        return 1
+    if u == ~t:
+        return -1
+    raise NormalityError(f"conjugation by {y} twists t outside {{t, t^-1}}")
+
+
 def rewrite_conjugate(re: RewrittenEquation, x: GroupElement) -> RewrittenEquation:
     """The member w_x of the conjugated family, for a coset label x."""
     T = re.vargroup
     c_x, _ = T.coset_decompose(x, re.t)
-    u = re.t.conj(c_x)
-    if u == re.t:
-        eps = 1
-    elif u == ~re.t:
-        eps = -1
-    else:
-        raise NormalityError("conjugation by the label twists t outside {t, t^-1}")
+    eps = _twist(re.t, c_x)
     terms = []
     for g, c, k in re.terms:
         e = c * re.t ** k * c_x
@@ -413,13 +407,7 @@ def emit_solution_group(
     if window >= 1:
         for y in T.generators():
             y_word = F.lift(y)
-            u = re.t.conj(y)
-            if u == re.t:
-                eps = 1
-            elif u == ~re.t:
-                eps = -1
-            else:
-                raise NormalityError("the action needs <t> normal in T")
+            eps = _twist(re.t, y)
             rels.append((~y_word) * tt * y_word * (tt ** (-eps)))
             for c in copies:
                 cf, k = T.coset_decompose(c * y, re.t)
@@ -440,26 +428,23 @@ def emit_solution_group(
 # reduction to an ordinary equation
 
 
+# the ambient G_1 of the reduction, by its name
+_AMBIENTS = {"free-product": FreeProductGroup, "direct-product": DirectProductGroup}
+
+
 def reduce_to_ordinary(ge: GeneralizedEquation, ambient_choice: str = "free-product") -> Equation:
     """The Levin reduction: v(G_1, t) = w(G_1, t^-1 T t) over G_1.
 
     G_1 is G x T or G * T; the t_i become constants and the single variable t
     Conjugates them, so the terms alternate (g_i, -1), (t_i, +1).
     """
-    if ambient_choice == "free-product":
-        G1: Group = FreeProductGroup((ge.group, ge.vargroup))
-        embed_g = lambda g: G1.embed(0, g)  # noqa: E731
-        embed_t = lambda t: G1.embed(1, t)  # noqa: E731
-    elif ambient_choice == "direct-product":
-        G1 = DirectProductGroup((ge.group, ge.vargroup))
-        embed_g = lambda g: G1.embed(0, g)  # noqa: E731
-        embed_t = lambda t: G1.embed(1, t)  # noqa: E731
-    else:
+    if ambient_choice not in _AMBIENTS:
         raise ValueError("ambient_choice must be 'free-product' or 'direct-product'")
+    G1 = _AMBIENTS[ambient_choice]((ge.group, ge.vargroup))
     terms: list[tuple[GroupElement, int]] = []
     for g, t in ge.pairs:
-        terms.append((embed_g(g), -1))
-        terms.append((embed_t(t), +1))
+        terms.append((G1.embed(0, g), -1))
+        terms.append((G1.embed(1, t), +1))
     return Equation(G1, tuple(terms))
 
 
@@ -471,12 +456,9 @@ def induced_ordinary(ge: GeneralizedEquation) -> Equation:
     with ordinary solvability, and generalized unimodularity with |sigma| = 1.
     """
     T = ge.vargroup
-    if isinstance(T, FreeGroup) and T.rank == 1:
-        gen = T.gens()[0]
-    elif isinstance(T, FreeAbelianGroup) and T.rank == 1:
-        gen = T.generators()[0]
-    else:
+    if not (isinstance(T, (FreeGroup, FreeAbelianGroup)) and T.rank == 1):
         raise UnsupportedBackendError("induced ordinary form needs T infinite cyclic")
+    gen = T.generators()[0]
     terms: list[tuple[GroupElement, int]] = []
     pending = ge.group.identity()
     for g, t in ge.pairs:

@@ -221,7 +221,6 @@ class WitnessSearchResult:
     sizes_exhausted: tuple[int, ...]
     sizes_truncated: tuple[int, ...]
     subsets_tested: int
-    elapsed_ms: int
 
     @property
     def found(self) -> bool:
@@ -426,9 +425,8 @@ def search_nonup_witness(
             if found:
                 witness = census.subset()
                 ok = naive_no_unique_product(witness)
-                elapsed = int((time.monotonic() - start) * 1000)
                 return WitnessSearchResult(
-                    witness, ok, tuple(exhausted), tuple(truncated), tested, elapsed
+                    witness, ok, tuple(exhausted), tuple(truncated), tested
                 )
             if found is None:
                 break
@@ -436,8 +434,7 @@ def search_nonup_witness(
             truncated.append(size)
         else:
             exhausted.append(size)
-    elapsed = int((time.monotonic() - start) * 1000)
-    return WitnessSearchResult(None, False, tuple(exhausted), tuple(truncated), tested, elapsed)
+    return WitnessSearchResult(None, False, tuple(exhausted), tuple(truncated), tested)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,8 @@ ERRORS = [
     # elements and sets
     ("unreadable-element", C3 + "let c = C: zz\n",
      "cannot read 'zz' as an element: unknown element literal 'zz'", 2, 1),
+    ("unreadable-fours-element", G + "let c = G: q\n",
+     "cannot read 'q' as an element: unknown generator 'q'", 2, 1),
     ("empty-set", G + "set X in G: \n", "empty set", 2, 1),
     ("empty-braced-set", G + "set X in G: {}\n", "empty set", 2, 1),
     ("set-element-of-other-group", G + "group H = zn(1)\nlet h = H: (1)\nset X in G: a, h\n",
@@ -157,6 +159,13 @@ def test_geq_reads_t_literals_and_folds_the_trailing_coefficient():
     sess = parse_script("group G = free(a, b)\ngroup T = zn(1)\ngeq W over G with T: a (1) b (0) a = 1\n")
     G, T = sess.get("group", "G"), sess.get("group", "T")
     assert sess.get("geq").pairs == ((G.parse_element("a a"), T.parse_element("(1)")), (G.parse_element("b"), T.identity()))
+
+
+def test_geq_reads_a_letter_fours_does_not_know_in_t():
+    sess = parse_script(G + "group T = free(x)\ngeq W over G with T: a x b x = 1\n")
+    F, T = sess.get("group", "G"), sess.get("group", "T")
+    x = T.gen("x")
+    assert sess.get("geq").pairs == ((F.a(), x), (F.b(), x))
 
 
 def test_mveq_with_an_empty_body_declares_no_terms():

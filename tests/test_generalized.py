@@ -383,6 +383,21 @@ def test_reduce_all_trivial_entries_flagged(gz2):
     assert classify(eq).trivial
 
 
+def test_induced_ordinary_reads_free_and_zn_rank_one_alike(gz2):
+    G, _ = gz2
+    Tf, Tz = FreeGroup(("x",)), FreeAbelianGroup(1)
+    rng = random.Random(19)
+    for _ in range(100):
+        coefs = [random_free_word(rng, G, 2) for _ in range(rng.randrange(1, 5))]
+        ks = [rng.randrange(-3, 4) for _ in coefs]
+        if not any(ks):
+            continue
+        over_free = induced_ordinary(make_geq(G, Tf, [(g, Tf.gen("x") ** k) for g, k in zip(coefs, ks)]))
+        over_zn = induced_ordinary(make_geq(G, Tz, [(g, Tz.vector((k,))) for g, k in zip(coefs, ks)]))
+        assert over_free == over_zn
+        assert [e for _, e in over_free.terms] == [k for k in ks if k]
+
+
 def test_induced_ordinary_needs_cyclic(gz2):
     G, T = gz2
     g, _ = G.gens()

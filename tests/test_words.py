@@ -11,7 +11,7 @@ from groupeq.backends import (
     GroupElement,
     cyclic_group,
 )
-from groupeq.errors import CapExceededError, GroupMismatchError, SymbolClashError
+from groupeq.errors import CapExceededError, GroupEqError, GroupMismatchError, SymbolClashError
 from groupeq.words import (
     Presentation,
     amalgam,
@@ -223,13 +223,14 @@ def test_falsifier_cap():
 
 def test_hnn_examples():
     base = Presentation(("a",), ())
-    p = hnn(base, "t", [(base.word([("a", 1)]), base.word([("a", 1)]))])
+    F = Presentation.free_group(base.generators)
+    p = hnn(base, "t", [(F.word([("a", 1)]), F.word([("a", 1)]))])
     assert p.generators == ("a", "t")
     assert len(p.relators) == 1
     assert str(p.relators[0]) == "t^-1 a t a^-1"
     assert_round_trips(p)
     with pytest.raises(SymbolClashError):
-        hnn(base, "a", [(base.word([("a", 1)]), base.word([("a", 1)]))])
+        hnn(base, "a", [(F.word([("a", 1)]), F.word([("a", 1)]))])
     with pytest.raises(ValueError):
         hnn(base, "t", [])
 
@@ -240,10 +241,11 @@ def test_hnn_shift_family_count():
     for i in range(-2, 3):
         names += [f"x@{i}", f"y@{i}"]
     base = Presentation(tuple(names), ())
+    F = Presentation.free_group(base.generators)
     pairs = []
     for i in range(-2, 2):
         for nm in ("x", "y"):
-            pairs.append((base.word([(f"{nm}@{i}", 1)]), base.word([(f"{nm}@{i+1}", 1)])))
+            pairs.append((F.word([(f"{nm}@{i}", 1)]), F.word([(f"{nm}@{i+1}", 1)])))
     p = hnn(base, "t", pairs)
     assert len(p.relators) == 2 * 4
     assert_round_trips(p)
@@ -254,7 +256,9 @@ def test_amalgam_examples():
     right = Presentation(("c",), ())
     free = amalgam(left, right, [])
     assert free.generators == ("a", "c") and free.relators == ()
-    glued = amalgam(left, right, [(left.word([("a", 1)]), right.word([("c", 1)]))])
+    a = Presentation.free_group(left.generators).gen("a")
+    c = Presentation.free_group(right.generators).gen("c")
+    glued = amalgam(left, right, [(a, c)])
     assert len(glued.relators) == 1
     assert str(glued.relators[0]) == "a c^-1"
     assert_round_trips(free)
@@ -264,8 +268,8 @@ def test_amalgam_examples():
 
 
 def test_presentation_text_round_trip():
-    pres = Presentation(("a", "b"), ())
-    pres = Presentation(("a", "b"), (pres.word([("a", 1), ("b", -2)]),))
+    F = Presentation.free_group(("a", "b"))
+    pres = Presentation(("a", "b"), (F.word([("a", 1), ("b", -2)]),))
     text = pres.to_text()
     assert text == "gens: a, b\nrel: a b^-2\n"
     back = Presentation.from_text(text)
@@ -285,14 +289,16 @@ def test_presentation_without_generators():
         assert pres.to_text() == "gens: \n"
         assert_round_trips(pres)
     empty_rel = Presentation.from_text("gens:\nrel:\n")
-    assert empty_rel.relators == (empty_rel.group().identity(),)
+    assert empty_rel.relators == (Presentation.free_group(empty_rel.generators).identity(),)
     assert_round_trips(empty_rel)
 
 
 def test_presentation_validates_relators():
-    pres = Presentation(("a",), ())
+    F = Presentation.free_group(("a",))
     with pytest.raises(ValueError):
-        pres.word([("zz", 1)])
+        F.word([("zz", 1)])
+    with pytest.raises(GroupEqError):
+        Presentation(("a",), (FreeGroup(("zz",)).gen("zz"),))
 
 
 @settings(max_examples=60)
