@@ -252,6 +252,13 @@ class ProductCensus:
     some count is 1.  `add` and `remove` touch only the products of the
     elements they move, with no branches in the loop.
 
+    `move(out, into)` swaps one atom of S for one outside it and returns the
+    change in `unique_count()` without rescanning the counts: a touched
+    count that falls to 1 (2->1) or rises to 1 (0->1) gains a unique
+    product, one that leaves 1 (1->0, 1->2) loses one.  `fell[c]` and
+    `rose[c]` hold that change for a count that has just fallen or risen
+    to c.
+
     `reach[i]` is a bit mask over product indices: bit k is set iff some
     x*y or y*x with x an element of `atoms[i:]` and y anywhere in the ball
     is element k (`reach[len(atoms)]` is 0).  Putting atoms from `atoms[i:]`
@@ -295,6 +302,9 @@ class ProductCensus:
             self.reach[i] = mask
         self.counts = [0] * len(big)
         self.members: list[int] = []
+        # no count exceeds |S| <= len(ball)
+        self.fell = (-1, 1) + (0,) * len(self.ball)
+        self.rose = (0, 1, -1) + (0,) * len(self.ball)
 
     def ways(self, top: int) -> list[list[int]]:
         """`ways(top)[i][s]`, for s <= top, is the number of subsets of
@@ -327,6 +337,41 @@ class ProductCensus:
             for m in members:
                 counts[row[m]] -= 1
                 counts[col[m]] -= 1
+
+    def move(self, out: tuple[int, ...], into: tuple[int, ...]) -> int:
+        """`remove(out)` then `add(into)`, with the same counts and members,
+        returning the change in `unique_count()`.  The change is read off
+        the counts the swap touches, through `fell` and `rose`."""
+        counts, members, rows, cols = self.counts, self.members, self.rows, self.cols
+        fell, rose = self.fell, self.rose
+        delta = 0
+        for i in out:
+            members.remove(i)
+            row, col = rows[i], cols[i]
+            k = row[i]
+            c = counts[k] = counts[k] - 1
+            delta += fell[c]
+            for m in members:
+                k = row[m]
+                c = counts[k] = counts[k] - 1
+                delta += fell[c]
+                k = col[m]
+                c = counts[k] = counts[k] - 1
+                delta += fell[c]
+        for i in into:
+            row, col = rows[i], cols[i]
+            for m in members:
+                k = row[m]
+                c = counts[k] = counts[k] + 1
+                delta += rose[c]
+                k = col[m]
+                c = counts[k] = counts[k] + 1
+                delta += rose[c]
+            k = row[i]
+            c = counts[k] = counts[k] + 1
+            delta += rose[c]
+            members.append(i)
+        return delta
 
     def clear(self) -> None:
         self.counts = [0] * len(self.counts)
@@ -462,11 +507,13 @@ def anneal_nonup_witness(
     Symmetric mode anneals over `size // 2` atoms of the census (S = S^-1
     without the identity); asymmetric mode over `size` single elements.
     Each restart draws a random start and runs 8000 steps with geometric
-    cooling from temperature 8; a step swaps one slot for an unused atom and
-    undoes the swap if the Metropolis rule rejects it.  Restarts continue
-    until a witness turns up or `caps.budget_ms` runs out.  The run is
-    deterministic for a given seed up to that deadline, and any witness is
-    re-verified with an independent naive census.
+    cooling from temperature 8; a step swaps one slot for an unused atom
+    with `ProductCensus.move`, which reads the new unique count off the
+    counts the swap touches, and undoes the swap if the Metropolis rule
+    rejects it.  Restarts continue until a witness turns up or
+    `caps.budget_ms` runs out.  The run is deterministic for a given seed
+    up to that deadline, and any witness is re-verified with an
+    independent naive census.
     """
     rng = random.Random(seed)
     census = ProductCensus(group, radius, gens, caps)
@@ -483,8 +530,10 @@ def anneal_nonup_witness(
     while time.monotonic() < deadline:
         restarts += 1
         cur = rng.sample(range(len(atoms)), slots)
+        used = [False] * len(atoms)
         census.clear()
         for s in cur:
+            used[s] = True
             census.add(atoms[s])
         cur_val = census.unique_count()
         temp = 8.0
@@ -492,12 +541,11 @@ def anneal_nonup_witness(
             temp = max(0.05, temp * 0.999)
             pos = rng.randrange(slots)
             cand = rng.randrange(len(atoms))
-            if cand in cur:
+            if used[cand]:
                 continue
-            census.remove(atoms[cur[pos]])
-            census.add(atoms[cand])
-            val = census.unique_count()
+            val = cur_val + census.move(atoms[cur[pos]], atoms[cand])
             if val <= cur_val or rng.random() < math.exp((cur_val - val) / temp):
+                used[cur[pos]], used[cand] = False, True
                 cur[pos], cur_val = cand, val
             else:
                 census.remove(atoms[cand])

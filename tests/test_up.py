@@ -1,6 +1,7 @@
 import functools
 import itertools
 import os
+import random
 import subprocess
 import sys
 import types
@@ -245,6 +246,8 @@ def test_search_witness_reverifies_independently(klein):
 def _census(name):
     if name == "klein":
         return ProductCensus(klein_four_group(), 1)
+    if name == "c7":
+        return ProductCensus(cyclic_group(7), 3)
     return ProductCensus(FoursGroup(), 2)
 
 
@@ -287,6 +290,41 @@ def test_census_matches_up_check_under_add_remove(name, symmetric, picks):
         else:
             assert census.unique_count() == 0
         assert (census.unique_count() == 0) == naive_no_unique_product(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(["fours", "klein", "c7"]),
+    symmetric=st.booleans(),
+    data=st.data(),
+)
+def test_move_is_remove_then_add(name, symmetric, data):
+    # one swap leaves the counts and members of remove + add, and returns
+    # the change in the unique count
+    census = _census(name)
+    if symmetric:
+        pool = census.atoms + [(census.identity,)]
+    else:
+        pool = [(i,) for i in range(len(census.ball))]
+    slots = range(len(pool))
+    loaded = data.draw(st.lists(st.sampled_from(slots), min_size=1, max_size=len(pool) - 1, unique=True))
+    out = data.draw(st.sampled_from(loaded))
+    into = data.draw(st.sampled_from([j for j in slots if j not in loaded]))
+
+    def load():
+        census.clear()
+        for j in loaded:
+            census.add(pool[j])
+
+    load()
+    before = census.unique_count()
+    delta = census.move(pool[out], pool[into])
+    moved = (list(census.counts), list(census.members))
+    load()
+    census.remove(pool[out])
+    census.add(pool[into])
+    assert moved == (census.counts, census.members)
+    assert delta == census.unique_count() - before
 
 
 @pytest.mark.parametrize("symmetric,size", [(True, 4), (False, 2)])
@@ -481,3 +519,44 @@ def test_deadline_inside_a_size_truncates_it(monkeypatch):
     assert res.witness is None
     assert res.sizes_exhausted == tuple(range(2, 14)) and res.sizes_truncated == (14,)
     assert 0 < res.subsets_tested < full.subsets_tested
+
+
+# ---------------------------------------------------------------------------
+# anneal trajectories, pinned: a change to the step arithmetic must leave
+# every RNG draw, every accepted swap and every result as it was
+
+
+class _RecordingRandom(random.Random):
+    """`random.Random` that keeps the last instance made, so a test can read
+    the generator's next draw after a run: any extra or missing draw inside
+    the run shifts it."""
+
+    last = None
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        _RecordingRandom.last = self
+
+
+# (group, radius, size, seed, symmetric, clock jump) ->
+# (restarts, best unique count, witness in census order, next draw);
+# a clock that jumps at reading k lets the anneal start k - 2 restarts
+_ANNEAL_PINS = [
+    (("klein", 1, 4, 3, True, None), (1, 0, ("uv", "v"), 0.25935401432800764)),
+    (("klein", 1, 2, 3, False, None), (1, 0, ("u", "1"), 0.6055995301393269)),
+    (("fours", 2, 6, 5, False, 4), (2, 4, None, 0.8700907187527503)),
+    (("fours", 3, 10, 7, True, 4), (2, 6, None, 0.6319379533039833)),
+]
+
+
+@pytest.mark.parametrize("inputs,pinned", _ANNEAL_PINS)
+def test_anneal_trajectory_is_pinned(monkeypatch, inputs, pinned):
+    name, radius, size, seed, symmetric, jump = inputs
+    group = klein_four_group() if name == "klein" else FoursGroup()
+    monkeypatch.setattr(up, "time", _StepClock(jump))
+    monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
+    caps = DEFAULT_CAPS.with_overrides(radius=2 * radius)
+    res = anneal_nonup_witness(group, radius, size, seed, symmetric=symmetric, caps=caps)
+    witness = None if res.witness is None else tuple(str(x) for x in res.witness)
+    assert (res.restarts, res.best_unique_count, witness, _RecordingRandom.last.random()) == pinned
+    assert res.verified == (witness is not None)
