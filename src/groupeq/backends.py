@@ -19,7 +19,7 @@ from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from math import factorial, gcd, lcm
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
 from .errors import (
@@ -730,11 +730,6 @@ class FreeGroup(SyllableGroup):
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         return tuple((self.names[g], e) for g, e in x.payload)
 
-    def lift(self, x: GroupElement) -> GroupElement:
-        """x, an element of any presented group, as a word over this group's
-        generators; they must include the names x's group expresses it in."""
-        return self.word(x.group.express(x))
-
     # shortlex-canonical coset representatives of <t>
 
     def coset_decompose(self, s: GroupElement, t: GroupElement) -> tuple[GroupElement, int]:
@@ -800,9 +795,10 @@ class Presentation:
     @staticmethod
     def free_group(generators: Sequence[str]) -> FreeGroup:
         """The free group on `generators`, checked as a presentation's are:
-        SymbolClashError for a repeated name, GroupEqError for a bad one."""
+        SymbolClashError naming the repeated names, GroupEqError for a bad one."""
         if len(set(generators)) != len(generators):
-            raise SymbolClashError("duplicate generator names")
+            clash = sorted({nm for nm in generators if generators.count(nm) > 1})
+            raise SymbolClashError(f"generator names clash: {clash}")
         try:
             return FreeGroup(generators)
         except ValueError as exc:
@@ -813,6 +809,31 @@ class Presentation:
         """A presentation whose relators are spelled as (generator, exponent) items."""
         F = Presentation.free_group(generators)
         return Presentation(F.names, tuple(F.word(rel) for rel in relators))
+
+    @staticmethod
+    def join(
+        parts: Iterable[Presentation | tuple[Presentation, Mapping[str, str]]],
+        relators: Iterable[Sequence[tuple[str, int]]] = (),
+    ) -> Presentation:
+        """A composite presentation: its parts plus its own relators.
+
+        A part is a presentation, or one with a renaming of its generators (a
+        copy).  Generators are the parts' (renamed) generators in part order;
+        relators are the parts' relators, renamed, in part order, then the
+        builder's own `relators`, spelled as in `of`, all words over the one
+        free group on the generators.  A name two parts share raises
+        SymbolClashError.
+        """
+        parts = [(p, None) if isinstance(p, Presentation) else p for p in parts]
+        F = Presentation.free_group([ren[nm] if ren else nm for p, ren in parts for nm in p.generators])
+        rels: list[GroupElement] = []
+        start = 0
+        for p, _ in parts:
+            # a part's generators sit at F's indices start, start + 1, ... in its order
+            rels.extend(GroupElement(F, tuple((g + start, e) for g, e in r.payload)) for r in p.relators)
+            start += len(p.generators)
+        rels.extend(F.word(rel) for rel in relators)
+        return Presentation(F.names, tuple(rels))
 
     # -- serialization: a line-oriented text format plus a structured dict
 
@@ -1210,11 +1231,7 @@ class FreeProductGroup(SyllableGroup):
 
     @cached_property
     def presentation(self) -> Presentation:
-        gens, rels = [], []
-        for ren, f in zip(self.renames, self.factors):
-            gens.extend(ren.values())
-            rels.extend([(ren[nm], e) for nm, e in r.group.express(r)] for r in f.presentation.relators)
-        return Presentation.of(gens, rels)
+        return Presentation.join((f.presentation, ren) for f, ren in zip(self.factors, self.renames))
 
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
         renames, factors = self.renames, self.factors

@@ -22,7 +22,7 @@ class UnsupportedBackendError(GroupEqError):
 
 
 class SymbolClashError(GroupEqError):
-    """Presentation combinators received colliding generator names."""
+    """Two parts of a composite presentation share a generator name."""
 
 
 class WindowError(GroupEqError):

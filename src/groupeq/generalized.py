@@ -96,8 +96,10 @@ class UnimodularVerdict:
     subgroup_normal: Condition
     quotient_strong_up: Condition
     quotient_torsion_free: Condition  # the weak variant
-    overall: str        # "unimodular" | "not-unimodular" | "unknown"
-    weak_overall: str   # same statuses for the weak variant
+    # "unimodular" when all three conditions hold, else "not-unimodular": a
+    # third condition reads "unknown" only once condition 1 or 2 has failed
+    overall: str
+    weak_overall: str   # the same, with the weak third condition
 
 
 def _require_coset_backend(T: Group) -> None:
@@ -185,11 +187,7 @@ def unimodular_verdict(ge: GeneralizedEquation) -> UnimodularVerdict:
         cond3 = cond3t = Condition("unknown", "quotient is not a group when <t> is not normal")
 
     def overall(third: Condition) -> str:
-        if cond1.holds and cond2.holds and third.holds:
-            return "unimodular"
-        if cond1.fails or cond2.fails or third.fails:
-            return "not-unimodular"
-        return "unknown"
+        return "unimodular" if cond1.holds and cond2.holds and third.holds else "not-unimodular"
 
     return UnimodularVerdict(cond1, cond2, cond3, cond3t, overall(cond3), overall(cond3t))
 
@@ -354,28 +352,27 @@ def emit_ky(
 ) -> Presentation:
     """K_Y: one copy of G per coset in X_1 Y, one letter, and one relator
     per coset of <t> that meets Y (conjugating by y and by y t^k gives the
-    same relator)."""
+    same relator).
+
+    Copies come in copy order (sorted coset representatives), each copy's
+    generators and relators together: G's presentation renamed name@label.
+    The copies' relators come before the family relators.
+    """
     T, G = re.vargroup, re.group
     firsts: dict[GroupElement, GroupElement] = {}
     for y in Y:
         firsts.setdefault(T.coset_decompose(y, re.t)[0], y)
     family = conjugate_family(re, list(firsts.values()))
-    gens: list[str] = []
-    for c in _ky_copies(re, Y):
-        lbl = _label(T, c)
-        gens.extend(copy_name(nm, lbl) for nm in G.presentation.generators)
-    gens.append(witness_var)
-    F = Presentation.free_group(gens)
-    tt = F.gen(witness_var)
-    rels: list[GroupElement] = []
+    gpres = G.presentation
+    copies = [(gpres, {nm: copy_name(nm, _label(T, c)) for nm in gpres.generators}) for c in _ky_copies(re, Y)]
+    rels = []
     for w_y in family:
-        word = tt ** w_y.sign
+        word = [(witness_var, w_y.sign)]
         for g, c, k in w_y.terms:
             lbl = _label(T, c)
-            body = F.word([(copy_name(nm, lbl), e) for nm, e in G.express(g)])
-            word = word * (tt ** (-k)) * body * (tt ** k)
+            word += [(witness_var, -k), *((copy_name(nm, lbl), e) for nm, e in G.express(g)), (witness_var, k)]
         rels.append(word)
-    return Presentation(tuple(gens), tuple(rels))
+    return Presentation.join(copies + [Presentation((witness_var,), ())], rels)
 
 
 def emit_solution_group(
@@ -386,42 +383,31 @@ def emit_solution_group(
 ) -> Presentation:
     """Windowed presentation of (T x| K) / <t~ t^-1>.
 
-    Generators: T's presentation generators, the G-copies of K_Y, and the
-    extra letter.  Relators: T's relators, the K_Y relators, the action
-    relators for T's generators (window >= 1; window 0 drops them), and
-    t~ t^-1.  Raises WindowError when the action leaves the emitted copies.
+    The parts are T's presentation and K_Y (its copies of G, each with G's
+    relators, in copy order, then the extra letter); after their relators
+    come the action relators for T's generators (window >= 1; window 0
+    drops them) and t~ t^-1.  Raises WindowError when the action leaves the
+    emitted copies.
     """
     T, G = re.vargroup, re.group
-    ky = emit_ky(re, Y, witness_var)
-    tpres = T.presentation
-    clash = set(tpres.generators) & set(ky.generators)
-    if clash:
-        raise WindowError(f"generator names clash between T and the copies: {clash}")
-    gens = tpres.generators + ky.generators
-    F = Presentation.free_group(gens)
-    rels = [F.lift(r) for r in tpres.relators + ky.relators]
-    tt = F.gen(witness_var)
     gnames = G.presentation.generators
     # a G without generators emits no copies, so the action has none to move
     copies = _ky_copies(re, Y) if gnames else []
-    if window >= 1:
-        for y in T.generators():
-            y_word = F.lift(y)
-            eps = _twist(re.t, y)
-            rels.append((~y_word) * tt * y_word * (tt ** (-eps)))
-            for c in copies:
-                cf, k = T.coset_decompose(c * y, re.t)
-                lbl, f_lbl = _label(T, c), _label(T, cf)
-                if cf not in copies:
-                    raise WindowError(
-                        f"action moves copy {lbl} to {f_lbl}, outside the emitted window"
-                    )
-                for nm in gnames:
-                    g_x = F.gen(copy_name(nm, lbl))
-                    g_f = F.gen(copy_name(nm, f_lbl))
-                    rels.append((~y_word) * g_x * y_word * ~((tt ** (-k)) * g_f * (tt ** k)))
-    rels.append(tt * ~F.lift(re.t))
-    return Presentation(tuple(gens), tuple(rels))
+    rels = []
+    for y in T.generators() if window >= 1 else ():
+        y_word = T.express(y)
+        y_inv = [(nm, -e) for nm, e in reversed(y_word)]
+        rels.append([*y_inv, (witness_var, 1), *y_word, (witness_var, -_twist(re.t, y))])
+        for c in copies:
+            cf, k = T.coset_decompose(c * y, re.t)
+            lbl, f_lbl = _label(T, c), _label(T, cf)
+            if cf not in copies:
+                raise WindowError(f"action moves copy {lbl} to {f_lbl}, outside the emitted window")
+            for nm in gnames:
+                g_x, g_f = copy_name(nm, lbl), copy_name(nm, f_lbl)
+                rels.append([*y_inv, (g_x, 1), *y_word, (witness_var, -k), (g_f, -1), (witness_var, k)])
+    rels.append([(witness_var, 1), *((nm, -e) for nm, e in reversed(T.express(re.t)))])
+    return Presentation.join((T.presentation, emit_ky(re, Y, witness_var)), rels)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Words are elements of `backends.FreeProductGroup` (syllable sources are
 factor indices) or, for presentations, of the `backends.FreeGroup` on the
 generator names.  This module adds sub-free-product membership tests, the
 bounded transcendence falsifier, the copy-name rule of emitted presentations,
-and the HNN and amalgam combinators over `backends.Presentation`.
+and the HNN and amalgam combinators, each a `backends.Presentation.join`.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from .backends import GroupElement, Presentation
 from .config import DEFAULT_CAPS, Caps
-from .errors import CapExceededError, SymbolClashError
+from .errors import CapExceededError
 
 
 def in_subfreeproduct(w: GroupElement, allowed: Iterable[int]) -> bool:
@@ -165,25 +165,12 @@ def hnn(base: Presentation, stable: str, pairs: Sequence[tuple[GroupElement, Gro
     """HNN extension <base, stable | u_i^stable = v_i>, purely syntactic."""
     if not pairs:
         raise ValueError("hnn needs at least one associated pair")
-    if stable in base.generators:
-        raise SymbolClashError(f"stable letter {stable!r} clashes with a generator")
-    gens = base.generators + (stable,)
-    F = Presentation.free_group(gens)
-    t = F.gen(stable)
-    rels = [F.lift(r) for r in base.relators]
-    rels += [(~t) * F.lift(u) * t * ~F.lift(v) for u, v in pairs]
-    return Presentation(gens, tuple(rels))
+    rels = [[(stable, -1), *u.group.express(u), (stable, 1), *v.group.express(~v)] for u, v in pairs]
+    return Presentation.join((base, Presentation((stable,), ())), rels)
 
 
 def amalgam(
     left: Presentation, right: Presentation, glue: Sequence[tuple[GroupElement, GroupElement]]
 ) -> Presentation:
     """Disjoint-union presentation plus relators equating glued words."""
-    clash = set(left.generators) & set(right.generators)
-    if clash:
-        raise SymbolClashError(f"generator names clash: {sorted(clash)}")
-    gens = left.generators + right.generators
-    F = Presentation.free_group(gens)
-    rels = [F.lift(r) for r in left.relators + right.relators]
-    rels += [F.lift(u) * ~F.lift(v) for u, v in glue]
-    return Presentation(gens, tuple(rels))
+    return Presentation.join((left, right), [[*u.group.express(u), *v.group.express(~v)] for u, v in glue])

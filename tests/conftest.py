@@ -111,3 +111,43 @@ def assert_round_trips(pres):
 
     assert Presentation.from_text(pres.to_text()) == pres
     assert Presentation.from_struct(pres.to_struct()) == pres
+
+
+def abelian_invariants(pres):
+    """The abelianization of `pres` as its invariant factors d_1 | d_2 | ...
+    (each > 1), then one 0 per free rank: (6,) is Z/6, (2, 0) is Z + Z/2.
+
+    Exact-integer Smith normal form of the relator exponent-sum matrix.
+    """
+    n = len(pres.generators)
+    m = []
+    for rel in pres.relators:
+        row = [0] * n
+        for g, e in rel.payload:
+            row[g] += e
+        m.append(row)
+    diag = []
+    while any(any(row) for row in m):
+        # the smallest nonzero entry goes to the corner
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+        m[0], m[i] = m[i], m[0]
+        for row in m:
+            row[0], row[j] = row[j], row[0]
+        p = m[0][0]
+        for row in m[1:]:
+            q = row[0] // p
+            row[:] = [x - q * y for x, y in zip(row, m[0])]
+        for j in range(1, len(m[0])):
+            q = m[0][j] // p
+            for row in m:
+                row[j] -= q * row[0]
+        if any(row[0] for row in m[1:]) or any(m[0][1:]):
+            continue  # a remainder smaller than the pivot is left: pivot again
+        bad = next((row for row in m[1:] if any(x % p for x in row)), None)
+        if bad is not None:
+            # the pivot must divide every other entry: fold an offending row in
+            m[0] = [x + y for x, y in zip(m[0], bad)]
+            continue
+        diag.append(abs(p))
+        m = [row[1:] for row in m[1:]]
+    return tuple(d for d in diag if d != 1) + (0,) * (n - len(diag))

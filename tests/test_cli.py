@@ -411,12 +411,20 @@ def test_emit_solution_group_reads_the_config_window(tmp_path, capsys):
 
 
 def test_emit_ky_emits_one_relator_per_coset_of_t():
-    # x^-1 and x lie in one coset of <t> = <x^2>, so they give one relator
+    # x^-1 and x lie in one coset of <t> = <x^2>, so they give one relator;
+    # the two copies' fours relators come first
     script = "group G = fours\ngroup T = free(x)\nlet u = T: x\ngeq W over G with T: a u b u = 1\n"
     report, code = run("emit-ky", {"cosets": "x^-1;1;x"}, script)
     assert code == 0
     rels = report["result"]["text"].splitlines()[1:]
-    assert rels == ["rel: a@x b@1 t~", "rel: a@1 t~ b@x"]
+    assert rels == [
+        "rel: a@1^-1 b@1^2 a@1 b@1^2",
+        "rel: b@1^-1 a@1^2 b@1 a@1^2",
+        "rel: a@x^-1 b@x^2 a@x b@x^2",
+        "rel: b@x^-1 a@x^2 b@x a@x^2",
+        "rel: a@x b@1 t~",
+        "rel: a@1 t~ b@x",
+    ]
 
 
 # ---------------------------------------------------------------------------
