@@ -2,10 +2,14 @@
 inside symmetric groups.
 
 The coefficient group embeds by its right-regular representation; candidate
-solutions are enumerated by degree, then lexicographically, pruned by
-centralizer conjugations (the word value is conjugation-equivariant in the
-candidate).  Absence within the caps is reported, never asserted as
-nonexistence.
+solutions are enumerated by degree, then lexicographically, and one is
+accepted when every point comes back to itself when traced through the
+word.  No candidate is pruned: conjugating a solution by a permutation that
+commutes with the embedded coefficients gives another solution, so a filter
+keeping only the lexicographically least of such conjugates never rejects
+the first solution; it would change neither the solution found nor the
+number of candidates counted.  Absence within the caps is reported, never
+asserted as nonexistence.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Optional
 
-from .backends import Group, GroupElement
+from .backends import Group, GroupElement, PermutationGroup
 from .config import DEFAULT_CAPS, Caps
 from .errors import CertificateError
 from .equations import Equation
@@ -56,28 +60,23 @@ def regular_embedding(group: Group, degree: int) -> tuple[tuple[GroupElement, ..
     return elems, emb
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p first, then q
-    return tuple(q[v] for v in p)
-
-
-def _invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
-def _evaluate(e: Equation, emb: dict, t: tuple[int, ...], degree: int) -> tuple[int, ...]:
-    ident = tuple(range(degree))
-    t_inv = _invert(t)
-    out = ident
-    for g, exp in e.terms:
-        out = _compose(out, emb[g])
-        step = t if exp > 0 else t_inv
-        for _ in range(abs(exp)):
-            out = _compose(out, step)
-    return out
+def _closes(steps: list, t: tuple[int, ...]) -> bool:
+    """Whether every point comes back to itself when traced through the
+    word's steps: a coefficient's image, then t (exp > 0) or t^-1 (exp < 0)
+    |exp| times."""
+    for x in range(len(t)):
+        y = x
+        for img, exp in steps:
+            y = img[y]
+            if exp > 0:
+                for _ in range(exp):
+                    y = t[y]
+            else:
+                for _ in range(-exp):
+                    y = t.index(y)
+        if y != x:
+            return False
+    return True
 
 
 def solve_over_finite(
@@ -88,47 +87,21 @@ def solve_over_finite(
     """Search S_d for d = |G| .. max_degree for a permutation solving the
     equation under the regular embedding of G."""
     group = e.group
-    elems = tuple(group.elements())
-    n = len(elems)
+    n = len(group.elements())
     max_degree = caps.max_degree if max_degree is None else max_degree
     tested: list[int] = []
     capped: list[int] = []
     candidates = 0
-    index = {x: i for i, x in enumerate(elems)}
     for degree in range(n, max_degree + 1):
         if factorial(degree) > caps.perms_per_degree:
             capped.append(degree)
             continue
-        _, emb = regular_embedding(group, degree)
-        ident = tuple(range(degree))
-        # centralizer generators: left multiplications commute with the
-        # right-regular image; padding-point swaps fix it pointwise
-        centralizer = [
-            tuple([index[g * x] for x in elems] + list(range(n, degree)))
-            for g in elems
-            if not g.is_identity
-        ]
-        for i in range(n, degree - 1):
-            sw = list(range(degree))
-            sw[i], sw[i + 1] = sw[i + 1], sw[i]
-            centralizer.append(tuple(sw))
-        cent_inv = [(_invert(z), z) for z in centralizer]
+        elems, emb = regular_embedding(group, degree)
+        steps = [(emb[g], exp) for g, exp in e.terms]
         for cand in itertools.permutations(range(degree)):
             candidates += 1
-            skip = False
-            for zi, z in cent_inv:
-                if _compose(_compose(zi, cand), z) < cand:
-                    skip = True
-                    break
-            if skip:
-                continue
-            if _evaluate(e, emb, cand, degree) == ident:
-                cert = SolutionCertificate(
-                    degree,
-                    elems,
-                    tuple(emb[g] for g in elems),
-                    cand,
-                )
+            if _closes(steps, cand):
+                cert = SolutionCertificate(degree, elems, tuple(emb[g] for g in elems), cand)
                 return SolverReport(cert, tuple(tested + [degree]), tuple(capped), candidates)
         tested.append(degree)
     return SolverReport(None, tuple(tested), tuple(capped), candidates)
@@ -147,17 +120,22 @@ def verify_certificate(cert: SolutionCertificate, e: Equation) -> bool:
     for p in cert.embedding:
         if sorted(p) != list(range(degree)):
             raise CertificateError("embedding image is not a permutation")
-    index = {x: i for i, x in enumerate(elems)}
-    if len(index) != n:
+    if len(set(elems)) != n:
         raise CertificateError("group enumeration repeats elements")
     # injective homomorphism on the full table
+    perms = PermutationGroup(degree)
     seen = set()
     for g in elems:
         if emb[g] in seen:
             raise CertificateError("embedding is not injective")
         seen.add(emb[g])
         for h in elems:
-            if _compose(emb[g], emb[h]) != emb[g * h]:
+            if perms._mul(emb[g], emb[h]) != emb[g * h]:
                 raise CertificateError("embedding violates the multiplication table")
-    ident = tuple(range(degree))
-    return _evaluate(e, emb, cert.solution, degree) == ident
+    t, t_inv = cert.solution, perms._inv(cert.solution)
+    value = perms._one
+    for g, exp in e.terms:
+        value = perms._mul(value, emb[g])
+        for _ in range(abs(exp)):
+            value = perms._mul(value, t if exp > 0 else t_inv)
+    return value == perms._one

@@ -85,10 +85,6 @@ class Condition:
     def holds(self) -> bool:
         return self.status == "yes"
 
-    @property
-    def fails(self) -> bool:
-        return self.status == "no"
-
 
 @dataclass(frozen=True)
 class UnimodularVerdict:
@@ -279,21 +275,19 @@ def coset_rewrite(ge: GeneralizedEquation) -> RewrittenEquation:
     return re
 
 
-def _twist(t: GroupElement, y: GroupElement) -> int:
-    """The sign eps with t^y = t^eps."""
-    u = t.conj(y)
-    if u == t:
-        return 1
-    if u == ~t:
-        return -1
-    raise NormalityError(f"conjugation by {y} twists t outside {{t, t^-1}}")
+def _check_fixes(t: GroupElement, y: GroupElement) -> None:
+    """Raise unless t^y = t.  The variable groups with coset support are free
+    and free abelian, where <t> is normal only when conjugation fixes t (a
+    free group never conjugates t to t^-1), so no other twist occurs."""
+    if t.conj(y) != t:
+        raise NormalityError(f"conjugation by {y} does not fix t")
 
 
 def rewrite_conjugate(re: RewrittenEquation, x: GroupElement) -> RewrittenEquation:
     """The member w_x of the conjugated family, for a coset label x."""
     T = re.vargroup
     c_x, _ = T.coset_decompose(x, re.t)
-    eps = _twist(re.t, c_x)
+    _check_fixes(re.t, c_x)
     terms = []
     for g, c, k in re.terms:
         e = c * re.t ** k * c_x
@@ -301,13 +295,13 @@ def rewrite_conjugate(re: RewrittenEquation, x: GroupElement) -> RewrittenEquati
         if c_f * re.t ** l != e:
             raise InternalError("coset decomposition failed")
         terms.append((g, c_f, l))
-    return RewrittenEquation(re.group, T, re.t, tuple(terms), sign=eps * re.sign)
+    return RewrittenEquation(re.group, T, re.t, tuple(terms), sign=re.sign)
 
 
 def conjugate_family(re: RewrittenEquation, xs: Sequence[GroupElement]) -> tuple[RewrittenEquation, ...]:
     """Conjugate the rewritten equation by each coset label in xs.
 
-    Requires <t> normal in T (otherwise the twist exponent is undefined).
+    Requires <t> normal in T, so that conjugation fixes t.
     """
     norm = cyclic_subgroup_normal(re.vargroup, re.t)
     if not norm.holds:
@@ -386,8 +380,10 @@ def emit_solution_group(
     The parts are T's presentation and K_Y (its copies of G, each with G's
     relators, in copy order, then the extra letter); after their relators
     come the action relators for T's generators (window >= 1; window 0
-    drops them) and t~ t^-1.  Raises WindowError when the action leaves the
-    emitted copies.
+    drops them) and t~ t^-1.  The window is read only as 0 or >= 1: the
+    copies are always those of X_1 Y, never widened, so every window from 1
+    up gives the same presentation.  Raises WindowError when the action
+    leaves the emitted copies.
     """
     T, G = re.vargroup, re.group
     gnames = G.presentation.generators
@@ -397,7 +393,8 @@ def emit_solution_group(
     for y in T.generators() if window >= 1 else ():
         y_word = T.express(y)
         y_inv = [(nm, -e) for nm, e in reversed(y_word)]
-        rels.append([*y_inv, (witness_var, 1), *y_word, (witness_var, -_twist(re.t, y))])
+        _check_fixes(re.t, y)
+        rels.append([*y_inv, (witness_var, 1), *y_word, (witness_var, -1)])
         for c in copies:
             cf, k = T.coset_decompose(c * y, re.t)
             lbl, f_lbl = _label(T, c), _label(T, cf)

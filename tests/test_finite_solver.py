@@ -1,11 +1,18 @@
-import pytest
+import itertools
 from dataclasses import replace
+from math import factorial
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupeq.backends import PermutationGroup, cyclic_group, klein_four_group, table_from_group
 from groupeq.config import DEFAULT_CAPS
+from groupeq.dsl import parse_script
 from groupeq.equations import Equation
 from groupeq.errors import CertificateError
 from groupeq.finite_solver import (
+    SolutionCertificate,
+    SolverReport,
     regular_embedding,
     solve_over_finite,
     verify_certificate,
@@ -50,11 +57,8 @@ def test_t_squared_equals_three_cycle(c3):
 
 
 def test_singular_without_solution_reports_exhaustion(c3):
-    # g t g^-1 t^-1 with g of order 3: a solution would centralize g's image
-    # while t ranges over S_3; actually solvable; use a genuinely unsolvable
-    # one instead: t g t^-1 = g^2 has no solution in any S_d since the orders
-    # of conjugates match but regular images of g and g^2 are conjugate...
-    # use the trivial contradiction c = 1 with c != 1: t^1 t^-1 c = c
+    # g t 1 t^-1 reduces to the constant g != 1 whatever t is, so no degree
+    # holds a solution and every degree up to the cap is exhausted
     e = Equation(c3, ((c3.element(1), 1), (c3.identity(), -1)))
     rep = solve_over_finite(e, max_degree=5)
     assert not rep.found
@@ -111,3 +115,75 @@ def test_unimodular_sweep_small_groups():
                 assert rep.degrees_tested or rep.degrees_capped
                 outcomes.append("exhausted")
     assert outcomes.count("found") >= len(outcomes) // 2
+
+
+# ---------------------------------------------------------------------------
+# differential against a plain enumerator that composes whole permutations
+
+
+def _compose(p, q):
+    # apply p first, then q
+    return tuple(q[v] for v in p)
+
+
+def _word_value(terms, emb, t):
+    t_inv = tuple(sorted(range(len(t)), key=t.__getitem__))
+    out = tuple(range(len(t)))
+    for g, exp in terms:
+        out = _compose(out, emb[g])
+        for _ in range(abs(exp)):
+            out = _compose(out, t if exp > 0 else t_inv)
+    return out
+
+
+def _reference_solve(e, max_degree, caps):
+    """Every permutation of S_d in lexicographic order, d = |G| .. max_degree;
+    the first whose word value is the identity is the solution."""
+    elems = tuple(e.group.elements())
+    n = len(elems)
+    index = {x: i for i, x in enumerate(elems)}
+    tested, capped, candidates = [], [], 0
+    for degree in range(n, max_degree + 1):
+        if factorial(degree) > caps.perms_per_degree:
+            capped.append(degree)
+            continue
+        emb = {g: tuple([index[x * g] for x in elems] + list(range(n, degree))) for g in elems}
+        for cand in sorted(itertools.permutations(range(degree))):
+            candidates += 1
+            if _word_value(e.terms, emb, cand) == tuple(range(degree)):
+                cert = SolutionCertificate(degree, elems, tuple(emb[g] for g in elems), cand)
+                return SolverReport(cert, tuple(tested + [degree]), tuple(capped), candidates)
+        tested.append(degree)
+    return SolverReport(None, tuple(tested), tuple(capped), candidates)
+
+
+_DIFF_GROUPS = [cyclic_group(n) for n in (2, 3, 4, 5)] + [
+    klein_four_group(),
+    table_from_group(PermutationGroup(3)),
+    parse_script("group F = finite{0 1 2 3; 1 2 3 0; 2 3 0 1; 3 0 1 2}\n").get("group", "F"),
+]
+
+
+@st.composite
+def _solver_cases(draw):
+    G = draw(st.sampled_from(_DIFF_GROUPS))
+    elems = G.elements()
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(elems), st.sampled_from((-3, -2, -1, 1, 2, 3))), min_size=1, max_size=4,
+    ))
+    # down to |G| - 1, an empty degree range
+    max_degree = draw(st.sampled_from(range(7, len(elems) - 2, -1)))
+    # three cases in seven keep the default cap and search every degree
+    default = DEFAULT_CAPS.perms_per_degree
+    perms = draw(st.sampled_from((default, default, default, 1, 24, 120, 720)))
+    return Equation(G, tuple(terms)), max_degree, DEFAULT_CAPS.with_overrides(perms_per_degree=perms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_solver_cases())
+def test_solver_matches_plain_enumerator(case):
+    e, max_degree, caps = case
+    rep = solve_over_finite(e, max_degree=max_degree, caps=caps)
+    assert rep == _reference_solve(e, max_degree, caps)
+    if rep.found:
+        assert verify_certificate(rep.certificate, e)

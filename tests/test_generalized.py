@@ -64,7 +64,7 @@ def test_verdict_free_not_normal(gz2):
     ge = make_geq(G, Tf, [(g, Tf.gen("y"))])
     v = unimodular_verdict(ge)
     assert v.overall == "not-unimodular"
-    assert v.subgroup_normal.fails
+    assert v.subgroup_normal.status == "no"
     s, conj = v.subgroup_normal.witness
     assert Tf.power_solve(conj, Tf.gen("y")) is None
 
@@ -76,10 +76,10 @@ def test_verdict_torsion_quotient(gz2):
     ge = make_geq(G, Z, [(g, Z.vector([2]))])
     v = unimodular_verdict(ge)
     assert v.overall == "not-unimodular"
-    assert v.quotient_strong_up.fails
+    assert v.quotient_strong_up.status == "no"
     X, Y = v.quotient_strong_up.witness
     assert len(X) == 2  # the cyclic torsion subgroup of order 2
-    assert v.quotient_torsion_free.fails
+    assert v.quotient_torsion_free.status == "no"
     assert v.weak_overall == "not-unimodular"
 
 
@@ -89,7 +89,7 @@ def test_verdict_imprimitive_vector(gz2):
     ge = make_geq(G, T, [(g, T.vector((2, 4)))])
     v = unimodular_verdict(ge)
     assert v.overall == "not-unimodular"
-    assert v.quotient_strong_up.fails  # content 2 torsion in the quotient
+    assert v.quotient_strong_up.status == "no"  # content 2 torsion in the quotient
     ge2 = make_geq(G, T, [(g, T.vector((2, 3)))])
     assert unimodular_verdict(ge2).overall == "unimodular"
 
@@ -99,7 +99,7 @@ def test_verdict_degenerate_identity(gz2):
     g, _ = G.gens()
     ge = make_geq(G, T, [(g, T.identity())])
     v = unimodular_verdict(ge)
-    assert v.order_infinite.fails
+    assert v.order_infinite.status == "no"
     assert v.overall == "not-unimodular"
 
 
@@ -221,6 +221,16 @@ def test_conjugate_family_requires_normality(gz2):
     re = coset_rewrite(ge)
     with pytest.raises(NormalityError):
         conjugate_family(re, [Tf.gen("x")])
+
+
+def test_emit_solution_group_requires_normality(gz2):
+    # t = y x in free(x, y): conjugating by a generator of T moves t
+    G, _ = gz2
+    g, h = G.gens()
+    Tf = FreeGroup(("x", "y"))
+    re = coset_rewrite(make_geq(G, Tf, [(g, Tf.gen("y")), (h, Tf.gen("x"))]))
+    with pytest.raises(NormalityError):
+        emit_solution_group(re, [Tf.identity()])
 
 
 def test_emit_ky_y_identity(gz2):
