@@ -103,7 +103,6 @@ def _run_rewrite_coset(sess: Session, args: dict, caps: Caps):
         "total_product": fmt_elem(re.t),
         "coset_reps": fmt_elems(re.coset_reps()),
         "terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in re.terms],
-        "sign": re.sign,
         "expansion_verified": ok,
     }, False
 
@@ -115,13 +114,7 @@ def _run_conjugate_family(sess: Session, args: dict, caps: Caps):
     fam = gen.conjugate_family(re, xs)
     return {
         "labels": fmt_elems(xs),
-        "members": [
-            {
-                "sign": w.sign,
-                "terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in w.terms],
-            }
-            for w in fam
-        ],
+        "members": [{"terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in w.terms]} for w in fam],
     }, False
 
 

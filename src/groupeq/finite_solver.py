@@ -117,6 +117,9 @@ def verify_certificate(cert: SolutionCertificate, e: Equation) -> bool:
     if sorted(cert.solution) != list(range(degree)):
         raise CertificateError("solution is not a permutation of the right degree")
     emb = dict(zip(elems, cert.embedding))
+    for g, _ in e.terms:
+        if g not in emb:
+            raise CertificateError(f"coefficient {g} is not an element of the certificate's group")
     for p in cert.embedding:
         if sorted(p) != list(range(degree)):
             raise CertificateError("embedding image is not a permutation")

@@ -194,7 +194,7 @@ def unimodular_verdict(ge: GeneralizedEquation) -> UnimodularVerdict:
 
 @dataclass(frozen=True)
 class RewrittenEquation:
-    """t^sign prod_i g_i^{c_{x_i} t^{k_i}} = 1 with coset labels x_i.
+    """t prod_i g_i^{c_{x_i} t^{k_i}} = 1 with coset labels x_i.
 
     Coset labels are the canonical representatives themselves; the identity
     coset is represented by 1.
@@ -204,7 +204,6 @@ class RewrittenEquation:
     vargroup: Group
     t: GroupElement
     terms: tuple[tuple[GroupElement, GroupElement, int], ...]  # (g_i, c_{x_i}, k_i)
-    sign: int = 1
 
     def word_group(self) -> FreeProductGroup:
         return FreeProductGroup((self.group, self.vargroup))
@@ -219,7 +218,7 @@ class RewrittenEquation:
     def expansion(self) -> GroupElement:
         """The word in G * T that this rewriting stands for."""
         G1 = self.word_group()
-        out = G1.embed(1, self.t ** self.sign)
+        out = G1.embed(1, self.t)
         for g, c, k in self.terms:
             e = c * self.t ** k
             out = out * G1.embed(1, ~e) * G1.embed(0, g) * G1.embed(1, e)
@@ -275,38 +274,28 @@ def coset_rewrite(ge: GeneralizedEquation) -> RewrittenEquation:
     return re
 
 
-def _check_fixes(t: GroupElement, y: GroupElement) -> None:
-    """Raise unless t^y = t.  The variable groups with coset support are free
-    and free abelian, where <t> is normal only when conjugation fixes t (a
-    free group never conjugates t to t^-1), so no other twist occurs."""
-    if t.conj(y) != t:
-        raise NormalityError(f"conjugation by {y} does not fix t")
-
-
-def rewrite_conjugate(re: RewrittenEquation, x: GroupElement) -> RewrittenEquation:
-    """The member w_x of the conjugated family, for a coset label x."""
-    T = re.vargroup
-    c_x, _ = T.coset_decompose(x, re.t)
-    _check_fixes(re.t, c_x)
-    terms = []
-    for g, c, k in re.terms:
-        e = c * re.t ** k * c_x
-        c_f, l = T.coset_decompose(e, re.t)
-        if c_f * re.t ** l != e:
-            raise InternalError("coset decomposition failed")
-        terms.append((g, c_f, l))
-    return RewrittenEquation(re.group, T, re.t, tuple(terms), sign=re.sign)
-
-
 def conjugate_family(re: RewrittenEquation, xs: Sequence[GroupElement]) -> tuple[RewrittenEquation, ...]:
-    """Conjugate the rewritten equation by each coset label in xs.
+    """The members w_x of the conjugated family, one per coset label x in xs.
 
-    Requires <t> normal in T, so that conjugation fixes t.
+    Requires <t> normal in T.  The variable groups with coset support are free
+    and free abelian, where <t> is normal only when conjugation fixes t (a
+    free group never conjugates t to t^-1), so every member keeps the leading t.
     """
-    norm = cyclic_subgroup_normal(re.vargroup, re.t)
-    if not norm.holds:
+    T = re.vargroup
+    if not cyclic_subgroup_normal(T, re.t).holds:
         raise NormalityError("the conjugated family needs <t> normal in T")
-    return tuple(rewrite_conjugate(re, x) for x in xs)
+    family = []
+    for x in xs:
+        c_x, _ = T.coset_decompose(x, re.t)
+        terms = []
+        for g, c, k in re.terms:
+            e = c * re.t ** k * c_x
+            c_f, l = T.coset_decompose(e, re.t)
+            if c_f * re.t ** l != e:
+                raise InternalError("coset decomposition failed")
+            terms.append((g, c_f, l))
+        family.append(RewrittenEquation(re.group, T, re.t, tuple(terms)))
+    return tuple(family)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +350,7 @@ def emit_ky(
     copies = [(gpres, {nm: copy_name(nm, _label(T, c)) for nm in gpres.generators}) for c in _ky_copies(re, Y)]
     rels = []
     for w_y in family:
-        word = [(witness_var, w_y.sign)]
+        word = [(witness_var, 1)]
         for g, c, k in w_y.terms:
             lbl = _label(T, c)
             word += [(witness_var, -k), *((copy_name(nm, lbl), e) for nm, e in G.express(g)), (witness_var, k)]
@@ -382,10 +371,13 @@ def emit_solution_group(
     come the action relators for T's generators (window >= 1; window 0
     drops them) and t~ t^-1.  The window is read only as 0 or >= 1: the
     copies are always those of X_1 Y, never widened, so every window from 1
-    up gives the same presentation.  Raises WindowError when the action
+    up gives the same presentation.  K_Y is built first, so a <t> that is
+    not normal raises NormalityError before the action is read; a normal
+    <t> is fixed by every generator.  Raises WindowError when the action
     leaves the emitted copies.
     """
     T, G = re.vargroup, re.group
+    ky = emit_ky(re, Y, witness_var)
     gnames = G.presentation.generators
     # a G without generators emits no copies, so the action has none to move
     copies = _ky_copies(re, Y) if gnames else []
@@ -393,7 +385,6 @@ def emit_solution_group(
     for y in T.generators() if window >= 1 else ():
         y_word = T.express(y)
         y_inv = [(nm, -e) for nm, e in reversed(y_word)]
-        _check_fixes(re.t, y)
         rels.append([*y_inv, (witness_var, 1), *y_word, (witness_var, -1)])
         for c in copies:
             cf, k = T.coset_decompose(c * y, re.t)
@@ -404,7 +395,7 @@ def emit_solution_group(
                 g_x, g_f = copy_name(nm, lbl), copy_name(nm, f_lbl)
                 rels.append([*y_inv, (g_x, 1), *y_word, (witness_var, -k), (g_f, -1), (witness_var, k)])
     rels.append([(witness_var, 1), *((nm, -e) for nm, e in reversed(T.express(re.t)))])
-    return Presentation.join((T.presentation, emit_ky(re, Y, witness_var)), rels)
+    return Presentation.join((T.presentation, ky), rels)
 
 
 # ---------------------------------------------------------------------------
@@ -442,20 +433,15 @@ def induced_ordinary(ge: GeneralizedEquation) -> Equation:
     if not (isinstance(T, (FreeGroup, FreeAbelianGroup)) and T.rank == 1):
         raise UnsupportedBackendError("induced ordinary form needs T infinite cyclic")
     gen = T.generators()[0]
+    pairs = _merged_pairs(ge)
+    if pairs[-1][1].is_identity:
+        # a trailing coefficient folds cyclically into the first term
+        carry, _ = pairs.pop()
+        pairs[0] = (carry * pairs[0][0], pairs[0][1])
     terms: list[tuple[GroupElement, int]] = []
-    pending = ge.group.identity()
-    for g, t in ge.pairs:
+    for g, t in pairs:
         k = T.power_solve(t, gen)
         if k is None:
             raise InternalError("rank-1 element is always a power of the generator")
-        if k == 0:
-            pending = pending * g
-            continue
-        terms.append((pending * g, k))
-        pending = ge.group.identity()
-    if not terms:
-        raise EquationError("degenerate generalized equation: every t_i is trivial")
-    if not pending.is_identity:
-        g0, e0 = terms[0]
-        terms[0] = (pending * g0, e0)
+        terms.append((g, k))
     return Equation(ge.group, tuple(terms))

@@ -29,8 +29,8 @@ from groupeq.finite_solver import solve_over_finite, verify_certificate
 from groupeq.freegroup import proper_power
 from groupeq.generalized import (
     GeneralizedEquation,
+    conjugate_family,
     coset_rewrite,
-    rewrite_conjugate,
     total_product,
     unimodular_verdict,
 )
@@ -95,7 +95,7 @@ def test_acceptance_2_conjugation_consistency():
         G1 = re.word_group()
         labels = [random_vector(rng, T, 4) for _ in range(10)] + [T.identity()]
         for y in labels:
-            w_y = rewrite_conjugate(re, y)
+            (w_y,) = conjugate_family(re, [y])
             c_y, _ = T.coset_decompose(y, re.t)
             cw = G1.embed(1, c_y)
             assert w_y.expansion() == (~cw) * re.expansion() * cw

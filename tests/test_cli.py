@@ -410,6 +410,15 @@ def test_emit_solution_group_reads_the_config_window(tmp_path, capsys):
     assert capsys.readouterr().out == "verified: reports match\n"
 
 
+def test_emit_solution_group_checks_normality_before_the_window(tmp_path, capsys):
+    # <x^2> is not normal in free(x, y); the action of x would also move
+    # copy 1 outside the window, but normality is the error reported
+    script = tmp_path / "in.ge"
+    script.write_text("group G = free(g, h)\ngroup T = free(x, y)\nlet u = T: x^2\ngeq W over G with T: g u = 1\n")
+    assert main(["emit-solution-group", str(script), "--cosets", "1", "--window", "1"]) == 2
+    assert "error: NormalityError: the conjugated family needs <t> normal in T" in capsys.readouterr().out
+
+
 def test_emit_ky_emits_one_relator_per_coset_of_t():
     # x^-1 and x lie in one coset of <t> = <x^2>, so they give one relator;
     # the two copies' fours relators come first

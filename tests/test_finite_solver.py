@@ -85,6 +85,14 @@ def test_malformed_certificate_rejected(c3):
         verify_certificate(bad_emb, e)
 
 
+def test_certificate_for_another_group_rejected(c3):
+    # a C3 certificate checked against a t = 1 over C4: a is not in C3's table
+    cert = solve_over_finite(Equation(c3, ((c3.element(2), 1),)), max_degree=3).certificate
+    c4 = cyclic_group(4)
+    with pytest.raises(CertificateError, match="not an element"):
+        verify_certificate(cert, Equation(c4, ((c4.element(1), 1),)))
+
+
 def test_degree_cap_reported(c3):
     caps = DEFAULT_CAPS.with_overrides(perms_per_degree=5)
     e = Equation(c3, ((c3.element(1), 1),))

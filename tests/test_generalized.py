@@ -14,7 +14,6 @@ from groupeq.generalized import (
     induced_ordinary,
     reduce_to_ordinary,
     _label,
-    rewrite_conjugate,
     total_product,
     unimodular_verdict,
 )
@@ -193,21 +192,26 @@ def test_conjugate_family_identity_label(gz2):
     assert member == re
 
 
-def test_conjugate_family_consistency(gz2):
-    G, T = gz2
+@pytest.mark.parametrize(
+    "T", [FreeAbelianGroup(1), FreeAbelianGroup(2), FreeGroup(("x",))], ids=["zn(1)", "zn(2)", "free(x)"]
+)
+def test_conjugate_family_consistency(gz2, T):
+    # free(x) is the one free-group backend in which a nontrivial <t> is normal
+    G, _ = gz2
+    rand_t = random_free_word if isinstance(T, FreeGroup) else random_vector
     rng = random.Random(13)
     for _ in range(60):
         pairs = []
         for _ in range(rng.randrange(1, 5)):
-            pairs.append((random_free_word(rng, G, 2), random_vector(rng, T, 2)))
+            pairs.append((random_free_word(rng, G, 2), rand_t(rng, T, 2)))
         ge = make_geq(G, T, pairs)
         if total_product(ge).is_identity:
             continue
         re = coset_rewrite(ge)
         G1 = re.word_group()
         for _ in range(10):
-            x = random_vector(rng, T, 3)
-            wx = rewrite_conjugate(re, x)
+            x = rand_t(rng, T, 3)
+            (wx,) = conjugate_family(re, [x])
             c_x, _ = T.coset_decompose(x, re.t)
             cw = G1.embed(1, c_x)
             assert wx.expansion() == (~cw) * re.expansion() * cw
@@ -228,9 +232,15 @@ def test_emit_solution_group_requires_normality(gz2):
     G, _ = gz2
     g, h = G.gens()
     Tf = FreeGroup(("x", "y"))
-    re = coset_rewrite(make_geq(G, Tf, [(g, Tf.gen("y")), (h, Tf.gen("x"))]))
+    x, y = Tf.gens()
+    re = coset_rewrite(make_geq(G, Tf, [(g, y), (h, x)]))
     with pytest.raises(NormalityError):
         emit_solution_group(re, [Tf.identity()])
+    # t = x^2 is fixed by x, whose action also moves copy 1 outside the
+    # window; normality is checked first
+    re = coset_rewrite(make_geq(G, Tf, [(g, x * x)]))
+    with pytest.raises(NormalityError, match="needs <t> normal"):
+        emit_solution_group(re, [Tf.identity()], window=1)
 
 
 def test_emit_ky_y_identity(gz2):
