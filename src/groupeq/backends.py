@@ -1014,20 +1014,20 @@ class FoursGroup(Group):
         signs, v = payload
         if signs not in _FOURS_PARITY:
             raise ValueError(f"{signs} is not in the fours point group")
-        par = _FOURS_PARITY[signs]
-        if any(c % 2 != p for c, p in zip(v, par)):
+        if len(v) != 3 or not all(isinstance(c, int) for c in v):
+            raise ValueError(f"{v} is not a vector of three integers")
+        if any(c % 2 != p for c, p in zip(v, _FOURS_PARITY[signs])):
             raise ValueError("translation parity does not match the point part")
 
+    # straight-line arithmetic on the 3-vectors: (D, v)(E, w) = (DE, Dw + v)
     def _mul(self, x: tuple, y: tuple) -> tuple:
-        (d1, v1), (d2, v2) = x, y
-        return (
-            tuple(a * b for a, b in zip(d1, d2)),
-            tuple(a * c + b for a, b, c in zip(d1, v1, v2)),
-        )
+        (p, q, r), v = x
+        d, w = y
+        return (p * d[0], q * d[1], r * d[2]), (p * w[0] + v[0], q * w[1] + v[1], r * w[2] + v[2])
 
     def _inv(self, x: tuple) -> tuple:
         d, v = x
-        return (d, tuple(-a * b for a, b in zip(d, v)))
+        return d, (-d[0] * v[0], -d[1] * v[1], -d[2] * v[2])
 
     def a(self) -> GroupElement:
         return GroupElement(self, self.A_PAYLOAD)
@@ -1042,16 +1042,6 @@ class FoursGroup(Group):
         payload = (tuple(signs), tuple(doubled))
         self._validate(payload)
         return GroupElement(self, payload)
-
-    def is_translation(self, x: GroupElement) -> bool:
-        return x.payload[0] == (1, 1, 1)
-
-    def translation_vector(self, x: GroupElement) -> tuple[int, int, int]:
-        """Integer lattice vector of a pure translation."""
-        if not self.is_translation(x):
-            raise ValueError("not a translation")
-        d = x.payload[1]
-        return (d[0] // 2, d[1] // 2, d[2] // 2)
 
     def element_order(self, x: GroupElement) -> Optional[int]:
         # square of every element is a translation; nonzero translations
@@ -1099,18 +1089,19 @@ class FoursGroup(Group):
             ),
         )
 
+    @cached_property
+    def _coset_table(self) -> dict:
+        """Point part -> (word, inverse payload) of its coset representative
+        1, a, b or ab."""
+        a, b = self.A_PAYLOAD, self.B_PAYLOAD
+        reps = {(): self._one, (("a", 1),): a, (("b", 1),): b, (("a", 1), ("b", 1)): self._mul(a, b)}
+        return {rep[0]: (word, self._inv(rep)) for word, rep in reps.items()}
+
     def express(self, x: GroupElement) -> tuple[tuple[str, int], ...]:
-        signs = x.payload[0]
-        coset = {
-            (1, 1, 1): (),
-            (1, -1, -1): (("a", 1),),
-            (-1, 1, -1): (("b", 1),),
-            (-1, -1, 1): (("a", 1), ("b", 1)),
-        }[signs]
-        rep = self.identity()
-        for nm, e in coset:
-            rep = rep * (self.a() if nm == "a" else self.b()) ** e
-        tx, ty, tz = self.translation_vector((~rep) * x)
+        coset, rep_inv = self._coset_table[x.payload[0]]
+        # rep^-1 x is a pure translation, stored doubled
+        t = self._mul(rep_inv, x.payload)[1]
+        tx, ty, tz = t[0] // 2, t[1] // 2, t[2] // 2
         word = list(coset)
         if tx:
             word.append(("a", 2 * tx))

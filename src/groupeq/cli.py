@@ -213,17 +213,19 @@ def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
 
 def _run_up_check(sess: Session, args: dict, caps: Caps):
     rep = upmod.up_check(*_named_sets(sess, args["sets"], 2))
+    # the census repeats every factor; each element is formatted once
+    names: dict = {}
+    for e in (*rep.x, *rep.y, *(v for v, _ in rep.products)):
+        if e not in names:
+            names[e] = fmt_elem(e)
     return {
         "x_size": len(rep.x),
         "y_size": len(rep.y),
-        "unique_elements": fmt_elems(rep.unique_elements),
+        "unique_elements": [names[v] for v in rep.unique_elements],
         "unique_count": rep.unique_count,
         "distinct_y_count": rep.distinct_y_count(),
         "total_factorizations": rep.total_factorizations,
-        "census": [
-            [fmt_elem(v), [[fmt_elem(x), fmt_elem(y)] for x, y in pairs]]
-            for v, pairs in rep.products
-        ],
+        "census": [[names[v], [[names[x], names[y]] for x, y in pairs]] for v, pairs in rep.products],
     }, not rep.has_unique_product
 
 

@@ -76,6 +76,16 @@ def random_fours(rng, group, max_len=5):
     return w
 
 
+def fours_translation(x):
+    """The integer lattice vector of a fours element that is a pure
+    translation, read off its payload (point part, doubled vector); None for
+    any other element."""
+    signs, doubled = x.payload
+    if signs != (1, 1, 1):
+        return None
+    return tuple(c // 2 for c in doubled)
+
+
 def random_element(rng, group, size=4):
     from groupeq.backends import (
         FiniteTableGroup,

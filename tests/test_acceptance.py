@@ -43,7 +43,7 @@ from groupeq.up import (
     up_check,
 )
 
-from conftest import random_element, random_free_word, random_vector
+from conftest import fours_translation, random_element, random_free_word, random_vector
 
 
 def _report(num, text):
@@ -243,7 +243,7 @@ def test_acceptance_6_fours_group_backend():
         if not g.is_identity:
             assert g.order() is None
             sq = g * g
-            assert P.is_translation(sq) and sq != P.identity()
+            assert fours_translation(sq) is not None and sq != P.identity()
     # the 600 s default budget is far above the few seconds this takes, so
     # the exhaustion is complete and its subset count is exact
     res = search_nonup_witness(P, radius=3, maxsize=14, caps=DEFAULT_CAPS)

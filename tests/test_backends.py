@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from groupeq.backends import (
 )
 from groupeq.errors import CapExceededError, GroupMismatchError, UnsupportedBackendError
 
-from conftest import assert_round_trips, random_element
+from conftest import assert_round_trips, fours_translation, random_element
 
 
 ALL_BACKENDS = [
@@ -94,10 +95,10 @@ def test_fours_torsion_free_on_ball_radius_six(fours):
     ball = fours.ball(6)
     for g in ball:
         sq = g * g
-        assert fours.is_translation(sq)
+        v = fours_translation(sq)
+        assert v is not None
         if not g.is_identity:
             assert sq != fours.identity()
-            v = fours.translation_vector(sq)
             assert v != (0, 0, 0)
             assert g.order() is None
 
@@ -107,8 +108,9 @@ def test_fours_derived_translations_rank_three(fours):
     # them are integral
     vecs = []
     for g in fours.ball(4):
-        if fours.is_translation(g) and not g.is_identity:
-            vecs.append(fours.translation_vector(g))
+        v = fours_translation(g)
+        if v is not None and not g.is_identity:
+            vecs.append(v)
     assert vecs
     seen_axes = {tuple(1 if c else 0 for c in v) for v in vecs}
     assert {(1, 0, 0), (0, 1, 0), (0, 0, 1)} <= seen_axes
@@ -119,6 +121,115 @@ def test_fours_relations_verified_at_construction():
     a, b = g.generators()
     assert (~a) * b ** 2 * a * b ** 2 == g.identity()
     assert (~b) * a ** 2 * b * a ** 2 == g.identity()
+
+
+def test_fours_element_needs_three_integer_entries():
+    g = FoursGroup()
+    # a fourth entry once passed the parity check unseen and squared to a^4
+    with pytest.raises(ValueError):
+        g.element((1, 1, 1), (2, 0, 0, 5))
+    # a short vector once passed and then broke format_element
+    with pytest.raises(ValueError):
+        g.element((1, 1, 1), (0, 0))
+    with pytest.raises(ValueError):
+        g.element((1, 1, 1), (2.0, 0, 0))
+    assert g.element((1, 1, 1), (2, 0, 0)) * g.element((1, 1, 1), (-2, 0, 0)) == g.identity()
+
+
+# -- the fours kernel against 4x4 integer affine matrices, and its words
+# against the generator arithmetic they replaced
+
+
+def _affine(payload):
+    """The 4x4 integer matrix of x |-> Dx + v, on doubled coordinates."""
+    d, v = payload
+    return [[d[i] if j == i else 0 for j in range(3)] + [v[i]] for i in range(3)] + [[0, 0, 0, 1]]
+
+
+def _matmul(m, n):
+    return [[sum(m[i][k] * n[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+def _matinv(m):
+    """Gauss-Jordan inverse over the rationals."""
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(4)] for i, row in enumerate(m)]
+    for c in range(4):
+        p = next(r for r in range(c, 4) if a[r][c] != 0)
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(4):
+            if r != c and a[r][c] != 0:
+                a[r] = [x - a[r][c] * y for x, y in zip(a[r], a[c])]
+    return [row[4:] for row in a]
+
+
+def test_fours_kernel_matches_affine_matrices_on_ball_three(fours):
+    ball = sorted(fours.ball(3), key=fours.sort_key)
+    for x in ball:
+        assert _affine(fours._inv(x.payload)) == _matinv(_affine(x.payload))
+        for y in ball:
+            assert _affine(fours._mul(x.payload, y.payload)) == _matmul(_affine(x.payload), _affine(y.payload))
+
+
+_FOURS_POINTS = {(1, 1, 1): (0, 0, 0), (1, -1, -1): (1, 1, 0), (-1, 1, -1): (0, 1, 1), (-1, -1, 1): (1, 0, 1)}
+_fours_payloads = st.builds(
+    lambda d, t: (d, tuple(2 * c + p for c, p in zip(t, _FOURS_POINTS[d]))),
+    st.sampled_from(sorted(_FOURS_POINTS)),
+    st.tuples(*[st.integers(-10**6, 10**6)] * 3),
+)
+
+
+@given(_fours_payloads, _fours_payloads)
+def test_fours_kernel_matches_affine_matrices_on_random_payloads(x, y):
+    g = FoursGroup()
+    p = g._mul(x, y)
+    g._validate(p)
+    assert _affine(p) == _matmul(_affine(x), _affine(y))
+    assert _affine(g._inv(x)) == _matinv(_affine(x))
+
+
+def _express_by_arithmetic(group, x):
+    """A copy of the fours `express` that built the coset representative
+    with generator arithmetic and read the translation off rep^-1 x."""
+    coset = {
+        (1, 1, 1): (),
+        (1, -1, -1): (("a", 1),),
+        (-1, 1, -1): (("b", 1),),
+        (-1, -1, 1): (("a", 1), ("b", 1)),
+    }[x.payload[0]]
+    rep = group.identity()
+    for nm, e in coset:
+        rep = rep * (group.a() if nm == "a" else group.b()) ** e
+    tx, ty, tz = fours_translation((~rep) * x)
+    word = list(coset)
+    if tx:
+        word.append(("a", 2 * tx))
+    if ty:
+        word.append(("b", 2 * ty))
+    for _ in range(abs(tz)):
+        s = -1 if tz > 0 else 1
+        word.extend([("a", s), ("b", s)] * 2 if s == 1 else [("b", -1), ("a", -1)] * 2)
+    return tuple(word)
+
+
+def _format_word(word):
+    stack = []
+    for nm, e in word:
+        if stack and stack[-1][0] == nm:
+            stack[-1][1] += e
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([nm, e])
+    return " ".join(nm if e == 1 else f"{nm}^{e}" for nm, e in stack) or "1"
+
+
+def test_fours_words_match_generator_arithmetic_on_ball_four(fours):
+    for x in fours.ball(4):
+        word = _express_by_arithmetic(fours, x)
+        assert fours.express(x) == word
+        assert fours.format_element(x) == _format_word(word)
+        assert fours.parse_element(fours.format_element(x)) == x
 
 
 def test_ball_examples(z2, fours):
