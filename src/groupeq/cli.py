@@ -3,7 +3,8 @@
 Each subcommand maps 1:1 to a library operation, reads a declaration script
 from a file or stdin, and emits either human text or the structured report.
 Exit codes: 0 success, 1 property-falsified (or no solution / verification
-mismatch), 2 parse or configuration errors.
+mismatch), 2 parse, configuration or input errors (a library ValueError
+included).
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict
     except ParseError as exc:
         err = {"type": "ParseError", "message": exc.message, "line": exc.line, "column": exc.column}
         return make_report(command, args, script, "error", {}, err), 2
-    except GroupEqError as exc:
+    except (GroupEqError, ValueError) as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
         return make_report(command, args, script, "error", {}, err), 2
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .backends import Group, GroupElement, PermutationGroup
 from .config import DEFAULT_CAPS, Caps
-from .errors import CertificateError
+from .errors import CapExceededError, CertificateError
 from .equations import Equation
 
 
@@ -85,10 +85,13 @@ def solve_over_finite(
     caps: Caps = DEFAULT_CAPS,
 ) -> SolverReport:
     """Search S_d for d = |G| .. max_degree for a permutation solving the
-    equation under the regular embedding of G."""
+    equation under the regular embedding of G; CapExceededError when
+    max_degree < |G| leaves no degree to search."""
     group = e.group
     n = len(group.elements())
     max_degree = caps.max_degree if max_degree is None else max_degree
+    if max_degree < n:
+        raise CapExceededError(f"|G| = {n} exceeds max_degree {max_degree}: no degree to search")
     tested: list[int] = []
     capped: list[int] = []
     candidates = 0

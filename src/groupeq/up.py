@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from .backends import Group, GroupElement
 from .config import DEFAULT_CAPS, Caps
-from .errors import GroupMismatchError
+from .errors import CapExceededError, GroupMismatchError
 
 
 def _as_sorted_set(group: Group, xs: Iterable[GroupElement], name: str) -> tuple[GroupElement, ...]:
@@ -244,13 +244,14 @@ class ProductCensus:
     one atom at a time; the one counting engine behind the witness searches.
 
     The ball is sorted by the group's sort key and ball indices stand for
-    elements.  The product table maps (i, j) to the index of ball[i]*ball[j]
-    in the sorted ball(2 * radius), built once.  `atoms` are the inverse
-    pairs of the ball without the identity, an involution forming a
-    1-element atom, in ball order.  `counts[k]` is the number of ordered
-    pairs of S whose product is element k, and S has a unique product iff
-    some count is 1.  `add` and `remove` touch only the products of the
-    elements they move, with no branches in the loop.
+    elements.  The product table, built once, maps (i, j) to the index of
+    ball[i]*ball[j] in the sorted ball(2 * radius): the table's own products,
+    held to `caps.ball_size` row by row.  `atoms` are the inverse pairs of
+    the ball without the identity, an involution forming a 1-element atom,
+    in ball order.  `counts[k]` is the number of ordered pairs of S whose
+    product is element k, and S has a unique product iff some count is 1.
+    `add` and `remove` touch only the products of the elements they move,
+    with no branches in the loop.
 
     `move(out, into)` swaps one atom of S for one outside it and returns the
     change in `unique_count()` without rescanning the counts: a touched
@@ -259,11 +260,11 @@ class ProductCensus:
     `rose[c]` hold that change for a count that has just fallen or risen
     to c.
 
-    `reach[i]` is a bit mask over product indices: bit k is set iff some
-    x*y or y*x with x an element of `atoms[i:]` and y anywhere in the ball
-    is element k (`reach[len(atoms)]` is 0).  Putting atoms from `atoms[i:]`
-    into S only raises counts inside `reach[i]`, so a count of 1 outside it
-    is final: no such extension of S loses that unique product.
+    `watch[i]` lists, in increasing order, the product indices that no x*y
+    or y*x forms with x in `atoms[i:]` and y in the ball (`watch[len(atoms)]`
+    is every index).  Putting atoms from `atoms[i:]` into S raises no count
+    in `watch[i]`, so a count of 1 there is final: no such extension of S
+    loses that unique product.
     `ways(top)` counts the subsets of `atoms[i:]` by their number of
     elements, so the search can count a subtree it cuts without visiting it.
     """
@@ -276,12 +277,19 @@ class ProductCensus:
         caps: Caps = DEFAULT_CAPS,
     ):
         self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
-        big = sorted(group.ball(2 * radius, gens, caps.with_overrides(radius=2 * radius)), key=group.sort_key)
-        # payloads are canonical, so the tables are built on them directly
-        index = {e.payload: i for i, e in enumerate(big)}
+        # payloads are canonical; the products, ball(2r), are numbered as they turn up
         payloads = [e.payload for e in self.ball]
         mul = group._mul
-        self.rows = [[index[mul(x, y)] for y in payloads] for x in payloads]
+        first: dict = {}
+        rows = []
+        for x in payloads:
+            rows.append([first.setdefault(mul(x, y), len(first)) for y in payloads])
+            if len(first) > caps.ball_size:
+                raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
+        big = sorted((GroupElement(group, p) for p in first), key=group.sort_key)
+        index = {e.payload: i for i, e in enumerate(big)}
+        order = [index[p] for p in first]
+        self.rows = [[order[k] for k in row] for row in rows]
         self.cols = [list(col) for col in zip(*self.rows)]
         position = {p: i for i, p in enumerate(payloads)}
         self.identity = position[group._one]
@@ -293,14 +301,12 @@ class ProductCensus:
             j = position[group._inv(p)]
             used.update((i, j))
             self.atoms.append((i,) if i == j else (i, j))
-        self.reach = [0] * (len(self.atoms) + 1)
-        for i in range(len(self.atoms) - 1, -1, -1):
-            mask = self.reach[i + 1]
-            for x in self.atoms[i]:
-                for k in {*self.rows[x], *self.cols[x]}:
-                    mask |= 1 << k
-            self.reach[i] = mask
-        self.counts = [0] * len(big)
+        formed: set[int] = set()
+        self.watch = [tuple(range(len(first)))]
+        for atom in reversed(self.atoms):
+            formed.update(*(self.rows[x] for x in atom), *(self.cols[x] for x in atom))
+            self.watch.insert(0, tuple(k for k in self.watch[0] if k not in formed))
+        self.counts = [0] * len(first)
         self.members: list[int] = []
         # no count exceeds |S| <= len(ball)
         self.fell = (-1, 1) + (0,) * len(self.ball)
@@ -401,7 +407,7 @@ def search_nonup_witness(
     found is re-verified with an independent naive census.
 
     The depth-first walk cuts a node whose remaining atoms are `atoms[i:]`
-    when S*S already has a product of count 1 outside `census.reach[i]`:
+    when S*S already has a product of count 1 in `census.watch[i]`:
     no completion changes that count, so no subset below is a witness.  The
     cut subtree still counts in `subsets_tested`, as `ways[i][left]`
     subsets (`ProductCensus.ways`), so the count, the exhausted sizes and
@@ -414,10 +420,7 @@ def search_nonup_witness(
     atoms = census.atoms
     n = len(atoms)
     ways = census.ways(max(maxsize, 0))
-    # watch[i]: the products outside reach[i], whose counts are final at a
-    # node whose remaining atoms are atoms[i:]
-    watch = [tuple(k for k in range(len(census.counts)) if not mask >> k & 1) for mask in census.reach]
-    add, remove = census.add, census.remove
+    add, remove, watch = census.add, census.remove, census.watch
 
     tested = 0
     nodes = 0

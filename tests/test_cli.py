@@ -115,6 +115,20 @@ def test_solve_finite_stops_at_max_degree():
     assert report["result"]["degrees_capped"] == []
 
 
+@pytest.mark.parametrize(
+    "args, script, message",
+    [
+        ({}, "group C = cyclic(13)\neq E over C: a t = 1\n", "|G| = 13 exceeds max_degree 12: no degree to search"),
+        ({"max_degree": 2}, FIN_SCRIPT, "|G| = 3 exceeds max_degree 2: no degree to search"),
+    ],
+    ids=["c13-default-cap", "c3-max-degree-2"],
+)
+def test_solve_finite_with_no_degree_in_range_is_an_error(args, script, message):
+    report, code = run("solve-finite", args, script)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {"type": "CapExceededError", "message": message}
+
+
 def test_corollary_command():
     report, code = run("corollary-precheck", {}, MV_SCRIPT)
     assert code == 0
@@ -161,6 +175,33 @@ def test_round_trip_verify(tmp_path):
     tampered["result"] = dict(report["result"], unique_count=99)
     path.write_text(canonical_json(tampered))
     assert main(["verify", str(path)]) == 1
+
+
+SINGLETON_Y_SCRIPT = "group Z = zn(1)\nset X in Z: 0, 1\nset Y in Z: 0\n"
+
+
+@pytest.mark.parametrize(
+    "command, args, script, message",
+    [
+        ("strong-up", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the strong UP property needs |Y| >= 2"),
+        ("strojnowski", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the Strojnowski bound needs nonsingleton subsets"),
+        ("search-nonup", {"radius": -1}, "group C = cyclic(3)\n", "radius must be nonnegative"),
+        ("normal-form-6", {"split": "x|y"}, EQ_SCRIPT, "invalid literal for int() with base 10: 'x'"),
+        ("conjugate-family", {"cosets": "zz"}, GEQ_SCRIPT, "bad vector literal 'zz'"),
+    ],
+    ids=["strong-up-singleton-y", "strojnowski-singleton", "search-nonup-negative-radius",
+         "normal-form-6-bad-split", "conjugate-family-bad-cosets"],
+)
+def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, args, script, message):
+    # the library rejects the input with ValueError; the CLI reports it with
+    # exit 2, not a traceback with exit 1 ("falsified")
+    report, code = run(command, args, script)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {"type": "ValueError", "message": message}
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report) + "\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
 
 
 def test_main_end_to_end(tmp_path, capsys):

@@ -9,7 +9,7 @@ from groupeq.backends import PermutationGroup, cyclic_group, klein_four_group, t
 from groupeq.config import DEFAULT_CAPS
 from groupeq.dsl import parse_script
 from groupeq.equations import Equation
-from groupeq.errors import CertificateError
+from groupeq.errors import CapExceededError, CertificateError
 from groupeq.finite_solver import (
     SolutionCertificate,
     SolverReport,
@@ -191,6 +191,12 @@ def _solver_cases(draw):
 @given(_solver_cases())
 def test_solver_matches_plain_enumerator(case):
     e, max_degree, caps = case
+    n = len(e.group.elements())
+    if max_degree < n:
+        # an empty degree range tests nothing, and says so
+        with pytest.raises(CapExceededError, match=rf"^\|G\| = {n} exceeds max_degree {max_degree}: "):
+            solve_over_finite(e, max_degree=max_degree, caps=caps)
+        return
     rep = solve_over_finite(e, max_degree=max_degree, caps=caps)
     assert rep == _reference_solve(e, max_degree, caps)
     if rep.found:

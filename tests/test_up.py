@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from groupeq import up
 from groupeq.backends import FoursGroup, FreeAbelianGroup, PermutationGroup, cyclic_group, klein_four_group
 from groupeq.config import DEFAULT_CAPS
+from groupeq.errors import CapExceededError
 from groupeq.up import (
     ProductCensus,
     WitnessSearchResult,
@@ -440,16 +441,18 @@ def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
     assert res == _reference_search(group, radius, 8, g)
 
 
-@pytest.mark.parametrize(
-    "name, n, radius",
-    [("klein", 0, 1), ("cyclic", 7, 3), ("cyclic", 23, 2), ("perm3", 0, 2), ("zn2", 0, 2), ("fours", 0, 2)],
-)
-def test_reach_is_every_product_touching_the_remaining_atoms(name, n, radius):
+_CENSUS_CASES = [
+    ("klein", 0, 1), ("cyclic", 7, 3), ("cyclic", 23, 2), ("perm3", 0, 2), ("zn2", 0, 2), ("fours", 0, 2),
+]
+
+
+@pytest.mark.parametrize("name, n, radius", _CENSUS_CASES)
+def test_watch_is_every_product_no_remaining_atom_forms(name, n, radius):
     group = _search_group(name, n)
     census = ProductCensus(group, radius)
     big = sorted(group.ball(2 * radius), key=group.sort_key)
     ball, atoms = census.ball, census.atoms
-    assert len(census.reach) == len(atoms) + 1
+    assert len(census.watch) == len(atoms) + 1
     for i in range(len(atoms) + 1):
         formed = {
             big.index(p)
@@ -458,7 +461,40 @@ def test_reach_is_every_product_touching_the_remaining_atoms(name, n, radius):
             for y in ball
             for p in (ball[x] * y, y * ball[x])
         }
-        assert {k for k in range(len(big)) if census.reach[i] >> k & 1} == formed
+        assert census.watch[i] == tuple(k for k in range(len(big)) if k not in formed)
+
+
+def _table_cases():
+    cases = [(_search_group(name, n), radius, None) for name, n, radius in _CENSUS_CASES]
+    fours = _search_group("fours")
+    cases.append((fours, 2, [fours.parse_element(w) for w in ("a", "b", "a b")]))
+    c23 = _search_group("cyclic", 23)
+    cases.append((c23, 2, [c23.element(12), c23.element(6)]))
+    return cases
+
+
+@pytest.mark.parametrize("group, radius, gens", _table_cases())
+def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
+    # the census reads ball(2r) off its own table: the same elements, in the
+    # same order, as the BFS to radius 2r
+    census = ProductCensus(group, radius, gens)
+    big = sorted(group.ball(2 * radius, gens), key=group.sort_key)
+    ball = census.ball
+    assert len(census.counts) == len(big)
+    for i, x in enumerate(ball):
+        for j, y in enumerate(ball):
+            assert big[census.rows[i][j]] == x * y
+            assert census.cols[j][i] == census.rows[i][j]
+
+
+def test_product_ball_size_cap_has_the_double_ball_boundary():
+    # |ball(4)| = 83 in the fours group: the cap on the products fires one
+    # element below it, with the BFS's message
+    group = FoursGroup()
+    assert len(group.ball(4)) == 83
+    with pytest.raises(CapExceededError, match=r"^ball size exceeds cap 82$"):
+        ProductCensus(group, 2, caps=DEFAULT_CAPS.with_overrides(ball_size=82))
+    assert len(ProductCensus(group, 2, caps=DEFAULT_CAPS.with_overrides(ball_size=83)).counts) == 83
 
 
 @pytest.mark.parametrize("name, n, radius", [("klein", 0, 1), ("cyclic", 9, 4), ("perm3", 0, 2), ("zn2", 0, 2)])
