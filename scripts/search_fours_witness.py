@@ -8,7 +8,9 @@ A command-line front end to `groupeq.up.search_nonup_witness` and
               S = S^-1 restriction and anneals over arbitrary subsets
 
 The fours group is torsion-free, so a symmetric set without the identity
-has even size; the symmetric anneal rejects an odd --max-size.
+has even size; the symmetric anneal rejects an odd --max-size.  Bad input,
+such as a negative --radius or a size the ball cannot fill, exits 2 with
+the library's message; exit 1 means no witness was found.
 
 The exhaustive symmetric run at radius 3 finishes in under a second and
 proves there is no symmetric witness of size <= 14 in that ball.  Witnesses do
@@ -25,6 +27,7 @@ import time
 
 from groupeq.backends import FoursGroup
 from groupeq.config import DEFAULT_CAPS
+from groupeq.errors import GroupEqError
 from groupeq.up import anneal_nonup_witness, search_nonup_witness, up_check
 
 
@@ -51,20 +54,23 @@ def main() -> int:
         a, b = group.generators()
         gens = [a, b, a * b]
     start = time.monotonic()
-    if args.strategy == "exhaustive":
-        caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=2 * args.radius)
-        res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
-        print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.1f}s")
-        print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
-    else:
-        caps = DEFAULT_CAPS.with_overrides(
-            budget_ms=args.budget_ms, radius=2 * args.radius, ball_size=10 ** 6)
-        res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed,
-                                   gens=gens, symmetric=symmetric, caps=caps)
-        print(f"ball({args.radius}): {res.ball_size} elements, {res.atom_count} atoms, "
-              f"{'symmetric' if symmetric else 'asymmetric'} mode")
-        print(f"{res.restarts} restarts in {time.monotonic()-start:.1f}s; "
-              f"best unique-count {res.best_unique_count}")
+    try:
+        if args.strategy == "exhaustive":
+            caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=2 * args.radius)
+            res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
+            print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.1f}s")
+            print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
+        else:
+            caps = DEFAULT_CAPS.with_overrides(
+                budget_ms=args.budget_ms, radius=2 * args.radius, ball_size=10 ** 6)
+            res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed,
+                                       gens=gens, symmetric=symmetric, caps=caps)
+            print(f"ball({args.radius}): {res.ball_size} elements, {res.atom_count} atoms, "
+                  f"{'symmetric' if symmetric else 'asymmetric'} mode")
+            print(f"{res.restarts} restarts in {time.monotonic()-start:.1f}s; "
+                  f"best unique-count {res.best_unique_count}")
+    except (ValueError, GroupEqError) as exc:
+        ap.error(str(exc))
 
     witness = res.witness
     if witness is None:

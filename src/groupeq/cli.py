@@ -78,8 +78,11 @@ def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:
     if spec is None:
         return eqmod.Split.of(e.group, [0])
     hs, _, ks = spec.partition("|")
-    h = [int(v) for v in hs.replace(",", " ").split()] if hs.strip() else []
-    k = [int(v) for v in ks.replace(",", " ").split()] if ks.strip() else None
+    try:
+        h = [int(v) for v in hs.replace(",", " ").split()]
+        k = [int(v) for v in ks.replace(",", " ").split()] if ks.strip() else None
+    except ValueError:
+        raise GroupEqError(f"--split needs factor indices in the form H|K, e.g. 0|1, not {spec!r}") from None
     return eqmod.Split.of(e.group, h, k)
 
 

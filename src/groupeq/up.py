@@ -260,10 +260,12 @@ class ProductCensus:
     `rose[c]` hold that change for a count that has just fallen or risen
     to c.
 
-    `watch[i]` lists, in increasing order, the product indices that no x*y
-    or y*x forms with x in `atoms[i:]` and y in the ball (`watch[len(atoms)]`
-    is every index).  Putting atoms from `atoms[i:]` into S raises no count
-    in `watch[i]`, so a count of 1 there is final: no such extension of S
+    `settled` files each product index once, in increasing order within a
+    list, under the last atom that forms it as x*y or y*x with y in the
+    ball: `settled[i]`, for i >= 1, lists the products `atoms[i - 1]` forms
+    and no later atom does, and `settled[0]` those no atom forms.  Putting
+    atoms from `atoms[i:]` into S raises no count in `settled[0]` through
+    `settled[i]`, so a count of 1 there is final: no such extension of S
     loses that unique product.
     `ways(top)` counts the subsets of `atoms[i:]` by their number of
     elements, so the search can count a subtree it cuts without visiting it.
@@ -301,11 +303,12 @@ class ProductCensus:
             j = position[group._inv(p)]
             used.update((i, j))
             self.atoms.append((i,) if i == j else (i, j))
-        formed: set[int] = set()
-        self.watch = [tuple(range(len(first)))]
-        for atom in reversed(self.atoms):
-            formed.update(*(self.rows[x] for x in atom), *(self.cols[x] for x in atom))
-            self.watch.insert(0, tuple(k for k in self.watch[0] if k not in formed))
+        last = dict.fromkeys(range(len(first)), 0)  # product -> 1 + last atom forming it
+        for i, atom in enumerate(self.atoms, 1):
+            last.update((k, i) for x in atom for k in self.rows[x] + self.cols[x])
+        self.settled: list[list[int]] = [[] for _ in range(len(self.atoms) + 1)]
+        for k, i in last.items():
+            self.settled[i].append(k)
         self.counts = [0] * len(first)
         self.members: list[int] = []
         # no count exceeds |S| <= len(ball)
@@ -406,13 +409,15 @@ def search_nonup_witness(
     of the atom list, so the first witness is deterministic.  Any witness
     found is re-verified with an independent naive census.
 
-    The depth-first walk cuts a node whose remaining atoms are `atoms[i:]`
-    when S*S already has a product of count 1 in `census.watch[i]`:
-    no completion changes that count, so no subset below is a witness.  The
-    cut subtree still counts in `subsets_tested`, as `ways[i][left]`
-    subsets (`ProductCensus.ways`), so the count, the exhausted sizes and
-    the first witness are those of visiting every subset in order.  The
-    wall-clock budget is checked every 2048 nodes.
+    Each step of the depth-first walk, before it tries atom j, reads the
+    counts of `census.settled[j]`: the lower lists were read earlier with
+    the same counts, and no atom of `atoms[j:]` touches any of them, so a
+    count of 1 there means no subset still to come in this loop is a
+    witness, and the loop ends.  The subsets it cuts still count in
+    `subsets_tested`, as `ways[j][left]` (`ProductCensus.ways`), so the
+    count, the exhausted sizes and the first witness are those of visiting
+    every subset in order.  The wall-clock budget is checked every 2048
+    nodes.
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
@@ -420,7 +425,7 @@ def search_nonup_witness(
     atoms = census.atoms
     n = len(atoms)
     ways = census.ways(max(maxsize, 0))
-    add, remove, watch = census.add, census.remove, census.watch
+    add, remove, settled = census.add, census.remove, census.settled
 
     tested = 0
     nodes = 0
@@ -436,7 +441,8 @@ def search_nonup_witness(
         the deadline passed."""
         nonlocal tested, nodes
         for j in range(first, n):
-            if not ways[j][left]:
+            if not ways[j][left] or 1 in map(counts.__getitem__, settled[j]):
+                tested += ways[j][left]
                 return False
             atom = atoms[j]
             rest = left - len(atom)
@@ -450,8 +456,6 @@ def search_nonup_witness(
                 tested += 1
                 if 1 not in counts:
                     return True
-            elif 1 in map(counts.__getitem__, watch[j + 1]):
-                tested += ways[j + 1][rest]
             else:
                 found = walk(j + 1, rest)
                 if found is not False:
@@ -516,7 +520,8 @@ def anneal_nonup_witness(
     rejects it.  Restarts continue until a witness turns up or
     `caps.budget_ms` runs out.  The run is deterministic for a given seed
     up to that deadline, and any witness is re-verified with an
-    independent naive census.
+    independent naive census.  A size that asks for no atom, or for more
+    atoms than the ball has, is a ValueError.
     """
     rng = random.Random(seed)
     census = ProductCensus(group, radius, gens, caps)
@@ -526,6 +531,11 @@ def anneal_nonup_witness(
     else:
         atoms = [(i,) for i in range(len(census.ball))]
         slots = size
+    if not 1 <= slots <= len(atoms):
+        raise ValueError(
+            f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to "
+            f"{len(atoms)} (ball({radius}) has {len(atoms)} atoms)"
+        )
 
     deadline = time.monotonic() + caps.budget_ms / 1000.0
     best: Optional[int] = None

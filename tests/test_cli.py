@@ -186,11 +186,10 @@ SINGLETON_Y_SCRIPT = "group Z = zn(1)\nset X in Z: 0, 1\nset Y in Z: 0\n"
         ("strong-up", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the strong UP property needs |Y| >= 2"),
         ("strojnowski", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the Strojnowski bound needs nonsingleton subsets"),
         ("search-nonup", {"radius": -1}, "group C = cyclic(3)\n", "radius must be nonnegative"),
-        ("normal-form-6", {"split": "x|y"}, EQ_SCRIPT, "invalid literal for int() with base 10: 'x'"),
         ("conjugate-family", {"cosets": "zz"}, GEQ_SCRIPT, "bad vector literal 'zz'"),
     ],
     ids=["strong-up-singleton-y", "strojnowski-singleton", "search-nonup-negative-radius",
-         "normal-form-6-bad-split", "conjugate-family-bad-cosets"],
+         "conjugate-family-bad-cosets"],
 )
 def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, args, script, message):
     # the library rejects the input with ValueError; the CLI reports it with
@@ -198,6 +197,21 @@ def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, arg
     report, code = run(command, args, script)
     assert code == 2 and report["status"] == "error"
     assert report["error"] == {"type": "ValueError", "message": message}
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report) + "\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+@pytest.mark.parametrize("split", ["x|y", "0|y"])
+def test_a_bad_split_names_the_flag_and_its_form(tmp_path, capsys, split):
+    # a split that is not factor indices is an error report naming the flag
+    report, code = run("normal-form-6", {"split": split}, EQ_SCRIPT)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {
+        "type": "GroupEqError",
+        "message": f"--split needs factor indices in the form H|K, e.g. 0|1, not {split!r}",
+    }
     path = tmp_path / "report.json"
     path.write_text(canonical_json(report) + "\n")
     assert main(["verify", str(path)]) == 0

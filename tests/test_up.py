@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupeq import up
-from groupeq.backends import FoursGroup, FreeAbelianGroup, PermutationGroup, cyclic_group, klein_four_group
+from groupeq.backends import FoursGroup, FreeAbelianGroup, FreeGroup, PermutationGroup, cyclic_group, klein_four_group
 from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError
 from groupeq.up import (
@@ -343,17 +343,53 @@ def test_anneal_on_klein_finds_verified_witness(klein, symmetric, size):
         assert {~x for x in res.witness} == set(res.witness)
 
 
-def test_witness_script_rejects_odd_symmetric_anneal():
+def _run_witness_script(*args):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "search_fours_witness.py"),
-         "--strategy", "anneal", "--max-size", "13"],
+    return subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "search_fours_witness.py"), *args],
         env=env, capture_output=True, text=True,
     )
+
+
+def test_witness_script_rejects_odd_symmetric_anneal():
+    proc = _run_witness_script("--strategy", "anneal", "--max-size", "13")
     assert proc.returncode == 2
     assert "even --max-size" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("--radius", "-1"), "radius must be nonnegative"),
+        (("--strategy", "anneal", "--radius", "1", "--max-size", "20"),
+         "anneal size 20 needs 10 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
+        (("--strategy", "anneal", "--radius", "1", "--max-size", "0"),
+         "anneal size 0 needs 0 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
+    ],
+    ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero"],
+)
+def test_witness_script_reports_bad_input_with_exit_2(args, message):
+    # exit 1 is the "no witness" outcome; bad input is a usage error, with
+    # the library's message and no traceback
+    proc = _run_witness_script(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1] == f"search_fours_witness.py: error: {message}"
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("symmetric, size, slots", [(True, 0, 0), (True, 1, 0), (True, 8, 4), (False, 0, 0), (False, 5, 5)])
+def test_anneal_rejects_a_size_the_ball_cannot_fill(monkeypatch, symmetric, size, slots):
+    # Klein ball(1) has 3 atoms and 4 elements; the check comes before any
+    # random draw
+    monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
+    atoms = 3 if symmetric else 4
+    message = f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to {atoms} (ball(1) has {atoms} atoms)"
+    with pytest.raises(ValueError) as info:
+        anneal_nonup_witness(klein_four_group(), 1, size, seed=3, symmetric=symmetric)
+    assert str(info.value) == message
+    assert _RecordingRandom.last.random() == random.Random(3).random()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +428,7 @@ def _search_group(name, n=0):
         "perm3": lambda: PermutationGroup(3),
         "zn2": lambda: FreeAbelianGroup(2),
         "fours": FoursGroup,
+        "free": lambda: FreeGroup(("a", "b")),
     }[name]()
 
 
@@ -405,7 +442,7 @@ def _gen_pool(name, n=0):
 
 @st.composite
 def _search_inputs(draw):
-    name = draw(st.sampled_from(["cyclic", "klein", "perm3", "zn2", "fours"]))
+    name = draw(st.sampled_from(["cyclic", "klein", "perm3", "zn2", "fours", "free"]))
     n = draw(st.integers(min_value=2, max_value=25)) if name == "cyclic" else 0
     group = _search_group(name, n)
     gens = None
@@ -413,7 +450,8 @@ def _search_inputs(draw):
         pool = _gen_pool(name, n)
         picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
         gens = [pool[i] for i in picks]
-    radius = 2 if name == "fours" else draw(st.integers(min_value=0, max_value=3))
+    low, high = {"fours": (2, 2), "free": (1, 2)}.get(name, (0, 3))
+    radius = draw(st.integers(min_value=low, max_value=high))
     maxsize = draw(st.integers(min_value=0, max_value=6 if name == "fours" else 8))
     return group, radius, maxsize, gens
 
@@ -447,12 +485,13 @@ _CENSUS_CASES = [
 
 
 @pytest.mark.parametrize("name, n, radius", _CENSUS_CASES)
-def test_watch_is_every_product_no_remaining_atom_forms(name, n, radius):
+def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radius):
     group = _search_group(name, n)
     census = ProductCensus(group, radius)
     big = sorted(group.ball(2 * radius), key=group.sort_key)
-    ball, atoms = census.ball, census.atoms
-    assert len(census.watch) == len(atoms) + 1
+    ball, atoms, settled = census.ball, census.atoms, census.settled
+    assert len(settled) == len(atoms) + 1
+    assert sorted(k for part in settled for k in part) == list(range(len(big)))
     for i in range(len(atoms) + 1):
         formed = {
             big.index(p)
@@ -461,7 +500,14 @@ def test_watch_is_every_product_no_remaining_atom_forms(name, n, radius):
             for y in ball
             for p in (ball[x] * y, y * ball[x])
         }
-        assert census.watch[i] == tuple(k for k in range(len(big)) if k not in formed)
+        assert sorted(k for part in settled[:i + 1] for k in part) == [k for k in range(len(big)) if k not in formed]
+        assert settled[i] == sorted(settled[i])
+
+
+def test_settled_holds_each_free_radius_5_product_once():
+    census = ProductCensus(FreeGroup(("a", "b")), 5, caps=DEFAULT_CAPS.with_overrides(radius=10))
+    assert (len(census.atoms), len(census.counts)) == (242, 118_097)
+    assert sum(map(len, census.settled)) == 118_097
 
 
 def _table_cases():
@@ -536,6 +582,18 @@ class _StepClock:
     def monotonic(self):
         self.readings += 1
         return 1e9 if self.jump is not None and self.readings >= self.jump else 0.0
+
+
+def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
+    # the cut's strength, which no result shows: the atoms the walk adds,
+    # one per visited node, plus the identity once per size
+    calls = []
+    add = ProductCensus.add
+    monkeypatch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
+    caps = DEFAULT_CAPS.with_overrides(radius=6)
+    res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
+    assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
+    assert len(calls) == 21_803
 
 
 def test_deadline_inside_a_size_truncates_it(monkeypatch):
