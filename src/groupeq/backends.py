@@ -1062,22 +1062,29 @@ class FoursGroup(Group):
             return "1"
         return " ".join(nm if e == 1 else f"{nm}^{e}" for nm, e in stack)
 
+    def _power(self, x: tuple, k: int) -> tuple:
+        """x^k in closed form.  x = (D, v) squares to the translation (1, u)
+        with u = Dv + v, so x^(2m) = (1, m u) and x^(2m+1) = (D, v + m u)."""
+        d, v = x
+        m, odd = divmod(k, 2)
+        mu = (m * (d[0] * v[0] + v[0]), m * (d[1] * v[1] + v[1]), m * (d[2] * v[2] + v[2]))
+        if odd:
+            return d, (v[0] + mu[0], v[1] + mu[1], v[2] + mu[2])
+        return self._one[0], mu
+
     def parse_element(self, text: str) -> GroupElement:
-        text = text.strip()
-        if text == "1":
+        if text.strip() == "1":
             return self.identity()
-        cur = self.identity()
-        table = {"a": self.a(), "b": self.b()}
+        cur = self._one
+        table = {"a": self.A_PAYLOAD, "b": self.B_PAYLOAD}
         try:
             for tok in text.split():
-                if "^" in tok:
-                    nm, _, exp = tok.partition("^")
-                    cur = cur * table[nm] ** int(exp)
-                else:
-                    cur = cur * table[tok]
+                nm, caret, exp = tok.partition("^")
+                x = table[nm]
+                cur = self._mul(cur, self._power(x, int(exp)) if caret else x)
         except KeyError as exc:
             raise ValueError(f"unknown generator {exc.args[0]!r}") from exc
-        return cur
+        return GroupElement(self, cur)
 
     @cached_property
     def presentation(self) -> Presentation:

@@ -217,19 +217,23 @@ def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
 
 def _run_up_check(sess: Session, args: dict, caps: Caps):
     rep = upmod.up_check(*_named_sets(sess, args["sets"], 2))
-    # the census repeats every factor; each element is formatted once
+    # the census repeats every factor; each element is formatted once, under
+    # its payload (all of them are in one group)
     names: dict = {}
     for e in (*rep.x, *rep.y, *(v for v, _ in rep.products)):
-        if e not in names:
-            names[e] = fmt_elem(e)
+        if e.payload not in names:
+            names[e.payload] = fmt_elem(e)
     return {
         "x_size": len(rep.x),
         "y_size": len(rep.y),
-        "unique_elements": [names[v] for v in rep.unique_elements],
+        "unique_elements": [names[v.payload] for v in rep.unique_elements],
         "unique_count": rep.unique_count,
         "distinct_y_count": rep.distinct_y_count(),
         "total_factorizations": rep.total_factorizations,
-        "census": [[names[v], [[names[x], names[y]] for x, y in pairs]] for v, pairs in rep.products],
+        "census": [
+            [names[v.payload], [[names[x.payload], names[y.payload]] for x, y in pairs]]
+            for v, pairs in rep.products
+        ],
     }, not rep.has_unique_product
 
 
@@ -364,14 +368,15 @@ COMMANDS = {
 
 def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict, int]:
     """Parse the script, dispatch under `caps` with the command's cap flags
-    on top, and build the structured report."""
-    caps = caps.with_overrides(
-        radius=args.get("radius"),
-        window=args.get("window"),
-        max_degree=args.get("max_degree"),
-        budget_ms=args.get("budget_ms"),
-    )
+    on top, and build the structured report.  A negative cap flag is a
+    ValueError, and so an error report."""
     try:
+        caps = caps.with_overrides(
+            radius=args.get("radius"),
+            window=args.get("window"),
+            max_degree=args.get("max_degree"),
+            budget_ms=args.get("budget_ms"),
+        )
         result, falsified = COMMANDS[command][0](parse_script(script, caps), args, caps)
         return make_report(command, args, script, "falsified" if falsified else "ok", result), 1 if falsified else 0
     except ParseError as exc:

@@ -28,7 +28,12 @@ class Caps:
     budget_ms: int = 600_000      # wall-clock budget for witness search
 
     def with_overrides(self, **kw) -> "Caps":
+        """These caps with the given ones replaced; None leaves a cap as it
+        is, and a negative cap is a ValueError naming it."""
         kw = {k: v for k, v in kw.items() if v is not None}
+        for key, value in kw.items():
+            if value < 0:
+                raise ValueError(f"{key} must be nonnegative")
         return replace(self, **kw) if kw else self
 
 
@@ -38,8 +43,9 @@ CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
 
 
 def check_caps(data, where: str) -> dict:
-    """`data` when it is a JSON object mapping cap names to integers; for
-    anything else a ConfigError naming `where` (a config file or a report)."""
+    """`data` when it is a JSON object mapping cap names to nonnegative
+    integers; for anything else a ConfigError naming `where` (a config file
+    or a report)."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must hold a JSON object")
     unknown = sorted(set(data) - {f.name for f in fields(Caps)})
@@ -48,6 +54,8 @@ def check_caps(data, where: str) -> dict:
     for key, value in data.items():
         if type(value) is not int:
             raise ConfigError(f"cap {key!r} in {where} needs an integer, got {value!r}")
+        if value < 0:
+            raise ConfigError(f"cap {key!r} in {where} must be nonnegative, got {value}")
     return data
 
 

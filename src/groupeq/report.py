@@ -46,23 +46,29 @@ def render_text(report: dict) -> str:
     if "error" in report:
         err = report["error"]
         lines.append(f"error: {err.get('type', 'Error')}: {err.get('message', '')}")
-        return "\n".join(lines) + "\n"
-    lines.extend(_render_value("result", report["result"], 0))
+    else:
+        _render_into(lines, "result", report["result"], "")
     return "\n".join(lines) + "\n"
 
 
-def _render_value(key: str, value, depth: int) -> list[str]:
-    pad = "  " * depth
+def _render_into(lines: list[str], key: str, value: Any, pad: str) -> None:
+    """Append the lines of `key: value` at indent `pad`: a dict or a list
+    holding a dict or a list opens a block of its entries, a list of scalars
+    is one bracketed line, and a scalar is one line."""
     if isinstance(value, dict):
-        out = [f"{pad}{key}:"]
-        for k in value:
-            out.extend(_render_value(k, value[k], depth + 1))
-        return out
-    if isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
-            return [f"{pad}{key}: [" + ", ".join(str(v) for v in value) + "]"]
-        out = [f"{pad}{key}:"]
-        for i, v in enumerate(value):
-            out.extend(_render_value(f"- {i}", v, depth + 1))
-        return out
-    return [f"{pad}{key}: {value}"]
+        entries = value.items()
+    elif isinstance(value, list):
+        for v in value:
+            if isinstance(v, (dict, list)):
+                break
+        else:
+            lines.append(f"{pad}{key}: [{', '.join(map(str, value))}]")
+            return
+        entries = zip(map("- {}".format, range(len(value))), value)
+    else:
+        lines.append(f"{pad}{key}: {value}")
+        return
+    lines.append(f"{pad}{key}:")
+    pad += "  "
+    for k, v in entries:
+        _render_into(lines, k, v, pad)

@@ -55,21 +55,20 @@ class UPReport:
         return sum(len(pairs) for _, pairs in self.products)
 
     def distinct_y_count(self) -> int:
-        ys = []
-        lookup = dict(self.products)
-        for v in self.unique_elements:
-            (_, yv), = lookup[v]
-            if yv not in ys:
-                ys.append(yv)
-        return len(ys)
+        return len({pairs[0][1] for _, pairs in self.products if len(pairs) == 1})
 
 
-def _census(xs: Sequence[GroupElement], ys: Sequence[GroupElement]) -> dict[GroupElement, list]:
-    """Each product x*y with its factor pairs, in the order of xs, then ys."""
-    census: dict[GroupElement, list] = {}
+def _census(group: Group, xs: Sequence[GroupElement], ys: Sequence[GroupElement]) -> dict:
+    """Each product x*y, keyed by its payload, with its factor pairs, in the
+    order of xs, then ys.  Payloads are canonical, so equal keys are equal
+    products; no element is built."""
+    mul = group._mul
+    census: dict = {}
+    yq = [(y, y.payload) for y in ys]
     for x in xs:
-        for y in ys:
-            census.setdefault(x * y, []).append((x, y))
+        p = x.payload
+        for y, q in yq:
+            census.setdefault(mul(p, q), []).append((x, y))
     return census
 
 
@@ -81,9 +80,10 @@ def up_check(X: Iterable[GroupElement], Y: Iterable[GroupElement]) -> UPReport:
     group = xs[0].group
     xt = _as_sorted_set(group, xs, "X")
     yt = _as_sorted_set(group, Y, "Y")
-    census = _census(xt, yt)
+    census = _census(group, xt, yt)
     products = tuple(
-        (v, tuple(census[v])) for v in sorted(census, key=group.sort_key)
+        (v, tuple(census[v.payload]))
+        for v in sorted([GroupElement(group, p) for p in census], key=group.sort_key)
     )
     unique = tuple(v for v, pairs in products if len(pairs) == 1)
     return UPReport(xt, yt, products, unique)
@@ -101,10 +101,11 @@ def strong_up_check(X: Iterable[GroupElement], Y: Iterable[GroupElement]) -> Str
     report = up_check(X, Y)
     if len(report.y) < 2:
         raise ValueError("the strong UP property needs |Y| >= 2")
-    lookup = dict(report.products)
     by_y: dict[GroupElement, tuple[GroupElement, GroupElement]] = {}
-    for v in report.unique_elements:
-        (xv, yv), = lookup[v]
+    for _, pairs in report.products:
+        if len(pairs) != 1:
+            continue
+        (xv, yv), = pairs
         if yv not in by_y:
             by_y[yv] = (xv, yv)
         if len(by_y) >= 2:
@@ -139,22 +140,24 @@ def up4_check(
         raise ValueError("all four subsets must be nonempty")
     group = sets[0][0].group
     a4, b4, c4, d4 = (_as_sorted_set(group, s, nm) for s, nm in zip(sets, "ABCD"))
-    cd = _census(c4, d4).items()
-    counts: dict[GroupElement, list] = {}  # v -> [factorizations, first (ab pairs, cd pairs)]
-    for p, ab_pairs in _census(a4, b4).items():
-        for q, cd_pairs in cd:
-            v = p * q
+    mul = group._mul
+    cd = [(q, pairs, len(pairs)) for q, pairs in _census(group, c4, d4).items()]
+    counts: dict = {}  # payload of v -> [factorizations, first (ab pairs, cd pairs)]
+    for p, ab_pairs in _census(group, a4, b4).items():
+        n = len(ab_pairs)
+        for q, cd_pairs, m in cd:
+            v = mul(p, q)
             entry = counts.get(v)
             if entry is None:
-                counts[v] = [len(ab_pairs) * len(cd_pairs), ab_pairs, cd_pairs]
+                counts[v] = [n * m, ab_pairs, cd_pairs]
             else:
-                entry[0] += len(ab_pairs) * len(cd_pairs)
+                entry[0] += n * m
     total = len(a4) * len(b4) * len(c4) * len(d4)
-    unique = [v for v, entry in counts.items() if entry[0] == 1]
+    unique = [GroupElement(group, v) for v, entry in counts.items() if entry[0] == 1]
     if not unique:
         return UP4Result(False, None, total)
     v = min(unique, key=group.sort_key)
-    _, ((a, b),), ((c, d),) = counts[v]
+    _, ((a, b),), ((c, d),) = counts[v.payload]
     return UP4Result(True, (v, (a, b, c, d)), total)
 
 
@@ -520,7 +523,9 @@ def anneal_nonup_witness(
     rejects it.  Restarts continue until a witness turns up or
     `caps.budget_ms` runs out.  The run is deterministic for a given seed
     up to that deadline, and any witness is re-verified with an
-    independent naive census.  A size that asks for no atom, or for more
+    independent naive census.  A size that takes every atom leaves no step
+    to make: the census of that one set is the answer, after one restart
+    and no random draw.  A size that asks for no atom, or for more
     atoms than the ball has, is a ValueError.
     """
     rng = random.Random(seed)
@@ -536,6 +541,15 @@ def anneal_nonup_witness(
             f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to "
             f"{len(atoms)} (ball({radius}) has {len(atoms)} atoms)"
         )
+
+    if slots == len(atoms):
+        # a set of every atom admits no step, so its one census decides
+        for atom in atoms:
+            census.add(atom)
+        count = census.unique_count()
+        witness = None if count else census.subset()
+        verified = witness is not None and naive_no_unique_product(witness)
+        return AnnealResult(witness, verified, 1, count, len(census.ball), len(atoms))
 
     deadline = time.monotonic() + caps.budget_ms / 1000.0
     best: Optional[int] = None

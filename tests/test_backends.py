@@ -136,6 +136,69 @@ def test_fours_element_needs_three_integer_entries():
     assert g.element((1, 1, 1), (2, 0, 0)) * g.element((1, 1, 1), (-2, 0, 0)) == g.identity()
 
 
+# -- fours literals: each g^k is read in closed form off g's payload; the
+# oracle multiplies k copies of g or of g^-1
+
+
+def _fours_word_by_multiplication(group, word):
+    gens = dict(zip("ab", group.generators()))
+    cur = group.identity()
+    for name, k in word:
+        g = gens[name] if k >= 0 else ~gens[name]
+        for _ in range(abs(k)):
+            cur = cur * g
+    return cur
+
+
+_FOURS_EXPONENTS = [0, 1, -1, 2, -2, 3, -3, 12_345, -12_346, 10_000, -10_001]
+
+
+@pytest.mark.parametrize("k", _FOURS_EXPONENTS)
+def test_fours_literal_power_matches_repeated_multiplication(fours, k):
+    for name in "ab":
+        x = fours.parse_element(f"{name}^{k}")
+        fours._validate(x.payload)
+        assert x == _fours_word_by_multiplication(fours, [(name, k)])
+    word = [("a", k), ("b", -k), ("a", 1), ("b", 0), ("b", k + 1), ("a", -1)]
+    text = " ".join(f"{name}^{e}" for name, e in word)
+    assert fours.parse_element(text) == _fours_word_by_multiplication(fours, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("ab"), st.integers(min_value=-40, max_value=40)), max_size=6),
+       st.booleans())
+def test_fours_literal_words_match_repeated_multiplication(word, bare_ones):
+    # a bare generator reads as exponent 1
+    g = FoursGroup()
+    text = " ".join(name if bare_ones and e == 1 else f"{name}^{e}" for name, e in word)
+    assert g.parse_element(text) == _fours_word_by_multiplication(g, word)
+    assert g.parse_element(g.format_element(g.parse_element(text))) == g.parse_element(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("c", "unknown generator 'c'"),
+        ("a c^2", "unknown generator 'c'"),
+        ("c^x", "unknown generator 'c'"),
+        ("^2", "unknown generator ''"),
+        ("1 a", "unknown generator '1'"),
+        ("a^x", "invalid literal for int() with base 10: 'x'"),
+        ("a b^", "invalid literal for int() with base 10: ''"),
+        ("a^2^3", "invalid literal for int() with base 10: '2^3'"),
+    ],
+)
+def test_fours_literal_errors(fours, text, message):
+    # the generator is looked up before its exponent is read
+    with pytest.raises(ValueError) as info:
+        fours.parse_element(text)
+    assert str(info.value) == message
+
+
+def test_fours_literal_identity(fours):
+    assert fours.parse_element(" 1 ") == fours.parse_element("a^0") == fours.parse_element("") == fours.identity()
+
+
 # -- the fours kernel against 4x4 integer affine matrices, and its words
 # against the generator arithmetic they replaced
 

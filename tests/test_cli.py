@@ -318,8 +318,10 @@ def test_config_missing_env_file_exits_two(tmp_path, capsys, monkeypatch):
         ('{"radius": "3"}', "integer"),
         ('{"radius": true}', "integer"),
         ('{"oracle_m": 4}', "oracle_m"),
+        ('{"budget_ms": -1}', "cap 'budget_ms' in config file"),
     ],
-    ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value", "removed-cap"],
+    ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value", "removed-cap",
+         "negative-value"],
 )
 def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     cfg = tmp_path / "caps.json"
@@ -328,6 +330,30 @@ def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert needle in captured.err
+
+
+@pytest.mark.parametrize("flags, cap", [
+    (("--budget-ms", "-1"), "budget_ms"),
+    (("--radius", "-1"), "radius"),
+])
+def test_a_negative_cap_flag_is_an_error_report(tmp_path, capsys, flags, cap):
+    # the report names the cap, exits 2 (bad input, not "falsified") and
+    # verifies as it stands
+    script = tmp_path / "in.ge"
+    script.write_text("group C = cyclic(3)\n")
+    assert main(["search-nonup", str(script), *flags, "--format", "structured"]) == 2
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["error"] == {"type": "ValueError", "message": f"{cap} must be nonnegative"}
+    path = tmp_path / "report.json"
+    path.write_text(out)
+    assert main(["verify", str(path)]) == 0
+
+
+def test_caps_refuse_a_negative_override():
+    with pytest.raises(ValueError, match="^budget_ms must be nonnegative$"):
+        DEFAULT_CAPS.with_overrides(budget_ms=-1)
 
 
 def _fours_search_with_config(tmp_path, capsys, config, flags=("--radius", "2", "--max-size", "4")):
@@ -399,12 +425,14 @@ def _report(command, args):
         (dict(_report("classify", {}), caps=[1]), "the report's caps must hold a JSON object"),
         (dict(_report("classify", {}), caps={"oracle_n": 8}), "unknown cap(s) in the report's caps: oracle_n"),
         (dict(_report("classify", {}), caps={"radius": "3"}), "needs an integer"),
+        (dict(_report("classify", {}), caps={"window": -2}),
+         "malformed report: cap 'window' in the report's caps must be nonnegative, got -2"),
     ],
     ids=[
         "no-args", "unknown-command", "list-args", "no-script", "not-an-object",
         "string-radius", "int-sets", "bool-radius", "bad-choice", "unknown-arg", "missing-required",
         "removed-flag-radius", "removed-flag-name", "removed-flag-max-len",
-        "caps-not-object", "caps-unknown-key", "caps-string-value",
+        "caps-not-object", "caps-unknown-key", "caps-string-value", "caps-negative-value",
     ],
 )
 def test_verify_malformed_report_exits_two(tmp_path, capsys, report, needle):

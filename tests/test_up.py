@@ -11,7 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupeq import up
-from groupeq.backends import FoursGroup, FreeAbelianGroup, FreeGroup, PermutationGroup, cyclic_group, klein_four_group
+from groupeq.backends import (
+    FoursGroup,
+    FreeAbelianGroup,
+    FreeGroup,
+    FreeProductGroup,
+    PermutationGroup,
+    QuotientFreeAbelianGroup,
+    cyclic_group,
+    klein_four_group,
+)
 from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError
 from groupeq.up import (
@@ -170,6 +179,80 @@ def test_up4_matches_quadruple_census(name, picks):
     # the A*B by C*D count gives the verdict, witness and total of the full census
     pool = _up4_pool(name)
     sets = [[pool[i % len(pool)] for i in idx] for idx in picks]
+    assert up4_check(*sets) == _up4_by_quadruples(*sets)
+
+
+# the census engine, which multiplies payloads, against element arithmetic:
+# each group is built twice, so a set can mix elements of two equal group
+# objects that are not the same object
+_CENSUS_GROUPS = {
+    "fours": FoursGroup,
+    "free": lambda: FreeGroup(("a", "b")),
+    "free-product": lambda: FreeProductGroup((FreeGroup(("a",)), cyclic_group(3))),
+    "klein": klein_four_group,
+    "zn2": lambda: FreeAbelianGroup(2),
+    "zn2/<(2,-1)>": lambda: QuotientFreeAbelianGroup(FreeAbelianGroup(2), (2, -1)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _census_pool(name, copy):
+    group = _CENSUS_GROUPS[name]()
+    return tuple(sorted(group.ball(2), key=group.sort_key))
+
+
+def _census_by_elements(X, Y):
+    """The sorted sets and the census of X*Y, one element product at a time."""
+    group = X[0].group
+    xs, ys = (tuple(sorted(set(s), key=group.sort_key)) for s in (X, Y))
+    census = {}
+    for x in xs:
+        for y in ys:
+            census.setdefault(x * y, []).append((x, y))
+    return xs, ys, tuple((v, tuple(census[v])) for v in sorted(census, key=group.sort_key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_CENSUS_GROUPS)),
+    picks=st.lists(
+        st.lists(st.tuples(st.integers(min_value=0, max_value=10 ** 6), st.booleans()), min_size=1, max_size=5),
+        min_size=4, max_size=4,
+    ),
+)
+def test_census_matches_element_brute_force(name, picks):
+    sets = []
+    for idx in picks:
+        sets.append([_census_pool(name, copy)[i % len(_census_pool(name, copy))] for i, copy in idx])
+    X, Y = sets[0], sets[1]
+    group = X[0].group
+    xs, ys, products = _census_by_elements(X, Y)
+    unique = [(v, pairs[0]) for v, pairs in products if len(pairs) == 1]
+
+    rep = up_check(X, Y)
+    assert (rep.x, rep.y) == (xs, ys)
+    # products in sort-key order, each with its factor pairs in X-then-Y order
+    assert rep.products == products
+    assert all(v.group == group for v, _ in rep.products)
+    assert rep.unique_elements == tuple(v for v, _ in unique)
+    assert rep.distinct_y_count() == len({y for _, (_, y) in unique})
+    assert rep.total_factorizations == len(xs) * len(ys)
+
+    if len(ys) < 2:
+        with pytest.raises(ValueError):
+            strong_up_check(X, Y)
+    else:
+        # the first unique product, and the first after it with another Y-factor
+        first = unique[0][1] if unique else None
+        second = next((p for _, p in unique if p[1] != first[1]), None) if unique else None
+        res = strong_up_check(X, Y)
+        assert res.report == rep
+        if second is None:
+            assert (res.holds, res.witness) == (False, None)
+        else:
+            assert res.holds
+            assert res.witness == tuple(sorted((first, second), key=lambda p: group.sort_key(p[1])))
+
     assert up4_check(*sets) == _up4_by_quadruples(*sets)
 
 
@@ -343,6 +426,37 @@ def test_anneal_on_klein_finds_verified_witness(klein, symmetric, size):
         assert {~x for x in res.witness} == set(res.witness)
 
 
+@pytest.mark.parametrize(
+    "name, size, symmetric, best",
+    [("klein", 6, True, 0), ("klein", 4, False, 0), ("fours", 4, True, 12)],
+)
+def test_anneal_with_every_atom_takes_one_census(monkeypatch, name, size, symmetric, best):
+    # the set holds every atom, so no step can move it: its one census
+    # decides, with no random draw, where the clock would allow three restarts
+    group = klein_four_group() if name == "klein" else FoursGroup()
+    monkeypatch.setattr(up, "time", _StepClock(jump=5))
+    monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
+    res = anneal_nonup_witness(group, 1, size, seed=3, symmetric=symmetric)
+    assert res.restarts == 1 and res.best_unique_count == best
+    assert _RecordingRandom.last.random() == random.Random(3).random()
+    ball = group.ball(1)
+    if best:
+        assert (res.witness, res.verified) == (None, False)
+    else:
+        assert res.verified and naive_no_unique_product(res.witness)
+        assert set(res.witness) == (ball - {group.identity()} if symmetric else ball)
+
+
+def test_witness_script_anneal_with_every_atom_stops_after_one_restart():
+    # ball(1) of the fours group has 2 atoms, and size 4 takes both
+    proc = _run_witness_script("--strategy", "anneal", "--radius", "1", "--max-size", "4")
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "ball(1): 5 elements, 2 atoms, symmetric mode"
+    assert lines[1].startswith("1 restarts in ") and lines[1].endswith("; best unique-count 12")
+    assert lines[2:] == ["no witness found within the caps (honest exhaustion or budget)"]
+
+
 def _run_witness_script(*args):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)
@@ -367,8 +481,11 @@ def test_witness_script_rejects_odd_symmetric_anneal():
          "anneal size 20 needs 10 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
         (("--strategy", "anneal", "--radius", "1", "--max-size", "0"),
          "anneal size 0 needs 0 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
+        (("--budget-ms", "-1"), "budget_ms must be nonnegative"),
+        (("--strategy", "anneal", "--budget-ms", "-1"), "budget_ms must be nonnegative"),
     ],
-    ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero"],
+    ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero", "negative-budget",
+         "anneal-negative-budget"],
 )
 def test_witness_script_reports_bad_input_with_exit_2(args, message):
     # exit 1 is the "no witness" outcome; bad input is a usage error, with
