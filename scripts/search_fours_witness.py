@@ -3,7 +3,11 @@
 
 A command-line front end to `groupeq.up.search_nonup_witness` and
 `groupeq.up.anneal_nonup_witness`.  Strategies:
-  exhaustive  breadth-first over symmetric subset sizes, complete in the ball
+  exhaustive  one depth-first pass over the symmetric subsets of every size
+              up to --max-size, complete in the ball; the first witness by
+              size is the answer.  The pass settles every size together, so
+              a --budget-ms deadline that passes during it reports every
+              size truncated and 0 subsets tested
   anneal      simulated annealing, fixed seed; --no-symmetric drops the
               S = S^-1 restriction and anneals over arbitrary subsets
 
@@ -12,7 +16,7 @@ has even size; the symmetric anneal rejects an odd --max-size.  Bad input,
 such as a negative --radius or a size the ball cannot fill, exits 2 with
 the library's message; exit 1 means no witness was found.
 
-The exhaustive symmetric run at radius 3 finishes in under a second and
+The exhaustive symmetric run at radius 3 finishes in about 0.1 s and
 proves there is no symmetric witness of size <= 14 in that ball.  Witnesses do
 exist asymmetrically at radius 4: seed 17 finds a verified 14-element set
 (two translations, six elements in each of two reflection cosets) after 76

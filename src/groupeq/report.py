@@ -3,7 +3,10 @@
 Reports are deterministic: collections are sorted by canonical forms and no
 timing data enters the structured payload, so a report re-runs to the same
 bytes (the `verify` command relies on this).  Human-readable text is derived
-from the structured form, never the reverse.
+from the structured form, never the reverse, and its lines follow the order
+in which the command builds its result.  `canonical_json` sorts every key,
+so rendering a stored report reorders the lines; a text check renders a
+rebuilt report, not a stored one.
 """
 
 from __future__ import annotations

@@ -271,7 +271,8 @@ class ProductCensus:
     `settled[i]`, so a count of 1 there is final: no such extension of S
     loses that unique product.
     `ways(top)` counts the subsets of `atoms[i:]` by their number of
-    elements, so the search can count a subtree it cuts without visiting it.
+    elements, so the search reads its subset count off it without visiting
+    the subsets it counts.
     """
 
     def __init__(
@@ -320,7 +321,10 @@ class ProductCensus:
 
     def ways(self, top: int) -> list[list[int]]:
         """`ways(top)[i][s]`, for s <= top, is the number of subsets of
-        `atoms[i:]` whose atoms hold s elements in all."""
+        `atoms[i:]` whose atoms hold s elements in all.  `ways[0][s]` totals
+        a whole size; `ways[i][s] - ways[j][s]`, for i <= j, counts the
+        subsets of s elements whose first atom lies in `atoms[i:j]`, which
+        is how the search ranks a witness among the subsets of its size."""
         table = [[1] + [0] * top]
         for atom in reversed(self.atoms):
             below, k = table[-1], len(atom)
@@ -407,89 +411,105 @@ def search_nonup_witness(
     """Search symmetric subsets S = S^-1 of ball(radius) with up to `maxsize`
     elements such that S*S has no uniquely decomposable element.
 
-    Breadth-first over subset size; subsets are unions of atoms (plus
-    optionally the identity), enumerated depth first in lexicographic order
-    of the atom list, so the first witness is deterministic.  Any witness
-    found is re-verified with an independent naive census.
+    Subsets are unions of atoms (plus optionally the identity).  The answer
+    is the first witness by size, then identity-free before identity, then
+    in lexicographic order of the atom list, so it is deterministic.  Any
+    witness found is re-verified with an independent naive census.
 
-    Each step of the depth-first walk, before it tries atom j, reads the
-    counts of `census.settled[j]`: the lower lists were read earlier with
-    the same counts, and no atom of `atoms[j:]` touches any of them, so a
-    count of 1 there means no subset still to come in this loop is a
-    witness, and the loop ends.  The subsets it cuts still count in
-    `subsets_tested`, as `ways[j][left]` (`ProductCensus.ways`), so the
-    count, the exhausted sizes and the first witness are those of visiting
-    every subset in order.  The wall-clock budget is checked every 2048
-    nodes.
+    One depth-first pass per family, identity-free first, loads the subsets
+    in lexicographic order and tests each one it loads, of every size from 2
+    up to a limit.  A witness of z elements lowers the limit to z - 1, for
+    the rest of its pass and for the identity family's, so the last witness
+    found is the answer.  Each node, before it extends the loaded subset by
+    atom j, reads the counts of `census.settled[j]`: the lower lists were
+    read earlier with the same counts, and no atom of `atoms[j:]` touches
+    any of them, so a count of 1 there means no extension by `atoms[j:]`,
+    of any size, is a witness, and the loop ends.
+
+    `subsets_tested` is read off `ProductCensus.ways`: it is what a visit of
+    every subset in the answer's order counts up to the answer.  That is
+    every subset of each size below the witness's (of every size when there
+    is none), then the identity-free subsets of the witness's size if the
+    witness holds the identity, then the witness's 1-based lexicographic
+    rank in its family and size.
+
+    The wall-clock budget is checked before each pass and every 2048 nodes.
+    The passes settle every size together, so a deadline that passes before
+    they end leaves no witness and no exhausted size, lists every size as
+    truncated and reports `subsets_tested` 0.
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
     census = ProductCensus(group, radius, gens, caps)
-    atoms = census.atoms
+    atoms, settled = census.atoms, census.settled
+    add, remove = census.add, census.remove
     n = len(atoms)
-    ways = census.ways(max(maxsize, 0))
-    add, remove, settled = census.add, census.remove, census.settled
-
-    tested = 0
+    sizes = tuple(range(2, maxsize + 1))
+    limit = maxsize
     nodes = 0
-    exhausted: list[int] = []
-    truncated: list[int] = []
+    path: list[int] = []
+    best: Optional[tuple[tuple[int, ...], int]] = None  # (atom path, with identity)
+    # x*x for the first element x of each atom: a count of 1 there rules out
+    # a witness without scanning every count
+    square = [census.rows[atom[0]][atom[0]] for atom in atoms]
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
 
-    def walk(first: int, left: int) -> Optional[bool]:
-        """Extend the loaded subset by atoms[first:] to `left` more elements
-        in every way, in order; True leaves a witness loaded, None means
-        the deadline passed."""
-        nonlocal tested, nodes
+    def walk(first: int) -> bool:
+        """Load and test every extension of the loaded subset by atoms[first:]
+        of at most `limit` elements, in order; False means the deadline
+        passed."""
+        nonlocal limit, nodes, best
+        held = len(members)
         for j in range(first, n):
-            if not ways[j][left] or 1 in map(counts.__getitem__, settled[j]):
-                tested += ways[j][left]
-                return False
+            if held >= limit or 1 in map(counts.__getitem__, settled[j]):
+                return True
             atom = atoms[j]
-            rest = left - len(atom)
-            if rest < 0 or not ways[j + 1][rest]:
+            size = held + len(atom)
+            if size > limit:
                 continue
             nodes += 1
             if not nodes & 2047 and out_of_time():
-                return None
+                return False
             add(atom)
-            if not rest:
-                tested += 1
-                if 1 not in counts:
-                    return True
-            else:
-                found = walk(j + 1, rest)
-                if found is not False:
-                    return found
+            path.append(j)
+            if size >= 2 and counts[square[j]] != 1 and 1 not in counts:
+                best = (tuple(path), with_ident)
+                limit = size - 1
+            elif size < limit and not walk(j + 1):
+                return False
+            path.pop()
             remove(atom)
-        return False
+        return True
 
-    for size in range(2, maxsize + 1):
-        if out_of_time():
-            truncated.append(size)
-            continue
-        found: Optional[bool] = False
-        for with_ident in (False, True):
-            census.clear()
-            counts = census.counts  # read by walk; clear() makes a new list
-            if with_ident:
-                add((census.identity,))
-            found = walk(0, size - (1 if with_ident else 0))
-            if found:
-                witness = census.subset()
-                ok = naive_no_unique_product(witness)
-                return WitnessSearchResult(
-                    witness, ok, tuple(exhausted), tuple(truncated), tested
-                )
-            if found is None:
-                break
-        if found is None:
-            truncated.append(size)
-        else:
-            exhausted.append(size)
-    return WitnessSearchResult(None, False, tuple(exhausted), tuple(truncated), tested)
+    for with_ident in (0, 1):
+        census.clear()
+        counts, members = census.counts, census.members  # read by walk; clear() makes new lists
+        if with_ident:
+            add((census.identity,))
+        if out_of_time() or not walk(0):
+            return WitnessSearchResult(None, False, (), sizes, 0)
+
+    ways = census.ways(max(maxsize, 0))
+
+    def below(top: int) -> int:
+        """The subsets of both families with 2 to top - 1 elements."""
+        return sum(ways[0][s] + ways[0][s - 1] for s in range(2, top))
+
+    if best is None:
+        return WitnessSearchResult(None, False, sizes, (), below(maxsize + 1))
+    chosen, with_ident = best
+    left = sum(len(atoms[j]) for j in chosen)
+    size = left + with_ident
+    tested = below(size) + (ways[0][size] if with_ident else 0) + 1
+    first = 0
+    for j in chosen:  # the subsets before the witness that part from it at j
+        tested += ways[first][left] - ways[j][left]
+        first, left = j + 1, left - len(atoms[j])
+    loaded = [census.identity] * with_ident + [i for j in chosen for i in atoms[j]]
+    witness = tuple(census.ball[i] for i in loaded)
+    return WitnessSearchResult(witness, naive_no_unique_product(witness), sizes[:size - 2], (), tested)
 
 
 @dataclass(frozen=True)

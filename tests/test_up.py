@@ -596,6 +596,126 @@ def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
     assert res == _reference_search(group, radius, 8, g)
 
 
+def _sized_search(group, radius, maxsize, gens=None):
+    """The size-by-size walk the one-pass search replaced: for each size,
+    each family from an empty set, with the settled cut and cut subtrees
+    counted off `ProductCensus.ways`; no deadline."""
+    census = ProductCensus(group, radius, gens)
+    atoms, settled = census.atoms, census.settled
+    n = len(atoms)
+    ways = census.ways(max(maxsize, 0))
+    tested = 0
+    exhausted = []
+
+    def walk(first, left):
+        nonlocal tested
+        for j in range(first, n):
+            if not ways[j][left] or 1 in map(census.counts.__getitem__, settled[j]):
+                tested += ways[j][left]
+                return False
+            atom = atoms[j]
+            rest = left - len(atom)
+            if rest < 0 or not ways[j + 1][rest]:
+                continue
+            census.add(atom)
+            if not rest:
+                tested += 1
+                if 1 not in census.counts:
+                    return True
+            elif walk(j + 1, rest):
+                return True
+            census.remove(atom)
+        return False
+
+    for size in range(2, maxsize + 1):
+        for with_ident in (False, True):
+            census.clear()
+            if with_ident:
+                census.add((census.identity,))
+            if walk(0, size - with_ident):
+                witness = census.subset()
+                return WitnessSearchResult(witness, naive_no_unique_product(witness), tuple(exhausted), (), tested)
+        exhausted.append(size)
+    return WitnessSearchResult(None, False, tuple(exhausted), (), tested)
+
+
+@functools.lru_cache(maxsize=None)
+def _fours_gens_by_shape():
+    """Sets of two or three elements of the fours group's ball(2) minus the
+    identity, keyed by (their number, the inverse pairs of the ball of
+    radius 2 they generate): the shapes of the benchmark's search stream."""
+    group = FoursGroup()
+    elems = [e for e in sorted(group.ball(2), key=group.sort_key) if not e.is_identity]
+    out = {}
+    for count in (2, 3):
+        for gens in itertools.combinations(elems, count):
+            out.setdefault((count, (len(group.ball(2, gens)) - 1) // 2), []).append(gens)
+    return out
+
+
+_STREAM_SHAPES = [(2, 6), (2, 8), (3, 9), (3, 10), (3, 12), (3, 13), (3, 14)]
+
+
+@pytest.mark.parametrize("shape", _STREAM_SHAPES)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_matches_sized_walk_on_fours_stream_shapes(shape, seed):
+    # the one-pass search against the size-by-size walk, past the sizes the
+    # unpruned reference can reach
+    rng = random.Random(f"{shape} {seed}")
+    gens = list(rng.choice(_fours_gens_by_shape()[shape]))
+    maxsize = rng.randint(6, 14)
+    res = search_nonup_witness(FoursGroup(), 2, maxsize, gens)
+    assert res == _sized_search(FoursGroup(), 2, maxsize, gens)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_search_matches_sized_walk_on_fours_radius_3(seed):
+    rng = random.Random(seed)
+    group = FoursGroup()
+    gens = None
+    if seed:
+        pool = [e for e in sorted(group.ball(1), key=group.sort_key) if not e.is_identity]
+        gens = rng.sample(pool, rng.randint(2, 3))
+    maxsize = rng.randint(2, 8)
+    caps = DEFAULT_CAPS.with_overrides(radius=6)
+    res = search_nonup_witness(group, 3, maxsize, gens, caps)
+    assert res == _sized_search(group, 3, maxsize, gens)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_search_matches_sized_walk_on_cyclic_groups(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 60)
+    group = cyclic_group(n)
+    gens = [group.element(k) for k in rng.sample(range(1, n), min(n - 1, rng.randint(1, 3)))]
+    radius, maxsize = rng.randint(2, 3), rng.randint(2, 14)
+    res = search_nonup_witness(group, radius, maxsize, gens)
+    assert res == _sized_search(group, radius, maxsize, gens)
+
+
+@pytest.mark.parametrize(
+    "gens, witness, tested",
+    # gens (1, 5): the identity-free pass meets a 4-element witness first,
+    # and the identity pass then finds the 3-element subgroup
+    [((1, 5), ("1", "a^2", "a^4"), 4), ((1, 2), ("1", "a^3"), 3)],
+)
+def test_search_answers_the_least_size_before_the_first_found(gens, witness, tested):
+    group = cyclic_group(6)
+    g = [group.element(k) for k in gens]
+    res = search_nonup_witness(group, 2, 8, g)
+    assert tuple(str(x) for x in res.witness) == witness and res.verified
+    assert res.subsets_tested == tested and res.sizes_exhausted == tuple(range(2, len(witness)))
+    assert res == _sized_search(group, 2, 8, g)
+
+
+def test_search_reaches_the_size_limit_through_involutions(klein):
+    # a node one element below the limit still extends by a 1-element atom:
+    # {u, v} is the first witness of the Klein group, at maxsize 2
+    res = search_nonup_witness(klein, 1, 2)
+    assert tuple(str(x) for x in res.witness) == ("u", "v") and res.subsets_tested == 1
+    assert res == _sized_search(klein, 1, 2)
+
+
 _CENSUS_CASES = [
     ("klein", 0, 1), ("cyclic", 7, 3), ("cyclic", 23, 2), ("perm3", 0, 2), ("zn2", 0, 2), ("fours", 0, 2),
 ]
@@ -703,33 +823,45 @@ class _StepClock:
 
 def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
     # the cut's strength, which no result shows: the atoms the walk adds,
-    # one per visited node, plus the identity once per size
+    # one per visited node, plus the identity once
     calls = []
     add = ProductCensus.add
     monkeypatch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
     caps = DEFAULT_CAPS.with_overrides(radius=6)
     res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
-    assert len(calls) == 21_803
+    assert len(calls) == 8_467
 
 
-def test_deadline_inside_a_size_truncates_it(monkeypatch):
+def test_deadline_inside_the_walk_truncates_every_size(monkeypatch):
     # the walk reads the clock every 2048 nodes, however many subsets a cut
-    # counts at once, so a deadline passing at its last reading truncates
-    # the size being walked
+    # settles at once, and its passes settle every size together, so a
+    # deadline passing at its last reading truncates every size
     group, caps = FoursGroup(), DEFAULT_CAPS.with_overrides(radius=6)
     clock = _StepClock()
     monkeypatch.setattr(up, "time", clock)
     full = search_nonup_witness(group, 3, 14, caps=caps)
     assert full.subsets_tested == 198_438 and full.sizes_exhausted == tuple(range(2, 15))
-    # beyond the start and the 13 size checks, the walk reads the clock
-    assert clock.readings > 15
-    clock = _StepClock(jump=clock.readings - 1)
+    # beyond the start and the two pass checks, the walk reads the clock
+    assert clock.readings > 3
+    clock = _StepClock(jump=clock.readings)
     monkeypatch.setattr(up, "time", clock)
     res = search_nonup_witness(group, 3, 14, caps=caps)
-    assert res.witness is None
-    assert res.sizes_exhausted == tuple(range(2, 14)) and res.sizes_truncated == (14,)
-    assert 0 < res.subsets_tested < full.subsets_tested
+    assert res == WitnessSearchResult(None, False, (), tuple(range(2, 15)), 0)
+
+
+def test_deadline_before_the_identity_pass_drops_its_witness(monkeypatch):
+    # cyclic(6) with gens (1, 5): the identity-free pass finds a 4-element
+    # witness, but only the identity pass can tell it is not the first
+    group = cyclic_group(6)
+    gens = [group.element(1), group.element(5)]
+    clock = _StepClock()
+    monkeypatch.setattr(up, "time", clock)
+    assert search_nonup_witness(group, 2, 8, gens).found
+    assert clock.readings == 3  # the start and the two pass checks
+    monkeypatch.setattr(up, "time", _StepClock(jump=3))
+    res = search_nonup_witness(group, 2, 8, gens)
+    assert res == WitnessSearchResult(None, False, (), tuple(range(2, 9)), 0)
 
 
 # ---------------------------------------------------------------------------
