@@ -18,6 +18,7 @@ Usage: python3 scripts/normal_form_sweep.py [--max-len 6] [--no-oracle]
 """
 
 import argparse
+import re
 import sys
 import time
 from collections import Counter
@@ -29,6 +30,7 @@ from groupeq.errors import EquationOverFactorError
 
 _ALPHABET = "aAbBtT"
 _T_STEP = {"t": 1, "T": -1}
+_T_SPLIT = re.compile("([tT])")
 # ranks as digits, so that plain string comparison follows the alphabet order
 _RANK = str.maketrans(_ALPHABET, "012345")
 
@@ -63,18 +65,23 @@ def _least_rotations(length):
 
 def enumerate_equations(G, a, b, max_len):
     letters = {"a": a, "A": ~a, "b": b, "B": ~b}
+    coefs = {"": G.identity()}
+
+    def coef(segment):
+        """The element of a run of a, A, b, B, built once per run."""
+        g = coefs.get(segment)
+        if g is None:
+            g = coefs[segment] = coef(segment[:-1]) * letters[segment[-1]]
+        return g
+
     for length in range(1, max_len + 1):
         for word in _least_rotations(length):
-            terms, coef = [], G.identity()
-            for c in word:
-                if c in letters:
-                    coef = coef * letters[c]
-                else:
-                    terms.append((coef, 1 if c == "t" else -1))
-                    coef = G.identity()
-            if not coef.is_identity:
-                g0, e0 = terms[0]
-                terms[0] = (coef * g0, e0)
+            # segments and t letters alternate: s_0 x_1 s_1 ... x_k s_k
+            parts = _T_SPLIT.split(word)
+            terms = [(coef(parts[i - 1]), _T_STEP[parts[i]]) for i in range(1, len(parts), 2)]
+            if parts[-1]:
+                # the last segment wraps around onto the first
+                terms[0] = (coef(parts[-1] + parts[0]), terms[0][1])
             yield word, Equation(G, tuple(terms))
 
 

@@ -17,6 +17,7 @@ provided as the desk-scale verification oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterator, Optional, Sequence
 
 from .backends import FreeGroup, FreeProductGroup, Group, GroupElement
@@ -28,7 +29,7 @@ from .errors import (
     SigmaError,
     WindowError,
 )
-from .words import Presentation, conjugate_into, copy_name, is_conjugate_to_constant
+from .words import Presentation, copy_name, in_subfreeproduct, is_conjugate_to_constant
 
 T_LETTER = "t"
 # the infinite cyclic group of the unknown; equation words live in G * T
@@ -45,7 +46,13 @@ UNIMODULAR = "unimodular"
 
 @dataclass(frozen=True)
 class Equation:
-    """g_1 t^{e_1} ... g_n t^{e_n} = 1 with constants from one backend."""
+    """g_1 t^{e_1} ... g_n t^{e_n} = 1 with constants from one backend.
+
+    The refined word, its cyclic core and the inverted equation are built on
+    first use and kept, as are the splits the normal form has accepted; none
+    of them refers back to the equation, so dropping it frees them at once.
+    Copies and pickles carry the two fields only.
+    """
 
     group: Group
     terms: tuple[tuple[GroupElement, int], ...]
@@ -59,22 +66,41 @@ class Equation:
             if e == 0:
                 raise EquationError("exponents must be nonzero")
 
+    def __getstate__(self) -> dict:
+        return {"group": self.group, "terms": self.terms}
+
     def word_group(self) -> FreeProductGroup:
-        return FreeProductGroup((self.group, T))
+        """G * T, one group object per coefficient group."""
+        return _word_group(self.group)
 
     def word(self) -> GroupElement:
         """The word g_1 t^{e_1} ... g_n t^{e_n} in G * T."""
         return _t_word(self.word_group(), [(() if g.is_identity else ((0, g),), e) for g, e in self.terms])
 
     def refined_group(self) -> FreeProductGroup:
-        """H_1 * ... * H_k * T for G = H_1 * ... * H_k."""
+        """H_1 * ... * H_k * T for G = H_1 * ... * H_k, one group object per G."""
         if not isinstance(self.group, FreeProductGroup):
             raise EquationError("refined words need a free-product coefficient group")
-        return FreeProductGroup(self.group.factors + (T,))
+        return _refined_group(self.group)
 
     def refined_word(self) -> GroupElement:
         """The word with G-coefficients split into their factor syllables."""
+        return self._refined
+
+    @cached_property
+    def _refined(self) -> GroupElement:
         return _t_word(self.refined_group(), [(g.payload, e) for g, e in self.terms])
+
+    @cached_property
+    def _core(self) -> GroupElement:
+        """The cyclically reduced core of the refined word."""
+        w = self._refined
+        return w.group.cyclically_reduce(w)[0]
+
+    @cached_property
+    def _accepted(self) -> set:
+        """The splits _prepare has accepted this equation under."""
+        return set()
 
     def exponent_sum(self) -> int:
         return sum(e for _, e in self.terms)
@@ -82,16 +108,32 @@ class Equation:
     def inverted(self) -> "Equation":
         """A conjugate of the inverse word, back in coefficient-exponent form:
         (g_1^-1, -e_n), (g_n^-1, -e_{n-1}), ..., (g_2^-1, -e_1)."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "Equation":
         rebuilt = [(~self.terms[0][0], -self.terms[-1][1])]
         for j in range(len(self.terms) - 1, 0, -1):
             rebuilt.append((~self.terms[j][0], -self.terms[j - 1][1]))
         return Equation(self.group, tuple(rebuilt))
 
 
+@cache
+def _word_group(group: Group) -> FreeProductGroup:
+    return FreeProductGroup((group, T))
+
+
+@cache
+def _refined_group(group: FreeProductGroup) -> FreeProductGroup:
+    return FreeProductGroup(group.factors + (T,))
+
+
+@cache
 def _t_power(k: int) -> GroupElement:
     return GroupElement(T, ((0, k),) if k else ())
 
 
+@cache
 def _t_in(group: FreeProductGroup) -> GroupElement:
     """The letter t of a group whose last factor is T."""
     return GroupElement(group, ((len(group.factors) - 1, _t_power(1)),))
@@ -339,23 +381,31 @@ class NormalFormResult:
     length_one: Optional[LengthOneForm] = None
 
 
-def _prepare(e: Equation, split: Split) -> tuple[Equation, bool, GroupElement]:
+def _prepare(e: Equation, split: Split) -> tuple[Equation, bool]:
+    """(the equation with exponent sum +1 that e stands for, whether that is
+    e inverted).  The split checks run once per (equation, split): the
+    equation keeps the splits that pass, and a failing check raises again on
+    every call."""
     sigma = e.exponent_sum()
     if sigma == -1:
-        e, inverted = e.inverted(), True
+        base, inverted = e.inverted(), True
     elif sigma == 1:
-        inverted = False
+        base, inverted = e, False
     else:
         raise SigmaError(f"normal form needs exponent sum +-1, got {sigma}")
+    if split not in base._accepted:
+        _check_split(base, split)
+        base._accepted.add(split)
+    return base, inverted
+
+
+def _check_split(e: Equation, split: Split) -> None:
     if not isinstance(e.group, FreeProductGroup):
         raise EquationError("normal form needs a free-product coefficient group")
     if split.h | split.k != set(range(len(e.group.factors))):
         raise EquationError("split does not match the group's factors")
-    w = e.refined_word()
-    allowed = set(split.h) | {len(e.group.factors)}
-    if conjugate_into(w, allowed):
+    if in_subfreeproduct(e._core, set(split.h) | {len(e.group.factors)}):
         raise EquationOverFactorError("the word is conjugate into H * <t>")
-    return e, inverted, w
 
 
 def _leveled_span(word: GroupElement, split: Split) -> int:
@@ -373,9 +423,8 @@ def normal_form_6(e: Equation, split: Split) -> NormalFormResult:
     expressions follows from the invariance of the reduced cyclic t-pattern;
     `bruteforce_min_form6` is the independent exhaustive check.
     """
-    e, inverted, w = _prepare(e, split)
-    core, _ = w.group.cyclically_reduce(w)
-    letters0, pieces0, rot = _initial_hnn(core)
+    e, inverted = _prepare(e, split)
+    letters0, pieces0, rot = _initial_hnn(e._core)
     if sum(letters0) != 1:
         raise InternalError("exponent sum deviated from +1")
     span = _leveled_span(rot, split)
@@ -446,13 +495,11 @@ def _check_expansion_length_one(lf: LengthOneForm) -> None:
 # the exhaustive desk-scale minimizer (independent oracle)
 
 
-def _rotation_strings(e: Equation, split: Split) -> list[list[tuple[int, int, GroupElement]]]:
+def _rotation_strings(e: Equation) -> list[list[tuple[int, int, GroupElement]]]:
     """Leveled strings of t^-1 * (rotation of the cyclic core), one per
     factor-syllable anchor; t-anchored rotations are shift-equivalent."""
-    w = e.refined_word()
     tsrc = len(e.group.factors)
-    core, _ = w.group.cyclically_reduce(w)
-    sylls = core.payload
+    sylls = e._core.payload
     out = []
     for i, (src, _) in enumerate(sylls):
         if src == tsrc:
@@ -498,17 +545,17 @@ def bruteforce_min_form6(
     every block assignment of syllables to the c/a_i (window [0, m]) and
     b_i^(t^-1) (window [-1, m-1]) slots; (m, 0) encodes the length-one case.
     """
-    e2, _, _ = _prepare(e, split)
-    strings = _rotation_strings(e2, split)
-    if not strings:
+    base, _ = _prepare(e, split)
+    spans = []  # (string, lowest K level, highest K level)
+    for string in _rotation_strings(base):
+        klv = [l for l, fi, _ in string if fi in split.k]
+        if klv:
+            spans.append((string, min(klv), max(klv)))
+    if not spans:
         return None
     for m in range(max_m + 1):
         best: Optional[int] = None
-        for string in strings:
-            klv = [l for l, fi, _ in string if fi in split.k]
-            if not klv:
-                continue
-            klo, khi = min(klv), max(klv)
+        for string, klo, khi in spans:
             for delta in range(-1 - klo, m - khi + 1):
                 got = _min_blocks(string, split, delta, m)
                 if got is not None and (best is None or got < best):

@@ -1,5 +1,9 @@
+import copy
+import gc
 import itertools
+import pickle
 import random
+import weakref
 from functools import cached_property
 
 import pytest
@@ -260,6 +264,84 @@ def test_normal_form_rejects_equation_over_h(setup):
     # a word over <t> alone is conjugate into H * <t> as well
     with pytest.raises(EquationOverFactorError):
         normal_form_6(Equation(G, ((G.identity(), 1),)), split)
+
+
+def _outcomes(e, split):
+    return normal_form_6(e, split), bruteforce_min_form6(e, split)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_one_equation_object_serves_both_splits(setup, sigma):
+    # the normal form and its oracle share one prepare per (equation,
+    # split); a kept refined word, core or inversion must not carry one
+    # split's answer into the other's
+    G, a, b, _ = setup
+    terms = ((a * b, sigma), (b, sigma), (~a * b, -sigma))
+    e = Equation(G, terms)
+    before = (e == Equation(G, terms), hash(e), pickle.dumps(copy.copy(e)))
+    for h in ([0], [1]):
+        split = Split.of(G, h)
+        got = _outcomes(e, split)
+        assert got == _outcomes(Equation(G, terms), split)
+        assert got[0].form6.sigma_inverted == (sigma == -1)
+        assert got == _outcomes(e, split)
+    assert (e == Equation(G, terms), hash(e), pickle.dumps(copy.copy(e))) == before
+    # copies and pickles carry the fields only
+    assert set(vars(copy.copy(e))) == set(vars(pickle.loads(pickle.dumps(e)))) == {"group", "terms"}
+    assert pickle.loads(pickle.dumps(e)) == e and hash(pickle.loads(pickle.dumps(e))) == hash(e)
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_equation_caches_form_no_cycle(setup, sigma):
+    G, a, b, split = setup
+    e = Equation(G, ((a * b, sigma), (b, sigma), (~a * b, -sigma)))
+    ref = weakref.ref(e)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        normal_form_6(e, split)
+        bruteforce_min_form6(e, split)
+        del e
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_failed_prepare_is_not_cached(setup, c3):
+    G, a, b, split = setup
+    over_h = Equation(G, ((a, 1),))
+    sigma_two = Equation(G, ((b, 2),))
+    for _ in range(2):
+        with pytest.raises(EquationOverFactorError):
+            normal_form_6(over_h, split)
+        with pytest.raises(EquationOverFactorError):
+            bruteforce_min_form6(over_h, split)
+        with pytest.raises(SigmaError):
+            normal_form_6(sigma_two, split)
+    # the same equation is accepted under the split that puts a on the K
+    # side, and that acceptance is kept for that split only
+    assert normal_form_6(over_h, Split.of(G, [1])).kind == "length-one"
+    with pytest.raises(EquationOverFactorError):
+        bruteforce_min_form6(over_h, split)
+    not_free_product = Equation(c3, ((c3.element(1), 1),))
+    for _ in range(2):
+        with pytest.raises(EquationError):
+            not_free_product.refined_group()
+        with pytest.raises(EquationError):
+            not_free_product.refined_word()
+
+
+def test_word_groups_are_shared_per_coefficient_group(setup):
+    G, a, b, _ = setup
+    e, f = Equation(G, ((a, 1),)), Equation(G, ((b, -1), (a, 2)))
+    assert e.word_group() is f.word_group() == FreeProductGroup((G, T))
+    assert e.refined_group() is f.refined_group() == FreeProductGroup(G.factors + (T,))
+    assert e.refined_word() is e.refined_word()
+    assert e.inverted() is e.inverted() and e.inverted() == Equation(G, ((~a, -1),))
+    # words of one equation's group multiply on the shared group object
+    assert (e.word() * f.word()).group is e.word_group()
+    assert (e.refined_word() * f.refined_word()).group is e.refined_group()
 
 
 def _all_words(letters, length):
