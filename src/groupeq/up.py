@@ -5,8 +5,9 @@ probabilistically.  The witness searches target the fours group but run on
 any backend with decidable equality.  Both of them, the exhaustive
 symmetric search (`search_nonup_witness`) and the seeded anneal
 (`anneal_nonup_witness`), count S*S products with one engine,
-`ProductCensus`: a product table over a sorted ball, built once, and plain
-integer counts updated as atoms enter and leave S.
+`ProductCensus`: a product table over a sorted ball, built once with its
+products numbered as they turn up, and plain integer counts updated as
+atoms enter and leave S.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .backends import Group, GroupElement
@@ -247,11 +249,16 @@ class ProductCensus:
     one atom at a time; the one counting engine behind the witness searches.
 
     The ball is sorted by the group's sort key and ball indices stand for
-    elements.  The product table, built once, maps (i, j) to the index of
-    ball[i]*ball[j] in the sorted ball(2 * radius): the table's own products,
-    held to `caps.ball_size` row by row.  `atoms` are the inverse pairs of
-    the ball without the identity, an involution forming a 1-element atom,
-    in ball order.  `counts[k]` is the number of ordered pairs of S whose
+    elements.  The product table, built once, maps (i, j) to the number of
+    ball[i]*ball[j] among the table's own products, ball(2 * radius), held
+    to `caps.ball_size` row by row; `products[k]` is the payload of product
+    k.  Products are numbered in the order they turn up, each inverse pair
+    together, so the numbering rests on the sorted ball and payload equality
+    alone.  A computed cell (i, j) also fills the cell of its inverse,
+    (flip[j], flip[i]), where flip[i] is the ball index of x_i^-1, so about
+    half the table is multiplied.  `atoms` are the inverse pairs of the ball
+    without the identity, an involution forming a 1-element atom, in ball
+    order.  `counts[k]` is the number of ordered pairs of S whose
     product is element k, and S has a unique product iff some count is 1.
     `add` and `remove` touch only the products of the elements they move,
     with no branches in the loop.
@@ -283,37 +290,44 @@ class ProductCensus:
         caps: Caps = DEFAULT_CAPS,
     ):
         self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
-        # payloads are canonical; the products, ball(2r), are numbered as they turn up
         payloads = [e.payload for e in self.ball]
-        mul = group._mul
-        first: dict = {}
-        rows = []
-        for x in payloads:
-            rows.append([first.setdefault(mul(x, y), len(first)) for y in payloads])
-            if len(first) > caps.ball_size:
-                raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
-        big = sorted((GroupElement(group, p) for p in first), key=group.sort_key)
-        index = {e.payload: i for i, e in enumerate(big)}
-        order = [index[p] for p in first]
-        self.rows = [[order[k] for k in row] for row in rows]
-        self.cols = [list(col) for col in zip(*self.rows)]
+        mul, inv = group._mul, group._inv
         position = {p: i for i, p in enumerate(payloads)}
+        flip = [position[inv(p)] for p in payloads]  # the ball index of each inverse
         self.identity = position[group._one]
-        self.atoms: list[tuple[int, ...]] = []
-        used = {self.identity}
-        for i, p in enumerate(payloads):
-            if i in used:
-                continue
-            j = position[group._inv(p)]
-            used.update((i, j))
-            self.atoms.append((i,) if i == j else (i, j))
-        last = dict.fromkeys(range(len(first)), 0)  # product -> 1 + last atom forming it
+        self.atoms: list[tuple[int, ...]] = [
+            (i,) if i == j else (i, j) for i, j in enumerate(flip) if i <= j and i != self.identity
+        ]
+        # row i computes the columns flip[i:], each cell (i, flip[m]) with its
+        # mirror (m, flip[i]); the earlier rows' mirrors are the rest of row i
+        number: dict = {}  # product payload -> its number; canonical payloads
+        opp: list[int] = []  # the number of each product's inverse
+        n = len(payloads)
+        rows = [[0] * n for _ in range(n)]
+        tail = [(m, j, payloads[j]) for m, j in enumerate(flip)]
+        for i, x in enumerate(payloads):
+            row, fi = rows[i], flip[i]
+            for m, j, y in tail[i:]:
+                p = mul(x, y)
+                k = number.get(p)
+                if k is None:  # number p and its inverse, the same when p = p^-1
+                    k = number[p] = len(opp)
+                    q = number.setdefault(inv(p), k + 1)
+                    opp += (q, k) if q > k else (k,)
+                row[j] = k
+                rows[m][fi] = opp[k]
+            if len(opp) > caps.ball_size:
+                raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
+        self.products = list(number)  # payloads by number
+        self.rows, self.cols = rows, [list(col) for col in zip(*rows)]
+        last = dict.fromkeys(range(len(opp)), 0)  # product -> 1 + last atom forming it
         for i, atom in enumerate(self.atoms, 1):
-            last.update((k, i) for x in atom for k in self.rows[x] + self.cols[x])
+            for x in atom:
+                last.update(zip(rows[x] + self.cols[x], repeat(i)))
         self.settled: list[list[int]] = [[] for _ in range(len(self.atoms) + 1)]
         for k, i in last.items():
             self.settled[i].append(k)
-        self.counts = [0] * len(first)
+        self.counts = [0] * len(opp)
         self.members: list[int] = []
         # no count exceeds |S| <= len(ball)
         self.fell = (-1, 1) + (0,) * len(self.ball)

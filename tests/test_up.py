@@ -16,10 +16,12 @@ from groupeq.backends import (
     FreeAbelianGroup,
     FreeGroup,
     FreeProductGroup,
+    GroupElement,
     PermutationGroup,
     QuotientFreeAbelianGroup,
     cyclic_group,
     klein_four_group,
+    table_from_group,
 )
 from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError
@@ -725,19 +727,19 @@ _CENSUS_CASES = [
 def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radius):
     group = _search_group(name, n)
     census = ProductCensus(group, radius)
-    big = sorted(group.ball(2 * radius), key=group.sort_key)
+    products = census.products
     ball, atoms, settled = census.ball, census.atoms, census.settled
     assert len(settled) == len(atoms) + 1
-    assert sorted(k for part in settled for k in part) == list(range(len(big)))
+    assert sorted(k for part in settled for k in part) == list(range(len(products)))
     for i in range(len(atoms) + 1):
         formed = {
-            big.index(p)
+            products.index(p.payload)
             for a in atoms[i:]
             for x in a
             for y in ball
             for p in (ball[x] * y, y * ball[x])
         }
-        assert sorted(k for part in settled[:i + 1] for k in part) == [k for k in range(len(big)) if k not in formed]
+        assert sorted(k for part in settled[:i + 1] for k in part) == [k for k in range(len(products)) if k not in formed]
         assert settled[i] == sorted(settled[i])
 
 
@@ -756,18 +758,113 @@ def _table_cases():
     return cases
 
 
+def _sorted_tables(group, radius, gens=None):
+    """A reference product table and settled lists that number each product
+    by its place in the sorted ball(2 * radius): products numbered as they
+    turn up in a row-by-row table, then sorted and renumbered."""
+    ball = sorted(group.ball(radius, gens), key=group.sort_key)
+    payloads = [e.payload for e in ball]
+    first: dict = {}
+    rows = [[first.setdefault(group._mul(x, y), len(first)) for y in payloads] for x in payloads]
+    big = sorted((GroupElement(group, p) for p in first), key=group.sort_key)
+    index = {e.payload: i for i, e in enumerate(big)}
+    order = [index[p] for p in first]
+    rows = [[order[k] for k in row] for row in rows]
+    cols = [list(col) for col in zip(*rows)]
+    position = {p: i for i, p in enumerate(payloads)}
+    identity = position[group._one]
+    atoms, used = [], {identity}
+    for i, p in enumerate(payloads):
+        if i not in used:
+            j = position[group._inv(p)]
+            used.update((i, j))
+            atoms.append((i,) if i == j else (i, j))
+    last = dict.fromkeys(range(len(first)), 0)
+    for i, atom in enumerate(atoms, 1):
+        last.update((k, i) for x in atom for k in rows[x] + cols[x])
+    settled = [[] for _ in range(len(atoms) + 1)]
+    for k, i in last.items():
+        settled[i].append(k)
+    return big, rows, atoms, settled
+
+
 @pytest.mark.parametrize("group, radius, gens", _table_cases())
-def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
-    # the census reads ball(2r) off its own table: the same elements, in the
-    # same order, as the BFS to radius 2r
+def test_product_table_indexes_the_double_ball(group, radius, gens):
+    # the census reads ball(2r) off its own table: the same elements as the
+    # BFS to radius 2r, each numbered once
     census = ProductCensus(group, radius, gens)
-    big = sorted(group.ball(2 * radius, gens), key=group.sort_key)
-    ball = census.ball
-    assert len(census.counts) == len(big)
+    products, ball = census.products, census.ball
+    assert len(set(products)) == len(products) == len(census.counts)
+    assert set(products) == {e.payload for e in group.ball(2 * radius, gens)}
     for i, x in enumerate(ball):
         for j, y in enumerate(ball):
-            assert big[census.rows[i][j]] == x * y
+            assert products[census.rows[i][j]] == (x * y).payload
             assert census.cols[j][i] == census.rows[i][j]
+
+
+@pytest.mark.parametrize(
+    "group, radius, gens", _table_cases() + [(_search_group("free"), 3, None)]
+)
+def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
+    # one relabelling of the product numbers turns the census's table and
+    # settled lists into those of the sorted double ball, and its atoms are
+    # the reference's
+    census = ProductCensus(group, radius, gens)
+    big, rows, atoms, settled = _sorted_tables(group, radius, gens)
+    relabel = {}
+    for row, ref in zip(census.rows, rows, strict=True):
+        for k, r in zip(row, ref, strict=True):
+            assert relabel.setdefault(k, r) == r
+    assert sorted(relabel) == sorted(relabel.values()) == list(range(len(big)))
+    assert [big[relabel[k]].payload for k in range(len(big))] == census.products
+    assert census.atoms == atoms
+    assert [sorted(relabel[k] for k in part) for part in census.settled] == settled
+
+
+def _flip(census):
+    position = {x: i for i, x in enumerate(census.ball)}
+    return [position[~x] for x in census.ball]
+
+
+_MIRROR_GROUPS = {
+    # name: (group, radius, whether ball(radius) holds an involution)
+    "klein": (klein_four_group, 1, True),
+    "cyclic6": (lambda: cyclic_group(6), 2, True),
+    "s3-table": (lambda: table_from_group(PermutationGroup(3)), 2, True),
+    "perm4": (lambda: PermutationGroup(4), 2, True),
+    "c7": (lambda: cyclic_group(7), 3, False),
+    "zn2": (lambda: FreeAbelianGroup(2), 2, False),
+    "fours": (FoursGroup, 2, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIRROR_GROUPS))
+def test_mirror_cells_hold_the_inverse_products(name):
+    # (x_i x_j)^-1 = x_flip[j] x_flip[i]; an involution x_i has flip[i] == i,
+    # so row i fills its own column i and a cell's mirror can lie in its row
+    make, radius, involutions = _MIRROR_GROUPS[name]
+    group = make()
+    census = ProductCensus(group, radius)
+    ball, rows, products, e = census.ball, census.rows, census.products, census.identity
+    flip = _flip(census)
+    fixed = [i for i, j in enumerate(flip) if i == j and i != e]
+    assert bool(fixed) == involutions
+    assert all((i,) in census.atoms for i in fixed)
+    # a product's inverse takes the next number, unless it is its own inverse
+    k = 0
+    while k < len(products):
+        q = group._inv(products[k])
+        assert q == products[k] or products[k + 1] == q
+        k += 1 if q == products[k] else 2
+    # the identity's row and column are the ball, and it fills (i, flip[i])
+    payloads = [x.payload for x in ball]
+    assert [products[k] for k in rows[e]] == [products[k] for k in census.cols[e]] == payloads
+    assert all(products[rows[i][j]] == group._one for i, j in enumerate(flip))
+    number = {p: k for k, p in enumerate(products)}
+    for i, x in enumerate(ball):
+        for j, y in enumerate(ball):
+            assert products[rows[i][j]] == (x * y).payload
+            assert rows[flip[j]][flip[i]] == number[(~(x * y)).payload]
 
 
 def test_product_ball_size_cap_has_the_double_ball_boundary():
