@@ -60,13 +60,13 @@ def main() -> int:
     start = time.monotonic()
     try:
         if args.strategy == "exhaustive":
-            caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=2 * args.radius)
+            caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=args.radius)
             res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
             print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.1f}s")
             print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
         else:
             caps = DEFAULT_CAPS.with_overrides(
-                budget_ms=args.budget_ms, radius=2 * args.radius, ball_size=10 ** 6)
+                budget_ms=args.budget_ms, radius=args.radius, ball_size=10 ** 6)
             res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed,
                                        gens=gens, symmetric=symmetric, caps=caps)
             print(f"ball({args.radius}): {res.ball_size} elements, {res.atom_count} atoms, "

@@ -97,10 +97,6 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.payload == self.group._one
 
-    def order(self) -> Optional[int]:
-        """The finite order of this element, or None when it is infinite."""
-        return self.group.element_order(self)
-
     def __repr__(self) -> str:
         return self.group.format_element(self)
 
@@ -155,11 +151,6 @@ class Group(ABC):
         if (x.group is not self and x.group != self) or (y.group is not self and y.group != self):
             raise GroupMismatchError(f"elements of {x.group} and {y.group} multiplied in {self}")
         return GroupElement(self, self._mul(x.payload, y.payload))
-
-    def inv(self, x: GroupElement) -> GroupElement:
-        if x.group is not self and x.group != self:
-            raise GroupMismatchError(f"element of {x.group} inverted in {self}")
-        return GroupElement(self, self._inv(x.payload))
 
     # -- structure queries
 
@@ -402,14 +393,12 @@ def klein_four_group() -> FiniteTableGroup:
     return FiniteTableGroup(table, names=("1", "u", "v", "uv"))
 
 
-def table_from_group(g: Group, names: Optional[Sequence[str]] = None) -> FiniteTableGroup:
-    """Multiplication table of any finite, enumerable backend."""
+def table_from_group(g: Group) -> FiniteTableGroup:
+    """Multiplication table of any finite, enumerable backend, named as g prints."""
     elems = list(g.elements())
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[a * b] for b in elems] for a in elems]
-    if names is None:
-        names = tuple(g.format_element(e) for e in elems)
-    return FiniteTableGroup(table, names=names)
+    return FiniteTableGroup(table, names=tuple(g.format_element(e) for e in elems))
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +441,11 @@ class PermutationGroup(Group):
         self._check(p)
         return GroupElement(self, p)
 
-    def from_cycles(self, cycles: Sequence[Sequence[int]], one_based: bool = True) -> GroupElement:
+    def from_cycles(self, cycles: Sequence[Sequence[int]]) -> GroupElement:
+        """The product of cycles on the points 1..degree."""
         images = list(range(self.degree))
         for cyc in cycles:
-            pts = [int(v) - (1 if one_based else 0) for v in cyc]
+            pts = [int(v) - 1 for v in cyc]
             if any(not 0 <= v < self.degree for v in pts):
                 raise ValueError(f"cycle {cyc} out of range for degree {self.degree}")
             if len(set(pts)) != len(pts):
@@ -495,8 +485,8 @@ class PermutationGroup(Group):
             return (swap,)
         return (swap, self.from_cycles([tuple(range(1, n + 1))]))
 
-    def elements(self, caps: Caps = DEFAULT_CAPS) -> tuple[GroupElement, ...]:
-        if factorial(self.degree) > caps.perms_per_degree:
+    def elements(self) -> tuple[GroupElement, ...]:
+        if factorial(self.degree) > DEFAULT_CAPS.perms_per_degree:
             raise CapExceededError(f"S_{self.degree} enumeration exceeds cap")
         return tuple(GroupElement(self, p) for p in itertools.permutations(range(self.degree)))
 
@@ -882,17 +872,15 @@ class FreeAbelianGroup(Group):
 
     kind = "free-abelian"
 
-    def __init__(self, rank: int, names: Optional[Sequence[str]] = None):
+    def __init__(self, rank: int):
         if rank < 1:
             raise ValueError("rank must be positive")
         self.rank = rank
         self._one = (0,) * rank
-        self.names = tuple(names) if names else tuple(f"e{i+1}" for i in range(rank))
-        if len(self.names) != rank:
-            raise ValueError("need one name per coordinate")
+        self.names = tuple(f"e{i+1}" for i in range(rank))
 
     def _key(self) -> tuple:
-        return (self.rank, self.names)
+        return (self.rank,)
 
     def _mul(self, a: tuple, b: tuple) -> tuple:
         return tuple(x + y for x, y in zip(a, b))

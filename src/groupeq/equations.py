@@ -1,7 +1,8 @@
 """Ordinary equations over a group: classification and the minimal normal form.
 
 An equation is a coefficient-exponent sequence over a backend G; its word
-lives in G * <t>.  Over a split G = H * K the unimodular normal form
+lives in G * <t>, a free product G split into its factors.  Over a split
+G = H * K the unimodular normal form
 
     c t b_1 t^-1 a_1 t ... b_n t^-1 a_n t = 1
 
@@ -29,10 +30,10 @@ from .errors import (
     SigmaError,
     WindowError,
 )
-from .words import Presentation, copy_name, in_subfreeproduct, is_conjugate_to_constant
+from .words import Presentation, copy_name, in_subfreeproduct
 
 T_LETTER = "t"
-# the infinite cyclic group of the unknown; equation words live in G * T
+# the infinite cyclic group of the unknown, the last factor of an equation's word
 T = FreeGroup((T_LETTER,))
 
 SINGULAR = "singular"
@@ -66,7 +67,8 @@ class _kept:
 
 @dataclass(frozen=True)
 class Equation:
-    """g_1 t^{e_1} ... g_n t^{e_n} = 1 with constants from one backend.
+    """g_1 t^{e_1} ... g_n t^{e_n} = 1 with constants from one backend, whose
+    word lives in the refined group.
 
     The refined word, its cyclic core and the inverted equation are built on
     first use and kept, as are the splits the normal form has accepted; none
@@ -89,27 +91,22 @@ class Equation:
     def __getstate__(self) -> dict:
         return {"group": self.group, "terms": self.terms}
 
-    def word_group(self) -> FreeProductGroup:
-        """G * T, one group object per coefficient group."""
-        return _word_group(self.group)
-
-    def word(self) -> GroupElement:
-        """The word g_1 t^{e_1} ... g_n t^{e_n} in G * T."""
-        return _t_word(self.word_group(), [(() if g.is_identity else ((0, g),), e) for g, e in self.terms])
-
     def refined_group(self) -> FreeProductGroup:
-        """H_1 * ... * H_k * T for G = H_1 * ... * H_k, one group object per G."""
-        if not isinstance(self.group, FreeProductGroup):
-            raise EquationError("refined words need a free-product coefficient group")
+        """H_1 * ... * H_k * T for G = H_1 * ... * H_k, and G * T for any
+        other G; one group object per G."""
         return _refined_group(self.group)
 
     def refined_word(self) -> GroupElement:
-        """The word with G-coefficients split into their factor syllables."""
+        """The word g_1 t^{e_1} ... g_n t^{e_n} of the refined group."""
         return self._refined
 
     @_kept
     def _refined(self) -> GroupElement:
-        return _t_word(self.refined_group(), [(g.payload, e) for g, e in self.terms])
+        if isinstance(self.group, FreeProductGroup):
+            terms = [(g.payload, e) for g, e in self.terms]
+        else:
+            terms = [(() if g.is_identity else ((0, g),), e) for g, e in self.terms]
+        return _t_word(self.refined_group(), terms)
 
     @_kept
     def _core(self) -> GroupElement:
@@ -139,13 +136,9 @@ class Equation:
 
 
 @cache
-def _word_group(group: Group) -> FreeProductGroup:
-    return FreeProductGroup((group, T))
-
-
-@cache
-def _refined_group(group: FreeProductGroup) -> FreeProductGroup:
-    return FreeProductGroup(group.factors + (T,))
+def _refined_group(group: Group) -> FreeProductGroup:
+    factors = group.factors if isinstance(group, FreeProductGroup) else (group,)
+    return FreeProductGroup(factors + (T,))
 
 
 @cache
@@ -190,16 +183,17 @@ class Classification:
 
 
 def classify(e: Equation) -> Classification:
-    w = e.word()
+    w = e.refined_word()
+    ti = len(w.group.factors) - 1
     sigma = e.exponent_sum()
-    length = sum(abs(_t_exponent(v)) for i, v in w.payload if i == 1)
+    length = sum(abs(_t_exponent(v)) for i, v in w.payload if i == ti)
     if sigma == 0:
         kind = SINGULAR
     elif sigma in (1, -1):
         kind = UNIMODULAR
     else:
         kind = NONSINGULAR
-    return Classification(length, sigma, kind, is_conjugate_to_constant(w, 0))
+    return Classification(length, sigma, kind, in_subfreeproduct(e._core, range(ti)))
 
 
 def universal_solution_group(e: Equation) -> Presentation:
@@ -260,65 +254,43 @@ def _in_window(word: GroupElement, split: Split, lo: int, hi: int) -> bool:
 # the cyclic HNN word and its pinch reduction
 
 
-class _CyclicHNN:
-    """Cyclic word t^{d_0} p_0 t^{d_1} p_1 ... with base pieces, over the
-    base H-bar * K_0..K_m and associated subgroups A = H-bar * K_0..K_{m-1},
-    B = A^t.  Pieces are words of the refined group H_1 * ... * H_k * T
-    with t-exponent sum 0; shifting one by d conjugates it by t^d."""
+def _pinch(letters: list[int], pieces: list[GroupElement], split: Split, m: int) -> None:
+    """Pinch the cyclic word t^{d_0} p_0 t^{d_1} p_1 ... over the base H-bar *
+    K_0..K_m in place: t^-1 p t with p in A = H-bar * K_0..K_{m-1}, or t p t^-1
+    with p in B = A^t, merges into its neighbours until none is left.  Pieces
+    are refined words of t-exponent sum 0; shifting by d conjugates by t^d."""
+    if len(letters) != len(pieces):
+        raise InternalError("letters and pieces must alternate")
+    t = _t_in(pieces[0].group)
+    while len(letters) > 1:
+        r = len(letters)
+        for j in range(r):
+            nxt = (j + 1) % r
+            if letters[j] == -1 and letters[nxt] == 1 and _in_window(pieces[j], split, 0, m - 1):
+                shift = t
+                break
+            if letters[j] == 1 and letters[nxt] == -1 and _in_window(pieces[j], split, 1, m):
+                shift = ~t
+                break
+        else:
+            return
+        prev = (j - 1) % r
+        if prev == nxt:
+            raise InternalError("pinch on a two-letter word; exponent sum parity broken")
+        pieces[prev] = pieces[prev] * pieces[j].conj(shift) * pieces[nxt]
+        for idx in sorted((j, nxt), reverse=True):
+            del letters[idx]
+            del pieces[idx]
 
-    def __init__(self, letters: list[int], pieces: list[GroupElement], split: Split, m: int):
-        if len(letters) != len(pieces):
-            raise InternalError("letters and pieces must alternate")
-        self.letters = letters
-        self.pieces = pieces
-        self.split = split
-        self.m = m
 
-    def _in_a(self, p: GroupElement) -> bool:
-        return _in_window(p, self.split, 0, self.m - 1)
-
-    def _in_b(self, p: GroupElement) -> bool:
-        return _in_window(p, self.split, 1, self.m)
-
-    def reduce(self) -> None:
-        t = _t_in(self.pieces[0].group)
-        while True:
-            r = len(self.letters)
-            if r <= 1:
-                return
-            hit = None
-            for j in range(r):
-                nxt = (j + 1) % r
-                if self.letters[j] == -1 and self.letters[nxt] == 1 and self._in_a(self.pieces[j]):
-                    hit = (j, nxt, t)
-                    break
-                if self.letters[j] == 1 and self.letters[nxt] == -1 and self._in_b(self.pieces[j]):
-                    hit = (j, nxt, ~t)
-                    break
-            if hit is None:
-                return
-            j, nxt, shift = hit
-            prev = (j - 1) % len(self.letters)
-            if prev == nxt:
-                raise InternalError("pinch on a two-letter word; exponent sum parity broken")
-            merged = self.pieces[prev] * self.pieces[j].conj(shift) * self.pieces[nxt]
-            self.pieces[prev] = merged
-            for idx in sorted((j, nxt), reverse=True):
-                del self.letters[idx]
-                del self.pieces[idx]
-
-    def pattern_shape(self) -> str:
-        """'length-one' | 'form6' | 'other' for the cyclic letter pattern."""
-        r = len(self.letters)
-        if r == 1:
-            return "length-one"
-        pp = sum(
-            1 for j in range(r) if self.letters[j] == 1 and self.letters[(j + 1) % r] == 1
-        )
-        mm = sum(
-            1 for j in range(r) if self.letters[j] == -1 and self.letters[(j + 1) % r] == -1
-        )
-        return "form6" if pp == 1 and mm == 0 else "other"
+def _pattern_shape(letters: list[int]) -> str:
+    """'length-one' | 'form6' | 'other' for the cyclic letter pattern."""
+    r = len(letters)
+    if r == 1:
+        return "length-one"
+    pp = sum(1 for j in range(r) if letters[j] == 1 and letters[(j + 1) % r] == 1)
+    mm = sum(1 for j in range(r) if letters[j] == -1 and letters[(j + 1) % r] == -1)
+    return "form6" if pp == 1 and mm == 0 else "other"
 
 
 def _initial_hnn(core: GroupElement) -> tuple[list[int], list[GroupElement], GroupElement]:
@@ -451,27 +423,26 @@ def normal_form_6(e: Equation, split: Split) -> NormalFormResult:
 
     result: Optional[NormalFormResult] = None
     for m in range(span + 1):
-        word = _CyclicHNN(list(letters0), list(pieces0), split, m)
-        word.reduce()
-        shape = word.pattern_shape()
+        letters, pieces = list(letters0), list(pieces0)
+        _pinch(letters, pieces, split, m)
+        shape = _pattern_shape(letters)
         if shape == "length-one":
             if m != 0:
                 raise InternalError("length-one pattern first appeared with m > 0")
-            u = ~word.pieces[0]
+            u = ~pieces[0]
             lf = LengthOneForm(m, u, e, inverted)
             _check_expansion_length_one(lf)
             result = NormalFormResult("length-one", length_one=lf)
             break
         if shape == "form6":
-            result = NormalFormResult("form6", form6=_extract_form6(word, e, split, inverted, m))
+            result = NormalFormResult("form6", form6=_extract_form6(letters, pieces, e, split, inverted, m))
             break
     if result is None:
         raise InternalError("no expressible window up to the leveled span")
     return result
 
 
-def _extract_form6(word: _CyclicHNN, e: Equation, split: Split, inverted: bool, m: int) -> Form6:
-    letters, pieces = word.letters, word.pieces
+def _extract_form6(letters: list, pieces: list, e: Equation, split: Split, inverted: bool, m: int) -> Form6:
     r = len(letters)
     n = (r - 1) // 2
     anchor = next(
@@ -553,13 +524,13 @@ def _min_blocks(string: list, split: Split, delta: int, m: int) -> Optional[int]
     return best if best < INF else None
 
 
-def bruteforce_min_form6(
-    e: Equation,
-    split: Split,
-    max_m: int = 4,
-    max_n: int = 8,
-) -> Optional[tuple[int, int]]:
-    """Exhaustive lexicographic minimum of (m, n) over all expressions.
+ORACLE_MAX_M = 4
+ORACLE_MAX_N = 8
+
+
+def bruteforce_min_form6(e: Equation, split: Split) -> Optional[tuple[int, int]]:
+    """Exhaustive lexicographic minimum of (m, n) over all expressions with
+    m <= ORACLE_MAX_M and n <= ORACLE_MAX_N, or None when there is none.
 
     Enumerates every rotation of the cyclic word, every window shift, and
     every block assignment of syllables to the c/a_i (window [0, m]) and
@@ -573,14 +544,14 @@ def bruteforce_min_form6(
             spans.append((string, min(klv), max(klv)))
     if not spans:
         return None
-    for m in range(max_m + 1):
+    for m in range(ORACLE_MAX_M + 1):
         best: Optional[int] = None
         for string, klo, khi in spans:
             for delta in range(-1 - klo, m - khi + 1):
                 got = _min_blocks(string, split, delta, m)
                 if got is not None and (best is None or got < best):
                     best = got
-        if best is not None and best <= max_n:
+        if best is not None and best <= ORACLE_MAX_N:
             return (m, best)
     return None
 
@@ -589,10 +560,10 @@ def bruteforce_min_form6(
 # system (7)
 
 
-def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
+def emit_system_7(f: Form6, window: int = 8) -> Presentation:
     """The shift-plus-equation system over the windowed copies of H and K.
 
-    Generators: the unknown, then one copy of each H-factor per level in
+    Generators: the unknown x, then one copy of each H-factor per level in
     [-window, window] and one copy of each K-factor per level in [0, m].
     Copies come in copy order (factor, then level), each copy's generators
     and relators together, and the copies' relators come before the shift
@@ -603,6 +574,7 @@ def emit_system_7(f: Form6, window: int = 8, var: str = "x") -> Presentation:
     generators and 506 relators, 425 of them copied.
     """
     group: FreeProductGroup = f.equation.group  # type: ignore[assignment]
+    var = "x"
     if f.n < 1:
         raise EquationError("system (7) needs n >= 1")
     h_levels = [l for w in _pieces_of(f) for l, fi, _ in _leveled(w) if fi in f.split.h]

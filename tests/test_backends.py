@@ -72,17 +72,17 @@ def test_mul_group_mismatch(free2, z2):
 
 
 def test_element_order_examples(z2, c3, fours):
-    assert z2.vector((2, 3)).order() is None
-    assert c3.element(1).order() == 3
+    assert z2.element_order(z2.vector((2, 3))) is None
+    assert c3.element_order(c3.element(1)) == 3
     x, y = fours.generators()
-    assert (x * y).order() is None
+    assert fours.element_order(x * y) is None
 
 
 def test_element_order_torsion_free_backends(rng, free2, z2, fours):
     for group in (free2, z2, fours):
         for _ in range(200):
             x = random_element(rng, group)
-            o = x.order()
+            o = group.element_order(x)
             if x.is_identity:
                 assert o == 1
             else:
@@ -100,7 +100,7 @@ def test_fours_torsion_free_on_ball_radius_six(fours):
         if not g.is_identity:
             assert sq != fours.identity()
             assert v != (0, 0, 0)
-            assert g.order() is None
+            assert fours.element_order(g) is None
 
 
 def test_fours_derived_translations_rank_three(fours):
@@ -352,9 +352,9 @@ def test_permutation_backend():
     p = s4.from_cycles([(1, 2, 3)])
     q = s4.from_cycles([(3, 4)])
     assert s4.format_element(p) == "(1 2 3)"
-    assert p.order() == 3
-    assert (p * q).order() == 4
-    assert s4.parse_element("(1 2)(3 4)").order() == 2
+    assert s4.element_order(p) == 3
+    assert s4.element_order(p * q) == 4
+    assert s4.element_order(s4.parse_element("(1 2)(3 4)")) == 2
     # express round trip through adjacent transpositions
     for r in [p, q, p * q, s4.identity()]:
         word = s4.express(r)
@@ -492,9 +492,9 @@ def test_quotient_backend(z2):
     q = QuotientFreeAbelianGroup(z2, (2, 0))
     assert q.content == 2
     x = q.project(z2.vector((1, 0)))
-    assert x.order() == 2
+    assert q.element_order(x) == 2
     y = q.project(z2.vector((0, 1)))
-    assert y.order() is None
+    assert q.element_order(y) is None
     qp = QuotientFreeAbelianGroup(z2, (1, 1))
     assert qp.content == 1
     assert qp.orderable_certificate() is not None
@@ -552,8 +552,8 @@ def test_finite_order_is_the_least_power_to_one(data):
     # perm(5) has (1 2)(3 4 5), where the order is no cycle's length
     group = FINITE_ORDER_GROUPS[data.draw(st.sampled_from(sorted(FINITE_ORDER_GROUPS)))]
     x = data.draw(_words(group))
-    assert x.order() == _least_power_to_one(x)
-    assert isinstance(x.order(), int)
+    assert group.element_order(x) == _least_power_to_one(x)
+    assert isinstance(group.element_order(x), int)
 
 
 @settings(max_examples=300, deadline=None)
@@ -563,9 +563,9 @@ def test_infinite_order_is_none_and_torsion_the_least_power_to_one(data):
     group = INFINITE_ORDER_GROUPS[name]
     x = data.draw(_words(group))
     if _TORSION.get(name, lambda x: x.is_identity)(x):
-        assert x.order() == _least_power_to_one(x)
+        assert group.element_order(x) == _least_power_to_one(x)
     else:
-        assert x.order() is None and _least_power_to_one(x) is None
+        assert group.element_order(x) is None and _least_power_to_one(x) is None
 
 
 # free products with a finite factor, and a pool of nontrivial syllables per factor
@@ -591,12 +591,12 @@ def test_free_product_orders(data):
     s = pick(i)
     z = data.draw(_words(group, 4))
     for x in (group.embed(i, s), z * group.embed(i, s) * ~z):
-        assert x.order() == s.order() == _least_power_to_one(s)
+        assert group.element_order(x) == group.factors[i].element_order(s) == _least_power_to_one(s)
     # alternating syllables from both factors make a cyclically reduced word
     pairs = data.draw(st.integers(1, 3))
     x = group.word([(j, pick(j)) for _ in range(pairs) for j in (0, 1)])
     assert len(x.payload) == 2 * pairs
-    assert x.order() is None and _least_power_to_one(x) is None
+    assert group.element_order(x) is None and _least_power_to_one(x) is None
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +641,7 @@ def test_equal_group_objects_give_equal_elements(name, word, other):
     # products and inverses across the two objects are products in either
     y2 = _evaluate(g2, other)
     assert x1 * y2 == _evaluate(g1, word + other) == x2 * y2
-    assert g1.mul(x2, y2) == x2 * y2 and g1.inv(x2) == ~x2
+    assert g1.mul(x2, y2) == x2 * y2 and ~x1 == ~x2
     assert g1.ball(1, [x2]) == g2.ball(1, [x2])
 
 
@@ -703,8 +703,6 @@ def test_mismatched_groups_raise(name):
             group.mul(x, y)
         with pytest.raises(GroupMismatchError):
             group.mul(y, x)
-        with pytest.raises(GroupMismatchError):
-            group.inv(y)
         for radius in (0, 1):
             with pytest.raises(GroupMismatchError):
                 group.ball(radius, [x, y])

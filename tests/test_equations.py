@@ -28,6 +28,8 @@ from groupeq.errors import (
     WindowError,
 )
 
+from groupeq.words import is_conjugate_to_constant
+
 from conftest import assert_round_trips, random_element
 
 
@@ -133,6 +135,36 @@ def test_classify_against_naive_oracle(setup):
         c = classify(e)
         length, sigma, trivial = _naive_classification(G, terms)
         assert (c.length, c.exponent_sum, c.trivial) == (length, sigma, trivial)
+
+
+def _classified_in_g_times_t(e):
+    """(length, trivial) read off e's word in G * T, each coefficient one
+    syllable of the factor G: the construction classify used before it read
+    the refined word, kept as a reference."""
+    w = FreeProductGroup((e.group, T)).word(
+        syll for g, k in e.terms for syll in ((0, g), (1, T.word([("t", k)])))
+    )
+    return sum(abs(v.payload[0][1]) for i, v in w.payload if i == 1), is_conjugate_to_constant(w, 0)
+
+
+def test_classify_matches_the_g_times_t_word(setup, c3, fours):
+    G, a, b, _ = setup
+    fc = FreeGroup(("c",))
+    nested = FreeProductGroup((G, fc))
+    seen = set()
+    for group, seed in ((G, 31), (c3, 32), (fours, 33), (nested, 34)):
+        rng = random.Random(seed)
+        for _ in range(1_500):
+            terms = []
+            for _ in range(rng.randrange(1, 5)):
+                coef = group.identity() if rng.random() < 0.3 else random_element(rng, group, 2)
+                terms.append((coef, rng.choice([-2, -1, 1, 2])))
+            e = Equation(group, tuple(terms))
+            c = classify(e)
+            assert (c.length, c.trivial) == _classified_in_g_times_t(e)
+            seen.add((group, c.trivial))
+    # each group gives trivial and nontrivial equations
+    assert len(seen) == 8
 
 
 def test_inversion_negates_sigma_preserves_triviality(setup, rng):
@@ -324,24 +356,26 @@ def test_failed_prepare_is_not_cached(setup, c3):
     assert normal_form_6(over_h, Split.of(G, [1])).kind == "length-one"
     with pytest.raises(EquationOverFactorError):
         bruteforce_min_form6(over_h, split)
+    # the normal form needs a free-product G, and says so on every call
     not_free_product = Equation(c3, ((c3.element(1), 1),))
     for _ in range(2):
         with pytest.raises(EquationError):
-            not_free_product.refined_group()
-        with pytest.raises(EquationError):
-            not_free_product.refined_word()
+            normal_form_6(not_free_product, split)
 
 
-def test_word_groups_are_shared_per_coefficient_group(setup):
+def test_word_groups_are_shared_per_coefficient_group(setup, c3):
     G, a, b, _ = setup
     e, f = Equation(G, ((a, 1),)), Equation(G, ((b, -1), (a, 2)))
-    assert e.word_group() is f.word_group() == FreeProductGroup((G, T))
     assert e.refined_group() is f.refined_group() == FreeProductGroup(G.factors + (T,))
     assert e.refined_word() is e.refined_word()
     assert e.inverted() is e.inverted() and e.inverted() == Equation(G, ((~a, -1),))
     # words of one equation's group multiply on the shared group object
-    assert (e.word() * f.word()).group is e.word_group()
     assert (e.refined_word() * f.refined_word()).group is e.refined_group()
+    # a G that is not a free product is the one factor before T
+    x = c3.element(1)
+    g, h = Equation(c3, ((x, 1),)), Equation(c3, ((~x, -1), (c3.identity(), 2)))
+    assert g.refined_group() is h.refined_group() == FreeProductGroup((c3, T))
+    assert (g.refined_word() * h.refined_word()).group is g.refined_group()
 
 
 def _all_words(letters, length):

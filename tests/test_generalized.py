@@ -363,8 +363,8 @@ def test_reduce_to_ordinary(gz2):
     eq = reduce_to_ordinary(ge)
     assert len(eq.terms) == 2
     assert classify(eq).exponent_sum == 0
-    # substitution form: g t^-1 t_1 t
-    w = eq.word()
+    # substitution form: g t^-1 t_1 t, over the factors G, T_1 and <t>
+    assert [i for i, _ in eq.refined_word().payload] == [0, 2, 1, 2]
     assert not classify(eq).trivial
 
     eq2 = reduce_to_ordinary(ge, "direct-product")

@@ -1,7 +1,9 @@
 """Every function and class defined in src/groupeq is referenced by the
-program itself: by name, from src/, scripts/ or perfbench/ (a re-export in
-the package's __init__ counts).  Dunder methods are called by the language
-and are not checked."""
+program itself, from src/, scripts/ or perfbench/.  A method counts as
+referenced through an attribute access (`.name`) or a bare name in its own
+class body (`generators = gens`); any other definition through its name
+anywhere (a re-export in the package's __init__ counts).  Dunder methods are
+called by the language and are not checked."""
 
 import ast
 from pathlib import Path
@@ -12,36 +14,52 @@ ROOT = Path(__file__).resolve().parents[1]
 TEST_ONLY = {"Presentation.from_text", "Presentation.from_struct"}
 
 
+def _class_body_names(cls):
+    """The bare names read in a class body outside its methods."""
+    return {
+        node.id
+        for stmt in cls.body
+        if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Name)
+    }
+
+
 def _definitions(node, prefix, where):
+    """(qualname, name, location, the names that reference it, or None for
+    the program-wide rule) for each definition under node."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualname = prefix + child.name
-            yield qualname, child.name, f"{where}:{child.lineno}"
+            method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
+            yield qualname, child.name, f"{where}:{child.lineno}", _class_body_names(node) if method else None
             yield from _definitions(child, qualname + ".", where)
         else:
             yield from _definitions(child, prefix, where)
 
 
 def _referenced_names():
-    names = set()
+    """(every name, alias or attribute read, the attributes alone)."""
+    names, attrs = set(), set()
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
+                    attrs.add(node.attr)
                 elif isinstance(node, ast.alias):
                     names.add(node.name)
-    return names
+    return names | attrs, attrs
 
 
 def test_every_definition_is_referenced():
-    referenced = _referenced_names()
+    referenced, attributes = _referenced_names()
     unreferenced = []
     for path in sorted((ROOT / "src" / "groupeq").glob("*.py")):
-        for qualname, name, where in _definitions(ast.parse(path.read_text()), "", path.name):
+        for qualname, name, where, in_class in _definitions(ast.parse(path.read_text()), "", path.name):
             dunder = name.startswith("__") and name.endswith("__")
-            if not dunder and name not in referenced and qualname not in TEST_ONLY:
+            seen = referenced if in_class is None else attributes | in_class
+            if not dunder and name not in seen and qualname not in TEST_ONLY:
                 unreferenced.append(f"{qualname} ({where})")
     assert unreferenced == []
