@@ -231,22 +231,20 @@ class Group(ABC):
         for g in base:
             if g.group is not self and g.group != self:
                 raise GroupMismatchError("ball generators must live in this group")
-        syms: list[GroupElement] = []
-        for g in base:
-            for h in (g, ~g):
-                if h not in syms:
-                    syms.append(h)
-        seen = {self.identity()}
-        layer = set(seen)
+        # the BFS runs on payloads, which are canonical, and wraps each
+        # element once at the end
+        mul = self._mul
+        syms = list(dict.fromkeys(h for g in base for h in (g.payload, self._inv(g.payload))))
+        layer = {self._one}
+        seen = set(layer)
         for _ in range(radius):
-            nxt = {x * s for x in layer for s in syms} - seen
-            seen |= nxt
-            layer = nxt
+            layer = {mul(x, s) for x in layer for s in syms} - seen
+            seen |= layer
             if len(seen) > caps.ball_size:
                 raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
             if not layer:
                 break
-        return frozenset(seen)
+        return frozenset([GroupElement(self, p) for p in seen])
 
 
 # ---------------------------------------------------------------------------

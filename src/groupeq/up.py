@@ -8,6 +8,14 @@ symmetric search (`search_nonup_witness`) and the seeded anneal
 `ProductCensus`: a product table over a sorted ball, built once with its
 products numbered as they turn up, and plain integer counts updated as
 atoms enter and leave S.
+
+For a symmetric S = S^-1, phi(x, y) = (y^-1, x^-1) is an involution of
+S x S that sends a pair with product p to one with product p^-1, so p and
+p^-1 have equal counts.  Its only fixed pairs are the (x, x^-1), whose
+product is 1.  So a product p != 1 with p = p^-1 has an even count, and 1
+has count |S|: neither is ever unique once |S| >= 2.  The symmetric search
+therefore keeps one count per inverse pair {p, p^-1} and raises one pair
+of each phi-orbit, half the updates of a count per product.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Optional, Sequence
 
 from .backends import Group, GroupElement
@@ -242,8 +249,6 @@ def naive_no_unique_product(S: Sequence[GroupElement]) -> bool:
     return all(c >= 2 for c in counts.values())
 
 
-
-
 class ProductCensus:
     """Exact S*S product counts for a subset S of a ball, kept up to date
     one atom at a time; the one counting engine behind the witness searches.
@@ -270,11 +275,33 @@ class ProductCensus:
     `rose[c]` hold that change for a count that has just fallen or risen
     to c.
 
-    `settled` files each product index once, in increasing order within a
-    list, under the last atom that forms it as x*y or y*x with y in the
-    ball: `settled[i]`, for i >= 1, lists the products `atoms[i - 1]` forms
-    and no later atom does, and `settled[0]` those no atom forms.  Putting
-    atoms from `atoms[i:]` into S raises no count in `settled[0]` through
+    For a symmetric S the census also counts by inverse pair (the phi-orbit
+    rule of the module docstring).  The fill numbers the pair classes as it
+    numbers the products: `orbit[k]` is the class of product k, shared by k
+    and its inverse and numbered from 1 as the pairs turn up, or 0, the
+    sink, when the product is its own inverse, which is never unique once
+    |S| >= 2 (its count is even, or |S| for the identity).
+    `orbit_rows[i][j]` is the class of ball[i]*ball[j], and
+    `orbit_counts[c]`, for c >= 1, the number of phi-orbits of S x S whose
+    products lie in class c: the count of each of its two products.  The
+    sink starts at 2 and only moves up and back, so it never reads 1, and
+    S, with |S| >= 2, has a unique product iff some class count is 1.
+    `add_orbits` raises one pair of each new orbit: x*m for each element x
+    of the atom and each member m, then x*x for its first element.  For a
+    pair atom {x, x^-1}, x^-1*m stands for m*x, the inverse of x^-1*m^-1,
+    as m^-1 runs over the members with m; an involution or the identity
+    raises x*m alone, since the orbit of (x, m) holds (m^-1, x).  So a node
+    makes half the updates of `add`, over half as many counts.  `add`,
+    `remove`, `move` and `counts` count products for any S; a census counts
+    one way or the other between calls to `clear`.
+
+    `settled` files each pair class once, in increasing order within a
+    list, under the last atom that forms its products as x*y or y*x with y
+    in the ball (an atom forms p iff it forms p^-1, and the classes its
+    rows hold are those it forms): `settled[i]`, for i >= 1, lists the
+    classes `atoms[i - 1]` forms and no later atom does, and `settled[0]`
+    those no atom forms; the sink is in no list.  Putting atoms from
+    `atoms[i:]` into S raises no count in `settled[0]` through
     `settled[i]`, so a count of 1 there is final: no such extension of S
     loses that unique product.
     `ways(top)` counts the subsets of `atoms[i:]` by their number of
@@ -302,6 +329,8 @@ class ProductCensus:
         # mirror (m, flip[i]); the earlier rows' mirrors are the rest of row i
         number: dict = {}  # product payload -> its number; canonical payloads
         opp: list[int] = []  # the number of each product's inverse
+        orbit: list[int] = []  # the class of each product, 0 (the sink) when p = p^-1
+        classes = 0
         n = len(payloads)
         rows = [[0] * n for _ in range(n)]
         tail = [(m, j, payloads[j]) for m, j in enumerate(flip)]
@@ -313,21 +342,31 @@ class ProductCensus:
                 if k is None:  # number p and its inverse, the same when p = p^-1
                     k = number[p] = len(opp)
                     q = number.setdefault(inv(p), k + 1)
-                    opp += (q, k) if q > k else (k,)
+                    if q > k:
+                        classes += 1
+                        opp += (q, k)
+                        orbit += (classes, classes)
+                    else:
+                        opp.append(k)
+                        orbit.append(0)
                 row[j] = k
                 rows[m][fi] = opp[k]
             if len(opp) > caps.ball_size:
                 raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
         self.products = list(number)  # payloads by number
         self.rows, self.cols = rows, [list(col) for col in zip(*rows)]
-        last = dict.fromkeys(range(len(opp)), 0)  # product -> 1 + last atom forming it
+        self.orbit = orbit
+        self.orbit_rows = [list(map(orbit.__getitem__, row)) for row in rows]
+        last = [0] * (classes + 1)  # class -> 1 + the last atom forming it
         for i, atom in enumerate(self.atoms, 1):
             for x in atom:
-                last.update(zip(rows[x] + self.cols[x], repeat(i)))
+                for c in self.orbit_rows[x]:
+                    last[c] = i
         self.settled: list[list[int]] = [[] for _ in range(len(self.atoms) + 1)]
-        for k, i in last.items():
-            self.settled[i].append(k)
+        for c in range(1, classes + 1):
+            self.settled[last[c]].append(c)
         self.counts = [0] * len(opp)
+        self.orbit_counts = [2] + [0] * classes
         self.members: list[int] = []
         # no count exceeds |S| <= len(ball)
         self.fell = (-1, 1) + (0,) * len(self.ball)
@@ -403,8 +442,46 @@ class ProductCensus:
             members.append(i)
         return delta
 
+    def add_orbits(self, atom: tuple[int, ...]) -> None:
+        """Put the atom's elements, none of them in S yet, into a symmetric S
+        and raise `orbit_counts` by one pair of each new phi-orbit: x*m for
+        each element x of the atom and each member m, and x*x for its first
+        element x (the sink, for an involution)."""
+        counts, members, rows = self.orbit_counts, self.members, self.orbit_rows
+        x = atom[0]
+        row = rows[x]
+        if len(atom) == 1:
+            for m in members:
+                counts[row[m]] += 1
+        else:
+            inv_row = rows[atom[1]]
+            for m in members:
+                counts[row[m]] += 1
+                counts[inv_row[m]] += 1
+        counts[row[x]] += 1
+        members += atom
+
+    def remove_orbits(self, atom: tuple[int, ...]) -> None:
+        """Take the atom's elements, all of them in a symmetric S, out of S:
+        `add_orbits` undone."""
+        counts, members, rows = self.orbit_counts, self.members, self.orbit_rows
+        for i in atom:
+            members.remove(i)
+        x = atom[0]
+        row = rows[x]
+        if len(atom) == 1:
+            for m in members:
+                counts[row[m]] -= 1
+        else:
+            inv_row = rows[atom[1]]
+            for m in members:
+                counts[row[m]] -= 1
+                counts[inv_row[m]] -= 1
+        counts[row[x]] -= 1
+
     def clear(self) -> None:
         self.counts = [0] * len(self.counts)
+        self.orbit_counts = [2] + [0] * (len(self.orbit_counts) - 1)
         self.members = []
 
     def unique_count(self) -> int:
@@ -440,6 +517,14 @@ def search_nonup_witness(
     any of them, so a count of 1 there means no extension by `atoms[j:]`,
     of any size, is a witness, and the loop ends.
 
+    S is symmetric, so the walk counts pair classes, not products
+    (`ProductCensus.add_orbits`): the involution phi(x, y) = (y^-1, x^-1)
+    of S x S gives p and p^-1 equal counts, a product p != 1 that is its
+    own inverse an even count and the identity the count |S|, so only a
+    class {p, p^-1} can hold the unique product of a set of 2 or more
+    elements.  The cuts, the order of the visit and the answer are those
+    of counting products.
+
     `subsets_tested` is read off `ProductCensus.ways`: it is what a visit of
     every subset in the answer's order counts up to the answer.  That is
     every subset of each size below the witness's (of every size when there
@@ -456,16 +541,16 @@ def search_nonup_witness(
     budget = caps.budget_ms / 1000.0
     census = ProductCensus(group, radius, gens, caps)
     atoms, settled = census.atoms, census.settled
-    add, remove = census.add, census.remove
+    add, remove = census.add_orbits, census.remove_orbits
     n = len(atoms)
     sizes = tuple(range(2, maxsize + 1))
     limit = maxsize
     nodes = 0
     path: list[int] = []
     best: Optional[tuple[tuple[int, ...], int]] = None  # (atom path, with identity)
-    # x*x for the first element x of each atom: a count of 1 there rules out
-    # a witness without scanning every count
-    square = [census.rows[atom[0]][atom[0]] for atom in atoms]
+    # the class of x*x for the first element x of each atom: a count of 1
+    # there rules out a witness without scanning every class count
+    square = [census.orbit_rows[atom[0]][atom[0]] for atom in atoms]
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
@@ -499,7 +584,7 @@ def search_nonup_witness(
 
     for with_ident in (0, 1):
         census.clear()
-        counts, members = census.counts, census.members  # read by walk; clear() makes new lists
+        counts, members = census.orbit_counts, census.members  # read by walk; clear() makes new lists
         if with_ident:
             add((census.identity,))
         if out_of_time() or not walk(0):

@@ -21,6 +21,7 @@ from groupeq.backends import (
     klein_four_group,
     table_from_group,
 )
+from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError, GroupMismatchError, UnsupportedBackendError
 
 from conftest import assert_round_trips, fours_translation, random_element
@@ -336,6 +337,73 @@ def test_ball_radius_cap():
     z1 = FreeAbelianGroup(1)
     with pytest.raises(CapExceededError):
         z1.ball(9)
+
+
+def _element_ball(group, radius, gens=None, caps=DEFAULT_CAPS):
+    """The BFS `Group.ball` ran before it moved to payloads: whole elements
+    multiplied and hashed layer by layer, with the same caps."""
+    base = tuple(gens) if gens is not None else group.generators()
+    syms = []
+    for g in base:
+        for h in (g, ~g):
+            if h not in syms:
+                syms.append(h)
+    seen = {group.identity()}
+    layer = set(seen)
+    for _ in range(radius):
+        nxt = {x * s for x in layer for s in syms} - seen
+        seen |= nxt
+        layer = nxt
+        if len(seen) > caps.ball_size:
+            raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
+        if not layer:
+            break
+    return frozenset(seen)
+
+
+def _ball_cases():
+    fours, free2 = FoursGroup(), FreeGroup(("a", "b"))
+    c12, zn2 = cyclic_group(12), FreeAbelianGroup(2)
+    product = FreeProductGroup((FreeGroup(("a",)), cyclic_group(3)))
+    s3 = table_from_group(PermutationGroup(3))
+    perm4 = PermutationGroup(4)
+    return [
+        ("fours", fours, 3, None),
+        ("fours-gens", fours, 2, [fours.parse_element("a"), fours.parse_element("a b")]),
+        # generators of an equal group object that is not the same object
+        ("fours-other-gens", fours, 2, [FoursGroup().parse_element("b")]),
+        ("fours-radius-0", fours, 0, None),
+        ("free", free2, 3, None),
+        ("free-gens", free2, 3, [free2.gen("a") * free2.gen("b")]),
+        ("free-product", product, 3, None),
+        ("perm4", perm4, 3, None),
+        ("perm4-gens", perm4, 4, [perm4.from_cycles([(1, 2)]), perm4.from_cycles([(1, 2, 3, 4)])]),
+        ("s3-table", s3, 2, None),
+        ("zn2", zn2, 3, None),
+        ("cyclic12", c12, 2, None),
+        ("cyclic12-gens", c12, 3, [c12.element(4), c12.element(6)]),
+    ]
+
+
+@pytest.mark.parametrize("name, group, radius, gens", _ball_cases(), ids=[c[0] for c in _ball_cases()])
+def test_ball_matches_the_element_bfs(name, group, radius, gens):
+    # the payload BFS gives the same frozenset of elements, each of this group
+    ball = group.ball(radius, gens)
+    assert isinstance(ball, frozenset)
+    assert ball == _element_ball(group, radius, gens)
+    assert all(x.group is group for x in ball)
+
+
+def test_ball_size_cap_fires_on_the_layer_that_passes_it():
+    # |ball(4)| = 83 in the fours group, and both BFSs check the cap after
+    # each layer with the same message
+    fours = FoursGroup()
+    at, below = (DEFAULT_CAPS.with_overrides(ball_size=s) for s in (83, 82))
+    assert fours.ball(4, caps=at) == _element_ball(fours, 4, caps=at)
+    assert len(fours.ball(4, caps=at)) == 83
+    for bfs in (fours.ball, lambda r, caps: _element_ball(fours, r, caps=caps)):
+        with pytest.raises(CapExceededError, match=r"^ball size exceeds cap 82$"):
+            bfs(4, caps=below)
 
 
 def test_finite_table_validation():

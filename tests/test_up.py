@@ -598,12 +598,26 @@ def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
     assert res == _reference_search(group, radius, 8, g)
 
 
+def _product_settled(census):
+    """Settled lists of product numbers: each product under the last atom
+    that forms it as x*y or y*x with y in the ball, read off the product
+    table, as the search's cut was before it counted pair classes."""
+    last = dict.fromkeys(range(len(census.counts)), 0)
+    for i, atom in enumerate(census.atoms, 1):
+        for x in atom:
+            last.update((k, i) for k in census.rows[x] + census.cols[x])
+    settled = [[] for _ in range(len(census.atoms) + 1)]
+    for k, i in last.items():
+        settled[i].append(k)
+    return settled
+
+
 def _sized_search(group, radius, maxsize, gens=None):
     """The size-by-size walk the one-pass search replaced: for each size,
-    each family from an empty set, with the settled cut and cut subtrees
-    counted off `ProductCensus.ways`; no deadline."""
+    each family from an empty set, with the settled cut on product counts
+    and cut subtrees counted off `ProductCensus.ways`; no deadline."""
     census = ProductCensus(group, radius, gens)
-    atoms, settled = census.atoms, census.settled
+    atoms, settled = census.atoms, _product_settled(census)
     n = len(atoms)
     ways = census.ways(max(maxsize, 0))
     tested = 0
@@ -725,28 +739,34 @@ _CENSUS_CASES = [
 
 @pytest.mark.parametrize("name, n, radius", _CENSUS_CASES)
 def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radius):
+    # settled holds pair classes: the class of each product that is not its
+    # own inverse, once, under the last atom that forms it; the sink is in
+    # no list
     group = _search_group(name, n)
     census = ProductCensus(group, radius)
-    products = census.products
+    products, orbit = census.products, census.orbit
     ball, atoms, settled = census.ball, census.atoms, census.settled
+    classes = range(1, len(census.orbit_counts))
     assert len(settled) == len(atoms) + 1
-    assert sorted(k for part in settled for k in part) == list(range(len(products)))
+    assert sorted(c for part in settled for c in part) == list(classes)
     for i in range(len(atoms) + 1):
         formed = {
-            products.index(p.payload)
+            orbit[products.index(p.payload)]
             for a in atoms[i:]
             for x in a
             for y in ball
             for p in (ball[x] * y, y * ball[x])
         }
-        assert sorted(k for part in settled[:i + 1] for k in part) == [k for k in range(len(products)) if k not in formed]
+        assert sorted(c for part in settled[:i + 1] for c in part) == [c for c in classes if c not in formed]
         assert settled[i] == sorted(settled[i])
 
 
 def test_settled_holds_each_free_radius_5_product_once():
     census = ProductCensus(FreeGroup(("a", "b")), 5, caps=DEFAULT_CAPS.with_overrides(radius=10))
-    assert (len(census.atoms), len(census.counts)) == (242, 118_097)
-    assert sum(map(len, census.settled)) == 118_097
+    # the identity is the one product that is its own inverse, so the other
+    # 118,096 products make 59,048 pair classes, beside the sink
+    assert (len(census.atoms), len(census.counts), len(census.orbit_counts)) == (242, 118_097, 59_049)
+    assert sum(map(len, census.settled)) == 59_048
 
 
 def _table_cases():
@@ -806,9 +826,9 @@ def test_product_table_indexes_the_double_ball(group, radius, gens):
     "group, radius, gens", _table_cases() + [(_search_group("free"), 3, None)]
 )
 def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
-    # one relabelling of the product numbers turns the census's table and
-    # settled lists into those of the sorted double ball, and its atoms are
-    # the reference's
+    # one relabelling of the product numbers turns the census's table into
+    # that of the sorted double ball, its atoms are the reference's, and its
+    # settled lists hold the pair classes of the reference's settled products
     census = ProductCensus(group, radius, gens)
     big, rows, atoms, settled = _sorted_tables(group, radius, gens)
     relabel = {}
@@ -818,7 +838,8 @@ def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
     assert sorted(relabel) == sorted(relabel.values()) == list(range(len(big)))
     assert [big[relabel[k]].payload for k in range(len(big))] == census.products
     assert census.atoms == atoms
-    assert [sorted(relabel[k] for k in part) for part in census.settled] == settled
+    back = {r: k for k, r in relabel.items()}
+    assert census.settled == [sorted({census.orbit[back[r]] for r in part} - {0}) for part in settled]
 
 
 def _flip(census):
@@ -865,6 +886,52 @@ def test_mirror_cells_hold_the_inverse_products(name):
         for j, y in enumerate(ball):
             assert products[rows[i][j]] == (x * y).payload
             assert rows[flip[j]][flip[i]] == number[(~(x * y)).payload]
+    # an inverse pair shares one class, numbered as the pairs turn up, and a
+    # product that is its own inverse goes to the sink, class 0
+    pairs = [k for k, p in enumerate(products) if group._inv(p) != p]
+    assert [census.orbit[k] for k in pairs] == [1 + i // 2 for i in range(len(pairs))]
+    assert all(census.orbit[k] == 0 for k in range(len(products)) if k not in pairs)
+    assert census.orbit_rows == [[census.orbit[k] for k in row] for row in rows]
+
+
+@functools.lru_cache(maxsize=None)
+def _mirror_census(name, copy):
+    make, radius, _ = _MIRROR_GROUPS[name]
+    return ProductCensus(make(), radius)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_MIRROR_GROUPS)),
+    picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30),
+)
+def test_orbit_counts_match_product_counts(name, picks):
+    # a symmetric S, toggled atom by atom (the identity among them) in any
+    # order: each pair class counts what `add` counts for both its products,
+    # and the sink never reads 1, so S*S has a unique product iff a class
+    # count is 1, once |S| >= 2
+    by_orbit, by_product = _mirror_census(name, 0), _mirror_census(name, 1)
+    by_orbit.clear()
+    by_product.clear()
+    pool = by_orbit.atoms + [(by_orbit.identity,)]
+    present = []
+    for p in picks:
+        atom = pool[p % len(pool)]
+        if atom in present:
+            present.remove(atom)
+            by_orbit.remove_orbits(atom)
+            by_product.remove(atom)
+        else:
+            present.append(atom)
+            by_orbit.add_orbits(atom)
+            by_product.add(atom)
+        assert sorted(by_orbit.members) == sorted(by_product.members) == sorted(i for a in present for i in a)
+        counts, orbit_counts = by_product.counts, by_orbit.orbit_counts
+        for k, c in enumerate(by_orbit.orbit):
+            assert c == 0 or orbit_counts[c] == counts[k]
+        assert orbit_counts[0] != 1
+        if len(by_orbit.members) >= 2:
+            assert (1 in orbit_counts) == (by_product.unique_count() > 0)
 
 
 def test_product_ball_size_cap_has_the_double_ball_boundary():
@@ -922,8 +989,8 @@ def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
     # the cut's strength, which no result shows: the atoms the walk adds,
     # one per visited node, plus the identity once
     calls = []
-    add = ProductCensus.add
-    monkeypatch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
+    add = ProductCensus.add_orbits
+    monkeypatch.setattr(ProductCensus, "add_orbits", lambda self, atom: calls.append(atom) or add(self, atom))
     caps = DEFAULT_CAPS.with_overrides(radius=6)
     res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
