@@ -1053,13 +1053,17 @@ _ANNEAL_PINS = [
     (("klein", 1, 2, 3, False, None), (1, 0, ("u", "1"), 0.6055995301393269)),
     (("fours", 2, 6, 5, False, 4), (2, 4, None, 0.8700907187527503)),
     (("fours", 3, 10, 7, True, 4), (2, 6, None, 0.6319379533039833)),
+    # one slot of perm(3)'s ball(1): S is the involution (1 2), whose square
+    # is the unique product 1, or the pair of 3-cycles
+    (("perm3", 1, 2, 5, True, 4), (2, 1, None, 0.40039396855256615)),
+    (("perm3", 2, 4, 3, True, 4), (2, 2, None, 0.5490263684586864)),
 ]
 
 
 @pytest.mark.parametrize("inputs,pinned", _ANNEAL_PINS)
 def test_anneal_trajectory_is_pinned(monkeypatch, inputs, pinned):
     name, radius, size, seed, symmetric, jump = inputs
-    group = klein_four_group() if name == "klein" else FoursGroup()
+    group = {"klein": klein_four_group, "perm3": lambda: PermutationGroup(3), "fours": FoursGroup}[name]()
     monkeypatch.setattr(up, "time", _StepClock(jump))
     monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
     caps = DEFAULT_CAPS.with_overrides(radius=2 * radius)
