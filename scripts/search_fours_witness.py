@@ -7,7 +7,8 @@ A command-line front end to `groupeq.up.search_nonup_witness` and
               up to --max-size, complete in the ball; the first witness by
               size is the answer.  The pass settles every size together, so
               a --budget-ms deadline that passes during it reports every
-              size truncated and 0 subsets tested
+              size truncated and 0 subsets tested.  It covers symmetric
+              sets only, so --no-symmetric is a usage error here
   anneal      simulated annealing, fixed seed; --no-symmetric drops the
               S = S^-1 restriction and anneals over arbitrary subsets
 
@@ -16,11 +17,12 @@ has even size; the symmetric anneal rejects an odd --max-size.  Bad input,
 such as a negative --radius or a size the ball cannot fill, exits 2 with
 the library's message; exit 1 means no witness was found.
 
-The exhaustive symmetric run at radius 3 finishes in about 0.1 s and
-proves there is no symmetric witness of size <= 14 in that ball.  Witnesses do
-exist asymmetrically at radius 4: seed 17 finds a verified 14-element set
-(two translations, six elements in each of two reflection cosets) after 76
-restarts, in 4.5-5.4 s on a 2-vCPU machine with Python 3.11, via
+The exhaustive symmetric run at radius 3 proves there is no symmetric
+witness of size <= 14 in that ball, in 29-44 ms of search on a 2-vCPU
+machine with Python 3.11.  Witnesses do exist asymmetrically at radius 4:
+seed 17 finds a verified 14-element set (two translations, six elements in
+each of two reflection cosets) after 76 restarts, in 4.1-5.3 s of CPU per
+process on the same machine, via
 
   python3 scripts/search_fours_witness.py --radius 4 --strategy anneal --no-symmetric
 """
@@ -48,6 +50,9 @@ def main() -> int:
                     help="anneal over arbitrary subsets instead of S = S^-1 shapes")
     args = ap.parse_args()
     symmetric = not args.no_symmetric
+    if args.strategy == "exhaustive" and not symmetric:
+        ap.error("the exhaustive search covers symmetric sets only; "
+                 "--no-symmetric needs --strategy anneal")
     if args.strategy == "anneal" and symmetric and args.max_size % 2:
         ap.error("the symmetric anneal needs an even --max-size "
                  "(the fours group is torsion-free)")

@@ -4,18 +4,22 @@ Censuses are exact: products are keyed by canonical forms, never hashed
 probabilistically.  The witness searches target the fours group but run on
 any backend with decidable equality.  Both of them, the exhaustive
 symmetric search (`search_nonup_witness`) and the seeded anneal
-(`anneal_nonup_witness`), count S*S products with one engine,
-`ProductCensus`: a product table over a sorted ball, built once with its
-products numbered as they turn up, and plain integer counts updated as
-atoms enter and leave S.
+(`anneal_nonup_witness`), count S*S with one engine, `ProductCensus`: a
+labelled product table over a sorted ball, built once with its products
+numbered as they turn up, and plain integer counts updated as atoms enter
+and leave S.
 
-For a symmetric S = S^-1, phi(x, y) = (y^-1, x^-1) is an involution of
-S x S that sends a pair with product p to one with product p^-1, so p and
-p^-1 have equal counts.  Its only fixed pairs are the (x, x^-1), whose
-product is 1.  So a product p != 1 with p = p^-1 has an even count, and 1
-has count |S|: neither is ever unique once |S| >= 2.  The symmetric search
-therefore keeps one count per inverse pair {p, p^-1} and raises one pair
-of each phi-orbit, half the updates of a count per product.
+A census counts one way, fixed when it is built.  For a symmetric
+S = S^-1, phi(x, y) = (y^-1, x^-1) is an involution of S x S that sends a
+pair with product p to one with product p^-1, so p and p^-1 have equal
+counts.  Its only fixed pairs are the (x, x^-1), whose product is 1.  So a
+product p != 1 with p = p^-1 has an even count, and 1 has count |S|:
+neither is ever unique once |S| >= 2.  A symmetric census, the search's and
+the symmetric anneal's, therefore keeps one count per inverse pair
+{p, p^-1} and raises one pair of each phi-orbit; S*S then has
+2 * (classes at 1) + [|S| = 1] unique products.  An asymmetric census, the
+anneal's over arbitrary subsets, keeps one count per product, and S*S has
+as many unique products as counts at 1.
 """
 
 from __future__ import annotations
@@ -250,60 +254,70 @@ def naive_no_unique_product(S: Sequence[GroupElement]) -> bool:
 
 
 class ProductCensus:
-    """Exact S*S product counts for a subset S of a ball, kept up to date
-    one atom at a time; the one counting engine behind the witness searches.
+    """Exact counts of the products of S*S for a subset S of a ball, kept up
+    to date one atom at a time; the one counting engine behind the witness
+    searches.  A census counts one way, fixed when it is built: a symmetric
+    census counts inverse-pair classes for a symmetric S (the phi-orbit rule
+    of the module docstring), an asymmetric one counts products for any S.
 
     The ball is sorted by the group's sort key and ball indices stand for
-    elements.  The product table, built once, maps (i, j) to the number of
-    ball[i]*ball[j] among the table's own products, ball(2 * radius), held
-    to `caps.ball_size` row by row; `products[k]` is the payload of product
-    k.  Products are numbered in the order they turn up, each inverse pair
-    together, so the numbering rests on the sorted ball and payload equality
-    alone.  A computed cell (i, j) also fills the cell of its inverse,
-    (flip[j], flip[i]), where flip[i] is the ball index of x_i^-1, so about
-    half the table is multiplied.  `atoms` are the inverse pairs of the ball
-    without the identity, an involution forming a 1-element atom, in ball
-    order.  `counts[k]` is the number of ordered pairs of S whose
-    product is element k, and S has a unique product iff some count is 1.
-    `add` and `remove` touch only the products of the elements they move,
-    with no branches in the loop.
+    elements.  The fill multiplies the ball with itself once, reading
+    ball(2 * radius) off its own table, held to `caps.ball_size` row by
+    row.  It numbers the products in the order they turn up, each inverse
+    pair together, so the numbering rests on the sorted ball and payload
+    equality alone; `products[k]` is the payload of product k.  A computed
+    cell (i, j) also fills the cell of its inverse, (flip[j], flip[i]),
+    where flip[i] is the ball index of x_i^-1, so about half the table is
+    multiplied.  Each cell holds a label, `rows[i][j]` that of
+    ball[i]*ball[j], and `label[k]` is the label of product k:
+      - symmetric: the class of the product's inverse pair, numbered from 1
+        as the pairs turn up, or 0, the sink, when the product is its own
+        inverse;
+      - asymmetric: the product's own number.
+    `counts[c]` counts label c.  In an asymmetric census it is the number of
+    ordered pairs of S with product c, and S*S has as many unique products
+    as counts at 1.  In a symmetric one it is the number of phi-orbits of
+    S x S whose products lie in class c, the count of each of its two
+    products; the sink starts at 3 and only grows with real orbits, so it
+    never reads 1, and a read of it moves neither `fell` nor `rose`.  Each
+    count at 1 there is a pair of unique products, and a
+    one-element S, an involution or the identity, has the unique product 1:
+    S*S has 2 * (counts at 1) + [|S| = 1] unique products.
+
+    `atoms` are the units S is made of, in ball order: the inverse pairs of
+    the ball without the identity, an involution forming a 1-element atom,
+    in a symmetric census, and the single elements in an asymmetric one.
+    `lines[x]`, for an atom whose first element is x, holds the two rows
+    that atom raises at each member of S, the step its second row is raised
+    by, and the label of x*x:
+      - a pair atom {x, x^-1}: rows x and x^-1, which raise x*m and x^-1*m
+        for each member m; x^-1*m stands for m*x, the inverse of
+        x^-1*m^-1, as m^-1 runs over the members with m;
+      - a single element: row x and column x, for x*m and m*x;
+      - an involution or the identity: row x alone, since the orbit of
+        (x, m) holds (m^-1, x); its second row is all sink, raised by 0.
+    So `add`, `remove` and `move` make one raise per orbit or per product
+    in one loop, with no branch in it, and a count depends on S alone,
+    whatever order atoms enter and leave in.  (Raising that sink row by 1
+    would not: an involution added beside a pair atom would raise the sink
+    twice, the pair added beside it not at all, so the sink would drift
+    down through 1 as S changes.  Looping over one row or two costs the
+    anneal a sixth of its time.)
 
     `move(out, into)` swaps one atom of S for one outside it and returns the
     change in `unique_count()` without rescanning the counts: a touched
-    count that falls to 1 (2->1) or rises to 1 (0->1) gains a unique
-    product, one that leaves 1 (1->0, 1->2) loses one.  `fell[c]` and
-    `rose[c]` hold that change for a count that has just fallen or risen
-    to c.
+    count that falls to 1 (2->1) or rises to 1 (0->1) gains unique
+    products, one that leaves 1 (1->0, 1->2) loses them.  `fell[c]` and
+    `rose[c]` hold that change, 2 a count in a symmetric census and 1 in an
+    asymmetric one, for a count that has just fallen or risen to c, and
+    the [|S| = 1] term changes once a call.
 
-    For a symmetric S the census also counts by inverse pair (the phi-orbit
-    rule of the module docstring).  The fill numbers the pair classes as it
-    numbers the products: `orbit[k]` is the class of product k, shared by k
-    and its inverse and numbered from 1 as the pairs turn up, or 0, the
-    sink, when the product is its own inverse, which is never unique once
-    |S| >= 2 (its count is even, or |S| for the identity).
-    `orbit_rows[i][j]` is the class of ball[i]*ball[j], and
-    `orbit_counts[c]`, for c >= 1, the number of phi-orbits of S x S whose
-    products lie in class c: the count of each of its two products.  The
-    sink starts at 2 and only moves up and back, so it never reads 1, and
-    S, with |S| >= 2, has a unique product iff some class count is 1.
-    `add_orbits` raises one pair of each new orbit: x*m for each element x
-    of the atom and each member m, then x*x for its first element.  For a
-    pair atom {x, x^-1}, x^-1*m stands for m*x, the inverse of x^-1*m^-1,
-    as m^-1 runs over the members with m; an involution or the identity
-    raises x*m alone, since the orbit of (x, m) holds (m^-1, x).  So a node
-    makes half the updates of `add`, over half as many counts.  `add`,
-    `remove`, `move` and `counts` count products for any S; a census counts
-    one way or the other between calls to `clear`.
-
-    `settled` files each pair class once, in increasing order within a
-    list, under the last atom that forms its products as x*y or y*x with y
-    in the ball (an atom forms p iff it forms p^-1, and the classes its
-    rows hold are those it forms): `settled[i]`, for i >= 1, lists the
-    classes `atoms[i - 1]` forms and no later atom does, and `settled[0]`
-    those no atom forms; the sink is in no list.  Putting atoms from
-    `atoms[i:]` into S raises no count in `settled[0]` through
-    `settled[i]`, so a count of 1 there is final: no such extension of S
-    loses that unique product.
+    `settled` files each label but the sink once, in increasing order within
+    a list, under the last atom whose lines hold it: `settled[i]`, for
+    i >= 1, lists the labels `atoms[i - 1]` raises and no later atom does,
+    and `settled[0]` those no atom raises.  Putting atoms from `atoms[i:]`
+    into S raises no count in `settled[0]` through `settled[i]`, so a count
+    of 1 there is final: no such extension of S loses those unique products.
     `ways(top)` counts the subsets of `atoms[i:]` by their number of
     elements, so the search reads its subset count off it without visiting
     the subsets it counts.
@@ -314,22 +328,27 @@ class ProductCensus:
         group: Group,
         radius: int,
         gens: Optional[Sequence[GroupElement]] = None,
+        symmetric: bool = True,
         caps: Caps = DEFAULT_CAPS,
     ):
+        self.symmetric = symmetric
         self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
         payloads = [e.payload for e in self.ball]
         mul, inv = group._mul, group._inv
         position = {p: i for i, p in enumerate(payloads)}
         flip = [position[inv(p)] for p in payloads]  # the ball index of each inverse
         self.identity = position[group._one]
-        self.atoms: list[tuple[int, ...]] = [
-            (i,) if i == j else (i, j) for i, j in enumerate(flip) if i <= j and i != self.identity
-        ]
+        self.atoms: list[tuple[int, ...]]
+        if symmetric:
+            self.atoms = [(i,) if i == j else (i, j) for i, j in enumerate(flip) if i <= j and i != self.identity]
+        else:
+            self.atoms = [(i,) for i in range(len(payloads))]
         # row i computes the columns flip[i:], each cell (i, flip[m]) with its
         # mirror (m, flip[i]); the earlier rows' mirrors are the rest of row i
         number: dict = {}  # product payload -> its number; canonical payloads
         opp: list[int] = []  # the number of each product's inverse
-        orbit: list[int] = []  # the class of each product, 0 (the sink) when p = p^-1
+        label: list[int] = []  # the label of each product
+        mirror = label if symmetric else opp  # the label of each product's inverse
         classes = 0
         n = len(payloads)
         rows = [[0] * n for _ in range(n)]
@@ -345,32 +364,46 @@ class ProductCensus:
                     if q > k:
                         classes += 1
                         opp += (q, k)
-                        orbit += (classes, classes)
+                        label += (classes, classes) if symmetric else (k, q)
                     else:
                         opp.append(k)
-                        orbit.append(0)
-                row[j] = k
-                rows[m][fi] = opp[k]
+                        label.append(0 if symmetric else k)
+                row[j] = label[k]
+                rows[m][fi] = mirror[k]
             if len(opp) > caps.ball_size:
                 raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
         self.products = list(number)  # payloads by number
-        self.rows, self.cols = rows, [list(col) for col in zip(*rows)]
-        self.orbit = orbit
-        self.orbit_rows = [list(map(orbit.__getitem__, row)) for row in rows]
-        last = [0] * (classes + 1)  # class -> 1 + the last atom forming it
+        self.label, self.rows = label, rows
+        if symmetric:
+            sinks = [0] * n
+            self.lines = [
+                (row, sinks, 0, row[i]) if i == j else (row, rows[j], 1, row[i])
+                for i, (row, j) in enumerate(zip(rows, flip))
+            ]
+        else:
+            # columns as lists, as the rows are: a subscript that meets tuples
+            # and lists is not specialised, and the count loops slow by a fifth
+            self.lines = [(row, col, 1, row[i]) for i, (row, col) in enumerate(zip(rows, map(list, zip(*rows))))]
+        labels = classes + 1 if symmetric else len(opp)
+        last = [0] * labels  # label -> 1 + the last atom raising it
         for i, atom in enumerate(self.atoms, 1):
-            for x in atom:
-                for c in self.orbit_rows[x]:
-                    last[c] = i
+            row, other, _, _ = self.lines[atom[0]]
+            for c in row + other:
+                last[c] = i
         self.settled: list[list[int]] = [[] for _ in range(len(self.atoms) + 1)]
-        for c in range(1, classes + 1):
+        for c in range(1 if symmetric else 0, labels):
             self.settled[last[c]].append(c)
-        self.counts = [0] * len(opp)
-        self.orbit_counts = [2] + [0] * classes
-        self.members: list[int] = []
-        # no count exceeds |S| <= len(ball)
-        self.fell = (-1, 1) + (0,) * len(self.ball)
-        self.rose = (0, 1, -1) + (0,) * len(self.ball)
+        empty = [0] * labels
+        if symmetric:
+            empty[0] = 3  # the sink starts past 2, where `fell` and `rose` are 0
+        self.empty = tuple(empty)  # the counts of an empty S
+        self.clear()
+        # no count exceeds |S| <= len(ball) but the sink, which holds at most
+        # the |S|(|S| + 1) / 2 orbits of S x S beside its start
+        top = 3 + n * (n + 1) // 2 if symmetric else n
+        self.weight = weight = 2 if symmetric else 1  # unique products per count at 1
+        self.fell = (-weight, weight) + (0,) * (top - 1)
+        self.rose = (0, weight, -weight) + (0,) * (top - 2)
 
     def ways(self, top: int) -> list[list[int]]:
         """`ways(top)[i][s]`, for s <= top, is the number of subsets of
@@ -388,105 +421,65 @@ class ProductCensus:
     def add(self, atom: tuple[int, ...]) -> None:
         """Put the atom's elements, none of them in S yet, into S."""
         counts, members = self.counts, self.members
-        for i in atom:
-            row, col = self.rows[i], self.cols[i]
-            for m in members:
-                counts[row[m]] += 1
-                counts[col[m]] += 1
-            counts[row[i]] += 1
-            members.append(i)
+        row, other, step, square = self.lines[atom[0]]
+        for m in members:
+            counts[row[m]] += 1
+            counts[other[m]] += step
+        counts[square] += 1
+        members += atom
 
     def remove(self, atom: tuple[int, ...]) -> None:
         """Take the atom's elements, all of them in S, out of S."""
         counts, members = self.counts, self.members
         for i in atom:
             members.remove(i)
-            row, col = self.rows[i], self.cols[i]
-            counts[row[i]] -= 1
-            for m in members:
-                counts[row[m]] -= 1
-                counts[col[m]] -= 1
+        row, other, step, square = self.lines[atom[0]]
+        for m in members:
+            counts[row[m]] -= 1
+            counts[other[m]] -= step
+        counts[square] -= 1
 
     def move(self, out: tuple[int, ...], into: tuple[int, ...]) -> int:
         """`remove(out)` then `add(into)`, with the same counts and members,
         returning the change in `unique_count()`.  The change is read off
         the counts the swap touches, through `fell` and `rose`."""
-        counts, members, rows, cols = self.counts, self.members, self.rows, self.cols
+        counts, members, lines = self.counts, self.members, self.lines
         fell, rose = self.fell, self.rose
-        delta = 0
+        held = len(members)
         for i in out:
             members.remove(i)
-            row, col = rows[i], cols[i]
-            k = row[i]
+        row, other, step, square = lines[out[0]]
+        c = counts[square] = counts[square] - 1
+        delta = fell[c]
+        for m in members:
+            k = row[m]
             c = counts[k] = counts[k] - 1
             delta += fell[c]
-            for m in members:
-                k = row[m]
-                c = counts[k] = counts[k] - 1
-                delta += fell[c]
-                k = col[m]
-                c = counts[k] = counts[k] - 1
-                delta += fell[c]
-        for i in into:
-            row, col = rows[i], cols[i]
-            for m in members:
-                k = row[m]
-                c = counts[k] = counts[k] + 1
-                delta += rose[c]
-                k = col[m]
-                c = counts[k] = counts[k] + 1
-                delta += rose[c]
-            k = row[i]
+            k = other[m]
+            c = counts[k] = counts[k] - step
+            delta += fell[c]
+        row, other, step, square = lines[into[0]]
+        for m in members:
+            k = row[m]
             c = counts[k] = counts[k] + 1
             delta += rose[c]
-            members.append(i)
-        return delta
-
-    def add_orbits(self, atom: tuple[int, ...]) -> None:
-        """Put the atom's elements, none of them in S yet, into a symmetric S
-        and raise `orbit_counts` by one pair of each new phi-orbit: x*m for
-        each element x of the atom and each member m, and x*x for its first
-        element x (the sink, for an involution)."""
-        counts, members, rows = self.orbit_counts, self.members, self.orbit_rows
-        x = atom[0]
-        row = rows[x]
-        if len(atom) == 1:
-            for m in members:
-                counts[row[m]] += 1
-        else:
-            inv_row = rows[atom[1]]
-            for m in members:
-                counts[row[m]] += 1
-                counts[inv_row[m]] += 1
-        counts[row[x]] += 1
-        members += atom
-
-    def remove_orbits(self, atom: tuple[int, ...]) -> None:
-        """Take the atom's elements, all of them in a symmetric S, out of S:
-        `add_orbits` undone."""
-        counts, members, rows = self.orbit_counts, self.members, self.orbit_rows
-        for i in atom:
-            members.remove(i)
-        x = atom[0]
-        row = rows[x]
-        if len(atom) == 1:
-            for m in members:
-                counts[row[m]] -= 1
-        else:
-            inv_row = rows[atom[1]]
-            for m in members:
-                counts[row[m]] -= 1
-                counts[inv_row[m]] -= 1
-        counts[row[x]] -= 1
+            k = other[m]
+            c = counts[k] = counts[k] + step
+            delta += rose[c]
+        c = counts[square] = counts[square] + 1
+        delta += rose[c]
+        members += into
+        # a symmetric S of one element, an involution or the identity, has
+        # the unique product 1, which no class count shows
+        return delta + self.symmetric * ((len(members) == 1) - (held == 1))
 
     def clear(self) -> None:
-        self.counts = [0] * len(self.counts)
-        self.orbit_counts = [2] + [0] * (len(self.orbit_counts) - 1)
-        self.members = []
+        self.counts = list(self.empty)
+        self.members: list[int] = []
 
     def unique_count(self) -> int:
         """Elements of S*S with exactly one factorization."""
-        return self.counts.count(1)
+        return self.weight * self.counts.count(1) + self.symmetric * (len(self.members) == 1)
 
     def subset(self) -> tuple[GroupElement, ...]:
         return tuple(self.ball[i] for i in self.members)
@@ -517,13 +510,14 @@ def search_nonup_witness(
     any of them, so a count of 1 there means no extension by `atoms[j:]`,
     of any size, is a witness, and the loop ends.
 
-    S is symmetric, so the walk counts pair classes, not products
-    (`ProductCensus.add_orbits`): the involution phi(x, y) = (y^-1, x^-1)
-    of S x S gives p and p^-1 equal counts, a product p != 1 that is its
-    own inverse an even count and the identity the count |S|, so only a
-    class {p, p^-1} can hold the unique product of a set of 2 or more
-    elements.  The cuts, the order of the visit and the answer are those
-    of counting products.
+    S is symmetric, so the walk runs on a symmetric census, which counts
+    inverse-pair classes, not products: the involution
+    phi(x, y) = (y^-1, x^-1) of S x S gives p and p^-1 equal counts, a
+    product p != 1 that is its own inverse an even count and the identity
+    the count |S|, so only a class {p, p^-1} can hold the unique product of
+    a set of 2 or more elements, and a witness is a loaded set of 2 or more
+    with no class count at 1.  The cuts, the order of the visit and the
+    answer are those of counting products.
 
     `subsets_tested` is read off `ProductCensus.ways`: it is what a visit of
     every subset in the answer's order counts up to the answer.  That is
@@ -539,9 +533,9 @@ def search_nonup_witness(
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
-    census = ProductCensus(group, radius, gens, caps)
+    census = ProductCensus(group, radius, gens, caps=caps)
     atoms, settled = census.atoms, census.settled
-    add, remove = census.add_orbits, census.remove_orbits
+    add, remove = census.add, census.remove
     n = len(atoms)
     sizes = tuple(range(2, maxsize + 1))
     limit = maxsize
@@ -550,7 +544,7 @@ def search_nonup_witness(
     best: Optional[tuple[tuple[int, ...], int]] = None  # (atom path, with identity)
     # the class of x*x for the first element x of each atom: a count of 1
     # there rules out a witness without scanning every class count
-    square = [census.orbit_rows[atom[0]][atom[0]] for atom in atoms]
+    square = [census.lines[atom[0]][3] for atom in atoms]
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
@@ -584,7 +578,7 @@ def search_nonup_witness(
 
     for with_ident in (0, 1):
         census.clear()
-        counts, members = census.orbit_counts, census.members  # read by walk; clear() makes new lists
+        counts, members = census.counts, census.members  # read by walk; clear() makes new lists
         if with_ident:
             add((census.identity,))
         if out_of_time() or not walk(0):
@@ -633,8 +627,12 @@ def anneal_nonup_witness(
     """Simulated annealing for a subset S of ball(radius) whose square has no
     uniquely decomposable element.
 
-    Symmetric mode anneals over `size // 2` atoms of the census (S = S^-1
-    without the identity); asymmetric mode over `size` single elements.
+    The mode fixes the census and its atoms.  Symmetric mode anneals over
+    `size // 2` atoms of a symmetric census (S = S^-1 without the
+    identity), which counts inverse-pair classes; asymmetric mode over
+    `size` atoms of an asymmetric census, the single elements, which
+    counts products.  Either way the unique count is exact, so a seed's
+    trajectory does not depend on the mode's counting rule.
     Each restart draws a random start and runs 8000 steps with geometric
     cooling from temperature 8; a step swaps one slot for an unused atom
     with `ProductCensus.move`, which reads the new unique count off the
@@ -648,13 +646,9 @@ def anneal_nonup_witness(
     atoms than the ball has, is a ValueError.
     """
     rng = random.Random(seed)
-    census = ProductCensus(group, radius, gens, caps)
-    if symmetric:
-        atoms = census.atoms
-        slots = size // 2
-    else:
-        atoms = [(i,) for i in range(len(census.ball))]
-        slots = size
+    census = ProductCensus(group, radius, gens, symmetric, caps)
+    atoms = census.atoms
+    slots = size // 2 if symmetric else size
     if not 1 <= slots <= len(atoms):
         raise ValueError(
             f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to "

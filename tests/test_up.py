@@ -7,7 +7,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupeq import up
@@ -328,38 +328,60 @@ def test_search_witness_reverifies_independently(klein):
     assert rep.unique_count == 0
 
 
+_COUNTING_GROUPS = {
+    # name: (group, radius, whether ball(radius) holds an involution)
+    "klein": (klein_four_group, 1, True),
+    "cyclic6": (lambda: cyclic_group(6), 2, True),
+    "perm3": (lambda: PermutationGroup(3), 2, True),
+    "s3-table": (lambda: table_from_group(PermutationGroup(3)), 2, True),
+    "perm4": (lambda: PermutationGroup(4), 2, True),
+    "c7": (lambda: cyclic_group(7), 3, False),
+    "zn2": (lambda: FreeAbelianGroup(2), 2, False),
+    "fours": (FoursGroup, 2, False),
+}
+
+
 @functools.lru_cache(maxsize=None)
-def _census(name):
-    if name == "klein":
-        return ProductCensus(klein_four_group(), 1)
-    if name == "c7":
-        return ProductCensus(cyclic_group(7), 3)
-    return ProductCensus(FoursGroup(), 2)
+def _census(name, symmetric):
+    make, radius, _ = _COUNTING_GROUPS[name]
+    return ProductCensus(make(), radius, symmetric=symmetric)
+
+
+def _pool(census):
+    """The atoms S is toggled by: a symmetric census's atoms and the
+    identity, or an asymmetric census's single elements."""
+    return census.atoms + [(census.identity,)] if census.symmetric else census.atoms
 
 
 def test_census_atoms_keep_involutions_single(klein):
     census = ProductCensus(klein, 1)
     assert len(census.ball) == 4
     assert census.atoms == [(i,) for i in range(4) if i != census.identity]
-    fours = _census("fours")
+    assert ProductCensus(klein, 1, symmetric=False).atoms == [(i,) for i in range(4)]
+    fours = _census("fours", True)
     assert all(len(a) == 2 for a in fours.atoms)
     assert 2 * len(fours.atoms) + 1 == len(fours.ball)
 
 
+# perm(3) and the S3 table at radius 2: atoms (1,), (2,) and (5,) are the
+# transpositions, (3, 4) the 3-cycles, and the identity is pool entry 4;
+# cyclic(6): atoms a^+-1, a^+-2 and the involution a^3, the identity entry 3
 @settings(max_examples=100, deadline=None)
 @given(
-    name=st.sampled_from(["klein", "fours"]),
+    name=st.sampled_from(["klein", "fours", "perm3", "cyclic6", "s3-table"]),
     symmetric=st.booleans(),
     picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=40),
 )
+@example(name="perm3", symmetric=True, picks=[0])  # a lone involution
+@example(name="perm3", symmetric=True, picks=[4, 2, 4, 0, 1, 2, 0])  # the identity, alone and beside others
+@example(name="s3-table", symmetric=True, picks=[0, 2, 0, 2, 0, 2, 1, 5])
+@example(name="cyclic6", symmetric=True, picks=[2, 0, 2, 3, 1, 0])
+@example(name="cyclic6", symmetric=False, picks=[3])
 def test_census_matches_up_check_under_add_remove(name, symmetric, picks):
     # toggling atoms in and out in any order keeps the counts exact
-    census = _census(name)
+    census = _census(name, symmetric)
     census.clear()
-    if symmetric:
-        pool = census.atoms + [(census.identity,)]
-    else:
-        pool = [(i,) for i in range(len(census.ball))]
+    pool = _pool(census)
     present = []
     for p in picks:
         atom = pool[p % len(pool)]
@@ -378,24 +400,30 @@ def test_census_matches_up_check_under_add_remove(name, symmetric, picks):
         assert (census.unique_count() == 0) == naive_no_unique_product(S)
 
 
+@st.composite
+def _moves(draw):
+    name = draw(st.sampled_from(["fours", "klein", "c7", "perm3", "cyclic6", "s3-table"]))
+    symmetric = draw(st.booleans())
+    slots = range(len(_pool(_census(name, symmetric))))
+    loaded = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=len(slots) - 1, unique=True))
+    out = draw(st.sampled_from(loaded))
+    into = draw(st.sampled_from([j for j in slots if j not in loaded]))
+    return name, symmetric, loaded, out, into
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    name=st.sampled_from(["fours", "klein", "c7"]),
-    symmetric=st.booleans(),
-    data=st.data(),
-)
-def test_move_is_remove_then_add(name, symmetric, data):
+@given(_moves())
+@example(("perm3", True, [0], 0, 2))  # a lone involution for the 3-cycles
+@example(("perm3", True, [2], 2, 1))  # the 3-cycles for a lone involution
+@example(("perm3", True, [4], 4, 0))  # the identity for an involution
+@example(("s3-table", True, [0, 1, 2, 4], 4, 3))  # the identity for the last transposition
+@example(("cyclic6", True, [2, 3], 2, 0))  # {1, a^3} to {1, a, a^5}
+def test_move_is_remove_then_add(move):
     # one swap leaves the counts and members of remove + add, and returns
     # the change in the unique count
-    census = _census(name)
-    if symmetric:
-        pool = census.atoms + [(census.identity,)]
-    else:
-        pool = [(i,) for i in range(len(census.ball))]
-    slots = range(len(pool))
-    loaded = data.draw(st.lists(st.sampled_from(slots), min_size=1, max_size=len(pool) - 1, unique=True))
-    out = data.draw(st.sampled_from(loaded))
-    into = data.draw(st.sampled_from([j for j in slots if j not in loaded]))
+    name, symmetric, loaded, out, into = move
+    census = _census(name, symmetric)
+    pool = _pool(census)
 
     def load():
         census.clear()
@@ -485,9 +513,11 @@ def test_witness_script_rejects_odd_symmetric_anneal():
          "anneal size 0 needs 0 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
         (("--budget-ms", "-1"), "budget_ms must be nonnegative"),
         (("--strategy", "anneal", "--budget-ms", "-1"), "budget_ms must be nonnegative"),
+        (("--strategy", "exhaustive", "--radius", "2", "--no-symmetric"),
+         "the exhaustive search covers symmetric sets only; --no-symmetric needs --strategy anneal"),
     ],
     ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero", "negative-budget",
-         "anneal-negative-budget"],
+         "anneal-negative-budget", "exhaustive-no-symmetric"],
 )
 def test_witness_script_reports_bad_input_with_exit_2(args, message):
     # exit 1 is the "no witness" outcome; bad input is a usage error, with
@@ -598,15 +628,17 @@ def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
     assert res == _reference_search(group, radius, 8, g)
 
 
-def _product_settled(census):
-    """Settled lists of product numbers: each product under the last atom
-    that forms it as x*y or y*x with y in the ball, read off the product
-    table, as the search's cut was before it counted pair classes."""
+def _product_settled(census, atoms):
+    """Settled lists of product numbers for symmetric atoms: each product
+    under the last atom that forms it as x*y or y*x with y in the ball, read
+    off an asymmetric census's product table, as the search's cut was
+    before it counted pair classes."""
+    cols = [list(col) for col in zip(*census.rows)]
     last = dict.fromkeys(range(len(census.counts)), 0)
-    for i, atom in enumerate(census.atoms, 1):
+    for i, atom in enumerate(atoms, 1):
         for x in atom:
-            last.update((k, i) for k in census.rows[x] + census.cols[x])
-    settled = [[] for _ in range(len(census.atoms) + 1)]
+            last.update((k, i) for k in census.rows[x] + cols[x])
+    settled = [[] for _ in range(len(atoms) + 1)]
     for k, i in last.items():
         settled[i].append(k)
     return settled
@@ -614,12 +646,15 @@ def _product_settled(census):
 
 def _sized_search(group, radius, maxsize, gens=None):
     """The size-by-size walk the one-pass search replaced: for each size,
-    each family from an empty set, with the settled cut on product counts
-    and cut subtrees counted off `ProductCensus.ways`; no deadline."""
-    census = ProductCensus(group, radius, gens)
-    atoms, settled = census.atoms, _product_settled(census)
+    each family from an empty set, with the settled cut on product counts,
+    each element added to an asymmetric census on its own, and cut
+    subtrees counted off `ProductCensus.ways`; no deadline."""
+    symmetric = ProductCensus(group, radius, gens)
+    census = ProductCensus(group, radius, gens, symmetric=False)
+    atoms = symmetric.atoms
+    settled = _product_settled(census, atoms)
     n = len(atoms)
-    ways = census.ways(max(maxsize, 0))
+    ways = symmetric.ways(max(maxsize, 0))
     tested = 0
     exhausted = []
 
@@ -633,14 +668,16 @@ def _sized_search(group, radius, maxsize, gens=None):
             rest = left - len(atom)
             if rest < 0 or not ways[j + 1][rest]:
                 continue
-            census.add(atom)
+            for i in atom:
+                census.add((i,))
             if not rest:
                 tested += 1
                 if 1 not in census.counts:
                     return True
             elif walk(j + 1, rest):
                 return True
-            census.remove(atom)
+            for i in atom:
+                census.remove((i,))
         return False
 
     for size in range(2, maxsize + 1):
@@ -739,33 +776,35 @@ _CENSUS_CASES = [
 
 @pytest.mark.parametrize("name, n, radius", _CENSUS_CASES)
 def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radius):
-    # settled holds pair classes: the class of each product that is not its
-    # own inverse, once, under the last atom that forms it; the sink is in
-    # no list
+    # settled holds labels: in a symmetric census the class of each product
+    # that is not its own inverse, once, under the last atom that forms it,
+    # the sink in no list; in an asymmetric one each product, under the last
+    # element that forms it
     group = _search_group(name, n)
-    census = ProductCensus(group, radius)
-    products, orbit = census.products, census.orbit
-    ball, atoms, settled = census.ball, census.atoms, census.settled
-    classes = range(1, len(census.orbit_counts))
-    assert len(settled) == len(atoms) + 1
-    assert sorted(c for part in settled for c in part) == list(classes)
-    for i in range(len(atoms) + 1):
-        formed = {
-            orbit[products.index(p.payload)]
-            for a in atoms[i:]
-            for x in a
-            for y in ball
-            for p in (ball[x] * y, y * ball[x])
-        }
-        assert sorted(c for part in settled[:i + 1] for c in part) == [c for c in classes if c not in formed]
-        assert settled[i] == sorted(settled[i])
+    for symmetric in (True, False):
+        census = ProductCensus(group, radius, symmetric=symmetric)
+        products, label = census.products, census.label
+        ball, atoms, settled = census.ball, census.atoms, census.settled
+        labels = range(1 if symmetric else 0, len(census.counts))
+        assert len(settled) == len(atoms) + 1
+        assert sorted(c for part in settled for c in part) == list(labels)
+        for i in range(len(atoms) + 1):
+            formed = {
+                label[products.index(p.payload)]
+                for a in atoms[i:]
+                for x in a
+                for y in ball
+                for p in (ball[x] * y, y * ball[x])
+            }
+            assert sorted(c for part in settled[:i + 1] for c in part) == [c for c in labels if c not in formed]
+            assert settled[i] == sorted(settled[i])
 
 
 def test_settled_holds_each_free_radius_5_product_once():
     census = ProductCensus(FreeGroup(("a", "b")), 5, caps=DEFAULT_CAPS.with_overrides(radius=10))
     # the identity is the one product that is its own inverse, so the other
     # 118,096 products make 59,048 pair classes, beside the sink
-    assert (len(census.atoms), len(census.counts), len(census.orbit_counts)) == (242, 118_097, 59_049)
+    assert (len(census.atoms), len(census.products), len(census.counts)) == (242, 118_097, 59_049)
     assert sum(map(len, census.settled)) == 59_048
 
 
@@ -811,35 +850,39 @@ def _sorted_tables(group, radius, gens=None):
 @pytest.mark.parametrize("group, radius, gens", _table_cases())
 def test_product_table_indexes_the_double_ball(group, radius, gens):
     # the census reads ball(2r) off its own table: the same elements as the
-    # BFS to radius 2r, each numbered once
-    census = ProductCensus(group, radius, gens)
+    # BFS to radius 2r, each numbered once; an element's line raises its
+    # row and its column by 1
+    census = ProductCensus(group, radius, gens, symmetric=False)
     products, ball = census.products, census.ball
     assert len(set(products)) == len(products) == len(census.counts)
     assert set(products) == {e.payload for e in group.ball(2 * radius, gens)}
     for i, x in enumerate(ball):
+        assert census.lines[i][0] is census.rows[i] and census.lines[i][2:] == (1, census.rows[i][i])
         for j, y in enumerate(ball):
             assert products[census.rows[i][j]] == (x * y).payload
-            assert census.cols[j][i] == census.rows[i][j]
+            assert census.lines[j][1][i] == census.rows[i][j]
 
 
 @pytest.mark.parametrize(
     "group, radius, gens", _table_cases() + [(_search_group("free"), 3, None)]
 )
 def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
-    # one relabelling of the product numbers turns the census's table into
-    # that of the sorted double ball, its atoms are the reference's, and its
-    # settled lists hold the pair classes of the reference's settled products
-    census = ProductCensus(group, radius, gens)
+    # one relabelling of the product numbers turns an asymmetric census's
+    # table into that of the sorted double ball; a symmetric census numbers
+    # the products the same, its atoms are the reference's, and its settled
+    # lists hold the pair classes of the reference's settled products
+    census = ProductCensus(group, radius, gens, symmetric=False)
+    symmetric = ProductCensus(group, radius, gens)
     big, rows, atoms, settled = _sorted_tables(group, radius, gens)
     relabel = {}
     for row, ref in zip(census.rows, rows, strict=True):
         for k, r in zip(row, ref, strict=True):
             assert relabel.setdefault(k, r) == r
     assert sorted(relabel) == sorted(relabel.values()) == list(range(len(big)))
-    assert [big[relabel[k]].payload for k in range(len(big))] == census.products
-    assert census.atoms == atoms
+    assert [big[relabel[k]].payload for k in range(len(big))] == census.products == symmetric.products
+    assert symmetric.atoms == atoms
     back = {r: k for k, r in relabel.items()}
-    assert census.settled == [sorted({census.orbit[back[r]] for r in part} - {0}) for part in settled]
+    assert symmetric.settled == [sorted({symmetric.label[back[r]] for r in part} - {0}) for part in settled]
 
 
 def _flip(census):
@@ -847,30 +890,17 @@ def _flip(census):
     return [position[~x] for x in census.ball]
 
 
-_MIRROR_GROUPS = {
-    # name: (group, radius, whether ball(radius) holds an involution)
-    "klein": (klein_four_group, 1, True),
-    "cyclic6": (lambda: cyclic_group(6), 2, True),
-    "s3-table": (lambda: table_from_group(PermutationGroup(3)), 2, True),
-    "perm4": (lambda: PermutationGroup(4), 2, True),
-    "c7": (lambda: cyclic_group(7), 3, False),
-    "zn2": (lambda: FreeAbelianGroup(2), 2, False),
-    "fours": (FoursGroup, 2, False),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_MIRROR_GROUPS))
+@pytest.mark.parametrize("name", sorted(_COUNTING_GROUPS))
 def test_mirror_cells_hold_the_inverse_products(name):
     # (x_i x_j)^-1 = x_flip[j] x_flip[i]; an involution x_i has flip[i] == i,
     # so row i fills its own column i and a cell's mirror can lie in its row
-    make, radius, involutions = _MIRROR_GROUPS[name]
+    make, radius, involutions = _COUNTING_GROUPS[name]
     group = make()
-    census = ProductCensus(group, radius)
+    census = ProductCensus(group, radius, symmetric=False)
     ball, rows, products, e = census.ball, census.rows, census.products, census.identity
     flip = _flip(census)
     fixed = [i for i, j in enumerate(flip) if i == j and i != e]
     assert bool(fixed) == involutions
-    assert all((i,) in census.atoms for i in fixed)
     # a product's inverse takes the next number, unless it is its own inverse
     k = 0
     while k < len(products):
@@ -879,59 +909,70 @@ def test_mirror_cells_hold_the_inverse_products(name):
         k += 1 if q == products[k] else 2
     # the identity's row and column are the ball, and it fills (i, flip[i])
     payloads = [x.payload for x in ball]
-    assert [products[k] for k in rows[e]] == [products[k] for k in census.cols[e]] == payloads
+    assert [products[k] for k in rows[e]] == [products[k] for k in census.lines[e][1]] == payloads
     assert all(products[rows[i][j]] == group._one for i, j in enumerate(flip))
     number = {p: k for k, p in enumerate(products)}
     for i, x in enumerate(ball):
         for j, y in enumerate(ball):
             assert products[rows[i][j]] == (x * y).payload
             assert rows[flip[j]][flip[i]] == number[(~(x * y)).payload]
-    # an inverse pair shares one class, numbered as the pairs turn up, and a
-    # product that is its own inverse goes to the sink, class 0
+    # a symmetric census numbers the products the same; an inverse pair
+    # shares one class, numbered as the pairs turn up, a product that is its
+    # own inverse goes to the sink, class 0, and each cell holds the class
+    # of its product
+    symmetric = ProductCensus(group, radius)
+    label = symmetric.label
+    assert symmetric.products == products
+    assert all((i,) in symmetric.atoms for i in fixed)
     pairs = [k for k, p in enumerate(products) if group._inv(p) != p]
-    assert [census.orbit[k] for k in pairs] == [1 + i // 2 for i in range(len(pairs))]
-    assert all(census.orbit[k] == 0 for k in range(len(products)) if k not in pairs)
-    assert census.orbit_rows == [[census.orbit[k] for k in row] for row in rows]
-
-
-@functools.lru_cache(maxsize=None)
-def _mirror_census(name, copy):
-    make, radius, _ = _MIRROR_GROUPS[name]
-    return ProductCensus(make(), radius)
+    assert [label[k] for k in pairs] == [1 + i // 2 for i in range(len(pairs))]
+    assert all(label[k] == 0 for k in range(len(products)) if k not in pairs)
+    assert symmetric.rows == [[label[k] for k in row] for row in rows]
+    # a pair atom's first element raises its row and its inverse's; an
+    # involution or the identity raises its own row, and its all-sink
+    # second row by 0
+    srows = symmetric.rows
+    sinks = [0] * len(ball)
+    assert symmetric.lines == [
+        (srows[i], sinks, 0, srows[i][i]) if i == j else (srows[i], srows[j], 1, srows[i][i])
+        for i, j in enumerate(flip)
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    name=st.sampled_from(sorted(_MIRROR_GROUPS)),
+    name=st.sampled_from(sorted(_COUNTING_GROUPS)),
     picks=st.lists(st.integers(min_value=0, max_value=10 ** 6), max_size=30),
 )
 def test_orbit_counts_match_product_counts(name, picks):
     # a symmetric S, toggled atom by atom (the identity among them) in any
-    # order: each pair class counts what `add` counts for both its products,
-    # and the sink never reads 1, so S*S has a unique product iff a class
-    # count is 1, once |S| >= 2
-    by_orbit, by_product = _mirror_census(name, 0), _mirror_census(name, 1)
+    # order, in a symmetric census and, element by element, in an
+    # asymmetric one: each pair class counts what the asymmetric census
+    # counts for both its products, and the sink stays at 3 or more, so
+    # the two give the same unique count
+    by_orbit, by_product = _census(name, True), _census(name, False)
     by_orbit.clear()
     by_product.clear()
-    pool = by_orbit.atoms + [(by_orbit.identity,)]
+    pool = _pool(by_orbit)
     present = []
     for p in picks:
         atom = pool[p % len(pool)]
         if atom in present:
             present.remove(atom)
-            by_orbit.remove_orbits(atom)
-            by_product.remove(atom)
+            by_orbit.remove(atom)
+            for i in atom:
+                by_product.remove((i,))
         else:
             present.append(atom)
-            by_orbit.add_orbits(atom)
-            by_product.add(atom)
+            by_orbit.add(atom)
+            for i in atom:
+                by_product.add((i,))
         assert sorted(by_orbit.members) == sorted(by_product.members) == sorted(i for a in present for i in a)
-        counts, orbit_counts = by_product.counts, by_orbit.orbit_counts
-        for k, c in enumerate(by_orbit.orbit):
+        counts, orbit_counts = by_product.counts, by_orbit.counts
+        for k, c in enumerate(by_orbit.label):
             assert c == 0 or orbit_counts[c] == counts[k]
-        assert orbit_counts[0] != 1
-        if len(by_orbit.members) >= 2:
-            assert (1 in orbit_counts) == (by_product.unique_count() > 0)
+        assert orbit_counts[0] >= 3
+        assert by_orbit.unique_count() == by_product.unique_count()
 
 
 def test_product_ball_size_cap_has_the_double_ball_boundary():
@@ -940,8 +981,8 @@ def test_product_ball_size_cap_has_the_double_ball_boundary():
     group = FoursGroup()
     assert len(group.ball(4)) == 83
     with pytest.raises(CapExceededError, match=r"^ball size exceeds cap 82$"):
-        ProductCensus(group, 2, caps=DEFAULT_CAPS.with_overrides(ball_size=82))
-    assert len(ProductCensus(group, 2, caps=DEFAULT_CAPS.with_overrides(ball_size=83)).counts) == 83
+        ProductCensus(group, 2, symmetric=False, caps=DEFAULT_CAPS.with_overrides(ball_size=82))
+    assert len(ProductCensus(group, 2, symmetric=False, caps=DEFAULT_CAPS.with_overrides(ball_size=83)).counts) == 83
 
 
 @pytest.mark.parametrize("name, n, radius", [("klein", 0, 1), ("cyclic", 9, 4), ("perm3", 0, 2), ("zn2", 0, 2)])
@@ -989,8 +1030,8 @@ def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
     # the cut's strength, which no result shows: the atoms the walk adds,
     # one per visited node, plus the identity once
     calls = []
-    add = ProductCensus.add_orbits
-    monkeypatch.setattr(ProductCensus, "add_orbits", lambda self, atom: calls.append(atom) or add(self, atom))
+    add = ProductCensus.add
+    monkeypatch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
     caps = DEFAULT_CAPS.with_overrides(radius=6)
     res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
