@@ -4,8 +4,8 @@
 Enumerates the freely and cyclically reduced words over a, b, t (and
 inverses) with t-exponent sum +-1 up to a given length, one per rotation
 class, computes the minimal (m, n) expression for each over F(a) * F(b)
-with H = F(a), and cross-checks the pinch-reduction result against the
-exhaustive rotation/shift minimizer.
+with H = F(a), and checks every pinch-reduction result against the
+exhaustive rotation/shift minimizer, the oracle.
 
 Each class is represented by its least rotation in the alphabet order
 a < A < b < B < t < T (not the ASCII order, in which T < a); words come
@@ -14,7 +14,7 @@ shows the first word of each (m, n) class in this sequence.  Exits 0 when
 every class matches the oracle, 1 on a mismatch and 2 on a bad flag
 (--max-len below 1).
 
-Usage: python3 scripts/normal_form_sweep.py [--max-len 6] [--no-oracle]
+Usage: python3 scripts/normal_form_sweep.py [--max-len 6]
 """
 
 import argparse
@@ -88,7 +88,6 @@ def enumerate_equations(G, a, b, max_len):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-len", type=int, default=6)
-    ap.add_argument("--no-oracle", action="store_true")
     args = ap.parse_args()
     if args.max_len < 1:
         ap.error("--max-len must be at least 1")
@@ -113,11 +112,10 @@ def main() -> int:
             if res.kind == "length-one"
             else (res.form6.m, res.form6.n)
         )
-        if not args.no_oracle:
-            oracle = bruteforce_min_form6(e, split)
-            if oracle != got:
-                mismatches += 1
-                print(f"MISMATCH {word}: reduction {got} oracle {oracle}")
+        oracle = bruteforce_min_form6(e, split)
+        if oracle != got:
+            mismatches += 1
+            print(f"MISMATCH {word}: reduction {got} oracle {oracle}")
         dist[got] += 1
         examples.setdefault(got, word)
 
@@ -128,10 +126,8 @@ def main() -> int:
     print(f"{'(m, n)':>8}  {'count':>6}  example")
     for key in sorted(dist):
         print(f"{str(key):>8}  {dist[key]:>6}  {examples[key]}{'  (length-one)' if key[1] == 0 else ''}")
-    if not args.no_oracle:
-        print(f"oracle mismatches: {mismatches}")
-        return 1 if mismatches else 0
-    return 0
+    print(f"oracle mismatches: {mismatches}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from .backends import FreeProductGroup
 from .config import DEFAULT_CAPS, Caps, check_caps, read_config
 from .dsl import Session, parse_script
 from .errors import ConfigError, GroupEqError, ParseError
-from .report import SCHEMA, canonical_json, fmt_elem, fmt_elems, make_report, render_text
+from .report import SCHEMA, canonical_json, make_report, render_text
 
 # parsed values that are not command args: they never enter a report
 _NOT_ARGS = ("command", "script", "format", "config", "help")
@@ -104,9 +104,9 @@ def _run_rewrite_coset(sess: Session, args: dict, caps: Caps):
     re = gen.coset_rewrite(ge)
     ok = re.expansion() == ge.word()
     return {
-        "total_product": fmt_elem(re.t),
-        "coset_reps": fmt_elems(re.coset_reps()),
-        "terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in re.terms],
+        "total_product": str(re.t),
+        "coset_reps": list(map(str, re.coset_reps())),
+        "terms": [[str(g), str(c), k] for g, c, k in re.terms],
         "expansion_verified": ok,
     }, False
 
@@ -117,8 +117,8 @@ def _run_conjugate_family(sess: Session, args: dict, caps: Caps):
     xs = _cosets(ge, args.get("cosets")) or list(re.coset_reps())
     fam = gen.conjugate_family(re, xs)
     return {
-        "labels": fmt_elems(xs),
-        "members": [{"terms": [[fmt_elem(g), fmt_elem(c), k] for g, c, k in w.terms]} for w in fam],
+        "labels": list(map(str, xs)),
+        "members": [{"terms": [[str(g), str(c), k] for g, c, k in w.terms]} for w in fam],
     }, False
 
 
@@ -143,7 +143,7 @@ def _run_reduce(sess: Session, args: dict, caps: Caps):
     eq = gen.reduce_to_ordinary(sess.get("geq", args.get("name")), ambient)
     return {
         "ambient": ambient,
-        "terms": [[fmt_elem(g), e] for g, e in eq.terms],
+        "terms": [[str(g), e] for g, e in eq.terms],
         "classification": _classification(eq),
     }, False
 
@@ -159,9 +159,9 @@ def _witness_struct(w) -> list:
     out = []
     for item in w:
         if isinstance(item, (tuple, list)):
-            out.append([fmt_elem(v) if hasattr(v, "group") else v for v in item])
+            out.append([str(v) if hasattr(v, "group") else v for v in item])
         elif hasattr(item, "group"):
-            out.append(fmt_elem(item))
+            out.append(str(item))
         else:
             out.append(item)
     return out
@@ -222,7 +222,7 @@ def _run_up_check(sess: Session, args: dict, caps: Caps):
     names: dict = {}
     for e in (*rep.x, *rep.y, *(v for v, _ in rep.products)):
         if e.payload not in names:
-            names[e.payload] = fmt_elem(e)
+            names[e.payload] = str(e)
     return {
         "x_size": len(rep.x),
         "y_size": len(rep.y),
@@ -245,7 +245,7 @@ def _run_strong_up(sess: Session, args: dict, caps: Caps):
         "distinct_y_count": res.report.distinct_y_count(),
     }
     if res.witness:
-        result["witness"] = [[fmt_elem(a), fmt_elem(b)] for a, b in res.witness]
+        result["witness"] = [[str(a), str(b)] for a, b in res.witness]
     return result, not res.holds
 
 
@@ -254,7 +254,7 @@ def _run_up4(sess: Session, args: dict, caps: Caps):
     result = {"holds": res.holds, "total_quadruples": res.total_quadruples}
     if res.witness:
         v, quad = res.witness
-        result["witness"] = {"product": fmt_elem(v), "quadruple": fmt_elems(quad)}
+        result["witness"] = {"product": str(v), "quadruple": list(map(str, quad))}
     return result, not res.holds
 
 
@@ -275,7 +275,7 @@ def _run_search_nonup(sess: Session, args: dict, caps: Caps):
     res = upmod.search_nonup_witness(group, radius, maxsize, caps=caps)
     return {
         "found": res.found,
-        "witness": fmt_elems(res.witness) if res.witness else None,
+        "witness": list(map(str, res.witness)) if res.witness else None,
         "reverified": res.verified,
         "sizes_exhausted": list(res.sizes_exhausted),
         "sizes_truncated": list(res.sizes_truncated),
@@ -286,10 +286,10 @@ def _run_search_nonup(sess: Session, args: dict, caps: Caps):
 def _run_proper_power(sess: Session, args: dict, caps: Caps):
     dec = fg.proper_power(sess.get("element", args["elem"]))
     return {
-        "root": fmt_elem(dec.root),
+        "root": str(dec.root),
         "exponent": dec.exponent,
-        "core_root": fmt_elem(dec.core_root),
-        "conjugator": fmt_elem(dec.conjugator),
+        "core_root": str(dec.core_root),
+        "conjugator": str(dec.conjugator),
         "is_proper_power": dec.is_proper_power,
     }, False
 
@@ -298,9 +298,9 @@ def _run_corollary_precheck(sess: Session, args: dict, caps: Caps):
     rep = fg.corollary_precheck(sess.get("mveq", args.get("name")))
     result = {"status": rep.status}
     if rep.variable_word is not None:
-        result["variable_word"] = fmt_elem(rep.variable_word)
+        result["variable_word"] = str(rep.variable_word)
     if rep.decomposition is not None:
-        result["root"] = fmt_elem(rep.decomposition.root)
+        result["root"] = str(rep.decomposition.root)
         result["exponent"] = rep.decomposition.exponent
     return result, rep.status != "corollary-applies"
 
@@ -326,14 +326,15 @@ def _run_solve_finite(sess: Session, args: dict, caps: Caps):
     }, True
 
 
-# each flag a command may declare, with its argparse settings; a flag with no
-# default leaves its arg out of the report when it is not given
+# each flag a command may declare, with its argparse settings; none has a
+# default, so a flag left out stays out of the report's args, and the runner
+# that reads it holds its default
 _FLAGS = {
     "name": {"help": "declared object to operate on"},
     "cosets": {"help": "';'-separated T-element literals"},
-    "witness-var": {"default": "t~"},
+    "witness-var": {"help": "the witness variable's name, t~ when left out"},
     "window": {"type": int},
-    "ambient": {"choices": ("free-product", "direct-product"), "default": "free-product"},
+    "ambient": {"choices": ("free-product", "direct-product"), "help": "free-product when left out"},
     "split": {"help": "H and K factor indices, e.g. 0|1"},
     "max-degree": {"type": int},
     "sets": {"required": True, "help": "comma-separated declared set names, e.g. X,Y"},
@@ -366,32 +367,29 @@ COMMANDS = {
 }
 
 
-def run_command(command: str, args: dict, script: str, caps: Caps) -> tuple[dict, int]:
-    """Parse the script, dispatch under `caps` with the command's cap flags
-    on top, and build the structured report.  A negative cap flag is a
-    ValueError, and so an error report."""
+def run_command(command: str, args: dict, script: str, config: Optional[dict] = None) -> tuple[dict, int]:
+    """Parse the script, dispatch under the default caps with `config`'s
+    overrides (a config file's when running, the report's own when
+    verifying) and the command's cap flags on top, and build the structured
+    report; it embeds the config values that differ from the defaults, under
+    `caps`.  A negative cap flag is a ValueError, and so an error report."""
+    config = config or {}
     try:
-        caps = caps.with_overrides(
+        caps = DEFAULT_CAPS.with_overrides(**config).with_overrides(
             radius=args.get("radius"),
             window=args.get("window"),
             max_degree=args.get("max_degree"),
             budget_ms=args.get("budget_ms"),
         )
         result, falsified = COMMANDS[command][0](parse_script(script, caps), args, caps)
-        return make_report(command, args, script, "falsified" if falsified else "ok", result), 1 if falsified else 0
+        status, code = ("falsified", 1) if falsified else ("ok", 0)
+        report = make_report(command, args, script, status, result)
     except ParseError as exc:
         err = {"type": "ParseError", "message": exc.message, "line": exc.line, "column": exc.column}
-        return make_report(command, args, script, "error", {}, err), 2
+        report, code = make_report(command, args, script, "error", {}, err), 2
     except (GroupEqError, ValueError) as exc:
         err = {"type": type(exc).__name__, "message": str(exc)}
-        return make_report(command, args, script, "error", {}, err), 2
-
-
-def _run(command: str, args: dict, script: str, config: dict) -> tuple[dict, int]:
-    """`run_command` under the default caps with a config's overrides on top
-    (a file's when running, the report's own when verifying); the report
-    embeds the values that differ from the defaults, under `caps`."""
-    report, code = run_command(command, args, script, DEFAULT_CAPS.with_overrides(**config))
+        report, code = make_report(command, args, script, "error", {}, err), 2
     changed = {k: v for k, v in sorted(config.items()) if v != getattr(DEFAULT_CAPS, k)}
     if changed:
         report["caps"] = changed
@@ -440,7 +438,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    report, code = _run(ns.command, _command_args(ns), script, config)
+    report, code = run_command(ns.command, _command_args(ns), script, config)
     if ns.format == "structured":
         print(canonical_json(report))
     else:
@@ -475,7 +473,7 @@ def _verify(path: str) -> int:
     if problem is not None:
         print(f"malformed report: {problem}", file=sys.stderr)
         return 2
-    fresh, _ = _run(command, args, script, config)
+    fresh, _ = run_command(command, args, script, config)
     match = canonical_json(fresh) == canonical_json(stored)
     print("verified: reports match" if match else "MISMATCH: report does not reproduce")
     return 0 if match else 1

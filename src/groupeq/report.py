@@ -35,14 +35,6 @@ def make_report(command: str, args: dict, script: str, status: str, result: dict
     return report
 
 
-def fmt_elem(e) -> str:
-    return e.group.format_element(e)
-
-
-def fmt_elems(es) -> list[str]:
-    return [fmt_elem(e) for e in es]
-
-
 def render_text(report: dict) -> str:
     """Human text derived from the structured report."""
     lines = [f"[{report['command']}] status: {report['status']}"]

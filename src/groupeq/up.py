@@ -28,6 +28,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .backends import Group, GroupElement
@@ -308,9 +309,10 @@ class ProductCensus:
     change in `unique_count()` without rescanning the counts: a touched
     count that falls to 1 (2->1) or rises to 1 (0->1) gains unique
     products, one that leaves 1 (1->0, 1->2) loses them.  `fell[c]` and
-    `rose[c]` hold that change, 2 a count in a symmetric census and 1 in an
-    asymmetric one, for a count that has just fallen or risen to c, and
-    the [|S| = 1] term changes once a call.
+    `rose[c]` (`steps`, built on the first `move`) hold that change, 2 a
+    count in a symmetric census and 1 in an asymmetric one, for a count
+    that has just fallen or risen to c, and the [|S| = 1] term changes once
+    a call.
 
     `settled` files each label but the sink once, in increasing order within
     a list, under the last atom whose lines hold it: `settled[i]`, for
@@ -398,12 +400,17 @@ class ProductCensus:
             empty[0] = 3  # the sink starts past 2, where `fell` and `rose` are 0
         self.empty = tuple(empty)  # the counts of an empty S
         self.clear()
-        # no count exceeds |S| <= len(ball) but the sink, which holds at most
-        # the |S|(|S| + 1) / 2 orbits of S x S beside its start
-        top = 3 + n * (n + 1) // 2 if symmetric else n
-        self.weight = weight = 2 if symmetric else 1  # unique products per count at 1
-        self.fell = (-weight, weight) + (0,) * (top - 1)
-        self.rose = (0, weight, -weight) + (0,) * (top - 2)
+        self.weight = 2 if symmetric else 1  # unique products per count at 1
+
+    @cached_property
+    def steps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(`fell`, `rose`), built on the first `move`, their only reader, so
+        a census the search walks holds neither.  No count exceeds
+        |S| <= len(ball) but the sink, which holds at most the
+        |S|(|S| + 1) / 2 orbits of S x S beside its start."""
+        n, w = len(self.ball), self.weight
+        top = 3 + n * (n + 1) // 2 if self.symmetric else n
+        return (-w, w) + (0,) * (top - 1), (0, w, -w) + (0,) * (top - 2)
 
     def ways(self, top: int) -> list[list[int]]:
         """`ways(top)[i][s]`, for s <= top, is the number of subsets of
@@ -444,7 +451,7 @@ class ProductCensus:
         returning the change in `unique_count()`.  The change is read off
         the counts the swap touches, through `fell` and `rose`."""
         counts, members, lines = self.counts, self.members, self.lines
-        fell, rose = self.fell, self.rose
+        fell, rose = self.steps
         held = len(members)
         for i in out:
             members.remove(i)

@@ -356,8 +356,8 @@ def test_acceptance_9_cli_stability_and_fuzz():
         "solve-finite": ("group C = cyclic(3)\neq E over C: a^2 t^2 = 1\n", {}),
     }
     for cmd, (script, args) in scripts.items():
-        r1, c1 = run_command(cmd, args, script, DEFAULT_CAPS)
-        r2, c2 = run_command(cmd, args, script, DEFAULT_CAPS)
+        r1, c1 = run_command(cmd, args, script)
+        r2, c2 = run_command(cmd, args, script)
         assert canonical_json(r1) == canonical_json(r2) and c1 == c2
 
     rng = random.Random(909)
@@ -381,7 +381,7 @@ def test_acceptance_9_cli_stability_and_fuzz():
             script = script.replace(" ", "\n", rng.randrange(1, 3))
         cmd = rng.choice(["classify", "up-check", "verdict", "rewrite-coset"])
         args = {"sets": "X,Y"} if cmd == "up-check" else {}
-        report, code = run_command(cmd, args, script + "\n", DEFAULT_CAPS)
+        report, code = run_command(cmd, args, script + "\n")
         if code not in (0, 1, 2) or report["status"] not in ("ok", "falsified", "error"):
             crashes += 1
     assert crashes == 0

@@ -15,6 +15,9 @@ from groupeq.dsl import parse_script
 from groupeq.errors import ParseError
 from groupeq.report import canonical_json, render_text
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
+
 UP_SCRIPT = """\
 group Z = zn(1)
 set X in Z: 0, 1
@@ -47,10 +50,6 @@ eq E over C: a^2 t^2 = 1
 """
 
 
-def run(cmd, args, script):
-    return run_command(cmd, args, script, DEFAULT_CAPS)
-
-
 def test_parse_script_declarations():
     sess = parse_script(GEQ_SCRIPT)
     kinds = {name: kind for name, (kind, _) in sess.names.items()}
@@ -72,7 +71,7 @@ def test_duplicate_names_rejected():
 
 def test_classify_command():
     script = "group F = free(a)\neq E over F: a t a t^-1 a t = 1\n"
-    report, code = run("classify", {}, script)
+    report, code = run_command("classify", {}, script)
     assert code == 0
     assert report["result"]["kind"] == "unimodular"
     assert report["result"]["exponent_sum"] == 1
@@ -80,36 +79,36 @@ def test_classify_command():
 
 
 def test_up_check_command_exit_codes():
-    report, code = run("up-check", {"sets": "X,Y"}, UP_SCRIPT)
+    report, code = run_command("up-check", {"sets": "X,Y"}, UP_SCRIPT)
     assert code == 0
     assert report["result"]["unique_elements"] == ["0", "2"]
     klein = "group V = finite{0 1 2 3; 1 0 3 2; 2 3 0 1; 3 2 1 0}\nset S in V: 0, 1, 2, 3\n"
-    report2, code2 = run("up-check", {"sets": "S,S"}, klein)
+    report2, code2 = run_command("up-check", {"sets": "S,S"}, klein)
     assert code2 == 1
     assert report2["status"] == "falsified"
 
 
 def test_rewrite_coset_command():
-    report, code = run("rewrite-coset", {}, GEQ_SCRIPT)
+    report, code = run_command("rewrite-coset", {}, GEQ_SCRIPT)
     assert code == 0
     assert report["result"]["expansion_verified"] is True
 
 
 def test_normal_form_command():
-    report, code = run("normal-form-6", {"split": "0|1"}, EQ_SCRIPT)
+    report, code = run_command("normal-form-6", {"split": "0|1"}, EQ_SCRIPT)
     assert code == 0
     assert report["result"]["kind"] == "form6"
     assert (report["result"]["m"], report["result"]["n"]) == (0, 1)
 
 
 def test_solve_finite_command():
-    report, code = run("solve-finite", {}, FIN_SCRIPT)
+    report, code = run_command("solve-finite", {}, FIN_SCRIPT)
     assert code == 0
     assert report["result"]["found"] and report["result"]["reverified"]
 
 
 def test_solve_finite_stops_at_max_degree():
-    report, code = run("solve-finite", {"max_degree": 7}, "group C = cyclic(3)\neq E over C: a t^3 = 1\n")
+    report, code = run_command("solve-finite", {"max_degree": 7}, "group C = cyclic(3)\neq E over C: a t^3 = 1\n")
     assert code == 1
     assert report["result"]["degrees_tested"] == [3, 4, 5, 6, 7]
     assert report["result"]["degrees_capped"] == []
@@ -124,25 +123,25 @@ def test_solve_finite_stops_at_max_degree():
     ids=["c13-default-cap", "c3-max-degree-2"],
 )
 def test_solve_finite_with_no_degree_in_range_is_an_error(args, script, message):
-    report, code = run("solve-finite", args, script)
+    report, code = run_command("solve-finite", args, script)
     assert code == 2 and report["status"] == "error"
     assert report["error"] == {"type": "CapExceededError", "message": message}
 
 
 def test_corollary_command():
-    report, code = run("corollary-precheck", {}, MV_SCRIPT)
+    report, code = run_command("corollary-precheck", {}, MV_SCRIPT)
     assert code == 0
     assert report["result"]["status"] == "corollary-applies"
 
 
 def test_verdict_command():
-    report, code = run("verdict", {}, GEQ_SCRIPT)
+    report, code = run_command("verdict", {}, GEQ_SCRIPT)
     assert code == 0
     assert report["result"]["overall"] == "unimodular"
 
 
 def test_parse_error_exit_code_two():
-    report, code = run("classify", {}, "nonsense line\n")
+    report, code = run_command("classify", {}, "nonsense line\n")
     assert code == 2
     assert report["status"] == "error"
     assert report["error"]["type"] == "ParseError"
@@ -159,14 +158,14 @@ def test_golden_stability_across_runs():
         ("emit-ky", {}, GEQ_SCRIPT),
         ("solve-finite", {}, FIN_SCRIPT),
     ]:
-        r1, c1 = run(cmd, args, script)
-        r2, c2 = run(cmd, args, script)
+        r1, c1 = run_command(cmd, args, script)
+        r2, c2 = run_command(cmd, args, script)
         assert canonical_json(r1) == canonical_json(r2)
         assert c1 == c2
 
 
 def test_round_trip_verify(tmp_path):
-    report, _ = run("up-check", {"sets": "X,Y"}, UP_SCRIPT)
+    report, _ = run_command("up-check", {"sets": "X,Y"}, UP_SCRIPT)
     path = tmp_path / "report.json"
     path.write_text(canonical_json(report))
     assert main(["verify", str(path)]) == 0
@@ -194,7 +193,7 @@ SINGLETON_Y_SCRIPT = "group Z = zn(1)\nset X in Z: 0, 1\nset Y in Z: 0\n"
 def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, args, script, message):
     # the library rejects the input with ValueError; the CLI reports it with
     # exit 2, not a traceback with exit 1 ("falsified")
-    report, code = run(command, args, script)
+    report, code = run_command(command, args, script)
     assert code == 2 and report["status"] == "error"
     assert report["error"] == {"type": "ValueError", "message": message}
     path = tmp_path / "report.json"
@@ -206,7 +205,7 @@ def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, arg
 @pytest.mark.parametrize("split", ["x|y", "0|y"])
 def test_a_bad_split_names_the_flag_and_its_form(tmp_path, capsys, split):
     # a split that is not factor indices is an error report naming the flag
-    report, code = run("normal-form-6", {"split": split}, EQ_SCRIPT)
+    report, code = run_command("normal-form-6", {"split": split}, EQ_SCRIPT)
     assert code == 2 and report["status"] == "error"
     assert report["error"] == {
         "type": "GroupEqError",
@@ -232,7 +231,7 @@ def test_main_end_to_end(tmp_path, capsys):
 
 
 def test_render_text_is_derived_from_struct():
-    report, _ = run("classify", {}, EQ_SCRIPT)
+    report, _ = run_command("classify", {}, EQ_SCRIPT)
     text = render_text(report)
     assert "kind: unimodular" in text
 
@@ -255,7 +254,7 @@ def test_dsl_fuzz_never_crashes():
         script = " ".join(parts) + "\n"
         if rng.random() < 0.3:
             script += rng.choice(vocab) + "\n"
-        report, code = run("classify", {}, script)
+        report, code = run_command("classify", {}, script)
         assert code in (0, 1, 2)
         assert report["status"] in ("ok", "falsified", "error")
 
@@ -264,17 +263,22 @@ def test_cli_fuzz_binary_garbage():
     rng = random.Random(99)
     for _ in range(500):
         blob = "".join(chr(rng.randrange(32, 1000)) for _ in range(rng.randrange(0, 60)))
-        report, code = run("up-check", {"sets": "X,Y"}, blob)
+        report, code = run_command("up-check", {"sets": "X,Y"}, blob)
         assert code in (0, 1, 2)
 
 
+def _src_env():
+    """This environment with the checkout's src first on PYTHONPATH and no
+    $GROUPEQ_CONFIG."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    env.pop("GROUPEQ_CONFIG", None)
+    return env
+
+
 def test_cli_import_leaves_numpy_out():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     subprocess.run(
         [sys.executable, "-c", "import groupeq.cli, sys; assert 'numpy' not in sys.modules"],
-        env=env, check=True,
+        env=_src_env(), check=True,
     )
 
 
@@ -506,7 +510,7 @@ def test_emit_ky_emits_one_relator_per_coset_of_t():
     # x^-1 and x lie in one coset of <t> = <x^2>, so they give one relator;
     # the two copies' fours relators come first
     script = "group G = fours\ngroup T = free(x)\nlet u = T: x\ngeq W over G with T: a u b u = 1\n"
-    report, code = run("emit-ky", {"cosets": "x^-1;1;x"}, script)
+    report, code = run_command("emit-ky", {"cosets": "x^-1;1;x"}, script)
     assert code == 0
     rels = report["result"]["text"].splitlines()[1:]
     assert rels == [
@@ -524,17 +528,23 @@ def test_emit_ky_emits_one_relator_per_coset_of_t():
 
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDENS = sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json"))
 
 # the exit code each golden report must come with, read from its status
 GOLDEN_CODES = {"ok": 0, "falsified": 1, "error": 2}
 
 
-@pytest.mark.parametrize("name", sorted(f[:-5] for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")))
-def test_golden_reports_reproduce_byte_for_byte(name):
+def _golden(name):
+    """The stored bytes of a golden report and the report they hold."""
     with open(os.path.join(GOLDEN_DIR, name + ".json"), "r", encoding="utf-8") as fh:
         stored = fh.read()
-    data = json.loads(stored)
-    fresh, code = run(data["command"], data["args"], data["script"])
+    return stored, json.loads(stored)
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_golden_reports_reproduce_byte_for_byte(name):
+    stored, data = _golden(name)
+    fresh, code = run_command(data["command"], data["args"], data["script"], data.get("caps"))
     assert canonical_json(fresh) + "\n" == stored
     assert code == GOLDEN_CODES[data["status"]]
 
@@ -588,25 +598,93 @@ def test_a_flag_the_command_does_not_read_exits_two(tmp_path, capsys, argv, text
 
 def test_one_parser_serves_every_main_call(tmp_path, capsys):
     # main builds the argparse parser once per process: a bad argv (exit 2)
-    # first, then every golden fixture through main, byte for byte
+    # first, then every golden fixture through main: verify, its structured
+    # bytes, its exit code, and its text, which is render_text of the rebuilt
+    # report (a stored report has its keys sorted, and text keeps the order
+    # the command builds)
     cli._parser.cache_clear()
     assert main(["classify", "--no-such-flag"]) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
-    for name in sorted(f for f in os.listdir(GOLDEN_DIR) if f.endswith(".json")):
-        path = os.path.join(GOLDEN_DIR, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            stored = fh.read()
-        data = json.loads(stored)
-        assert main(["verify", path]) == 0
+    script, config = tmp_path / "script.ge", tmp_path / "caps.json"
+    for name in GOLDENS:
+        stored, data = _golden(name)
+        assert main(["verify", os.path.join(GOLDEN_DIR, name + ".json")]) == 0
         assert capsys.readouterr().out == "verified: reports match\n"
-        if data["command"] in ("emit-ky", "emit-solution-group"):
-            continue  # main would add --witness-var to the args the fixture was made without
-        script = tmp_path / "script.ge"
         script.write_text(data["script"], encoding="utf-8")
-        flags = [part for k, v in data["args"].items() for part in ("--" + k.replace("_", "-"), str(v))]
-        assert main([data["command"], str(script), "--format", "structured", *flags]) == GOLDEN_CODES[data["status"]]
+        argv = [data["command"], str(script)]
+        argv += [part for k, v in data["args"].items() for part in ("--" + k.replace("_", "-"), str(v))]
+        if "caps" in data:
+            config.write_text(json.dumps(data["caps"]), encoding="utf-8")
+            argv += ["--config", str(config)]
+        code = GOLDEN_CODES[data["status"]]
+        assert main([*argv, "--format", "structured"]) == code
         assert capsys.readouterr().out == stored
+        assert main(argv) == code
+        fresh, _ = run_command(data["command"], data["args"], data["script"], data.get("caps"))
+        assert capsys.readouterr().out == render_text(fresh)
     info = cli._parser.cache_info()
     assert info.misses == 1 and info.hits > 19
+
+
+# the args main once wrote into a report when their flag was left out
+FORMER_DEFAULTS = {
+    "emit-ky": ("witness_var", "t~"),
+    "emit-solution-group": ("witness_var", "t~"),
+    "reduce": ("ambient", "free-product"),
+}
+
+
+def test_a_report_whose_args_hold_a_flags_default_verifies(tmp_path, capsys):
+    # the runners hold the defaults main once wrote into args, so a report
+    # made that way re-runs to the same result and verifies
+    path = tmp_path / "report.json"
+    for name in GOLDENS:
+        _, data = _golden(name)
+        default = FORMER_DEFAULTS.get(data["command"])
+        if default is None:
+            continue
+        args = dict(data["args"])
+        args.setdefault(*default)
+        path.write_text(canonical_json(dict(data, args=args)) + "\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 0
+        assert capsys.readouterr().out == "verified: reports match\n"
+
+
+def _readme_example():
+    """The first fenced block of the README's CLI section."""
+    with open(os.path.join(ROOT, "README.md"), "r", encoding="utf-8") as fh:
+        section = fh.read().split("\n## CLI\n", 1)[1]
+    return section.split("```\n")[1]
+
+
+def test_the_readme_example_runs_and_its_report_verifies(tmp_path, capsys):
+    example = _readme_example()
+    assert len(example.splitlines()) == 5
+    script = tmp_path / "script.ge"
+    script.write_text(example, encoding="utf-8")
+    assert main(["rewrite-coset", str(script)]) == 0
+    assert "  expansion_verified: True" in capsys.readouterr().out.splitlines()
+    assert main(["verdict", str(script), "--format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["status"] == "ok"
+    path = tmp_path / "verdict.json"
+    path.write_text(out, encoding="utf-8")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+def test_the_module_entry_point_runs_as_a_process(tmp_path):
+    # `python -m groupeq.cli`: verify of an ok golden, and a search that finds
+    # a witness, whose exit code is 1
+    def cli_run(*argv):
+        return subprocess.run([sys.executable, "-m", "groupeq.cli", *argv], env=_src_env(),
+                              capture_output=True, text=True)
+
+    proc = cli_run("verify", os.path.join(GOLDEN_DIR, "verdict-unimodular.json"))
+    assert (proc.returncode, proc.stdout) == (0, "verified: reports match\n")
+    script = tmp_path / "cyclic.ge"
+    script.write_text("group C = cyclic(6)\n", encoding="utf-8")
+    proc = cli_run("search-nonup", str(script), "--radius", "3", "--max-size", "14", "--format", "structured")
+    assert (proc.returncode, proc.stdout) == (1, _golden("search-nonup-cyclic6-witness")[0])

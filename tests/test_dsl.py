@@ -4,7 +4,6 @@ line and column of every parse error of every statement kind."""
 import pytest
 
 from groupeq.cli import run_command
-from groupeq.config import DEFAULT_CAPS
 from groupeq.dsl import parse_script
 from groupeq.errors import GroupEqError, ParseError
 
@@ -201,7 +200,7 @@ def test_get_without_a_name_needs_a_declaration_of_that_kind():
 
 
 def _error(command, args, script):
-    report, code = run_command(command, args, script, DEFAULT_CAPS)
+    report, code = run_command(command, args, script)
     assert code == 2 and report["status"] == "error"
     return report["error"]
 
@@ -225,7 +224,7 @@ def test_cli_lookups_name_the_kind_they_need(command, args, error):
 
 def test_cli_without_a_name_picks_the_last_declaration():
     script = "group F = free(a)\neq E over F: a t = 1\neq D over F: a t^2 = 1\n"
-    report, code = run_command("classify", {}, script, DEFAULT_CAPS)
+    report, code = run_command("classify", {}, script)
     assert code == 0 and report["result"]["exponent_sum"] == 2
 
 

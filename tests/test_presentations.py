@@ -19,7 +19,6 @@ from groupeq.backends import (
     klein_four_group,
 )
 from groupeq.cli import run_command
-from groupeq.config import DEFAULT_CAPS
 from groupeq.equations import Equation, Split, emit_system_7, normal_form_6, universal_solution_group
 from groupeq.errors import SymbolClashError, WindowError
 from groupeq.generalized import (
@@ -90,7 +89,7 @@ def test_hnn_amalgam_and_universal_solution_group_clashes_name_the_generators():
 
 def test_emit_solution_group_witness_var_clash_is_a_symbol_clash():
     script = "group G = cyclic(3)\ngroup T = zn(1)\nlet u = T: 1\ngeq W over G with T: a u a u = 1\n"
-    report, code = run_command("emit-solution-group", {"witness_var": "e1"}, script, DEFAULT_CAPS)
+    report, code = run_command("emit-solution-group", {"witness_var": "e1"}, script)
     assert code == 2
     assert report["error"] == {"type": "SymbolClashError", "message": "generator names clash: ['e1']"}
 

@@ -806,6 +806,9 @@ def test_settled_holds_each_free_radius_5_product_once():
     # 118,096 products make 59,048 pair classes, beside the sink
     assert (len(census.atoms), len(census.products), len(census.counts)) == (242, 118_097, 59_049)
     assert sum(map(len, census.settled)) == 59_048
+    # `fell` and `rose` would hold 3 + 485 * 486 / 2 entries each; only
+    # `move`, which the search never calls, builds them
+    assert "steps" not in vars(census)
 
 
 def _table_cases():
