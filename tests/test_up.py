@@ -545,14 +545,26 @@ def test_anneal_rejects_a_size_the_ball_cannot_fill(monkeypatch, symmetric, size
 # the pruned exhaustive search against an unpruned reference
 
 
+def _sorted_atoms(group, radius, gens=None):
+    """The ball sorted by the group's sort key, the index of its identity
+    and its atoms in that order (the inverse pairs without the identity, an
+    involution alone), built apart from the census, so the reference walks
+    keep the answer's order whatever order the census visits."""
+    ball = sorted(group.ball(radius, gens), key=group.sort_key)
+    position = {x: i for i, x in enumerate(ball)}
+    identity = next(i for i, x in enumerate(ball) if x.is_identity)
+    flip = [position[~x] for x in ball]
+    atoms = [(i,) if i == j else (i, j) for i, j in enumerate(flip) if i <= j and i != identity]
+    return ball, identity, atoms
+
+
 def _reference_search(group, radius, maxsize, gens=None):
     """Every symmetric subset, size by size, identity-free subsets first,
     atom subsets in lexicographic order, each checked by the naive census."""
-    census = ProductCensus(group, radius, gens)
-    ball, atoms = census.ball, census.atoms
+    ball, identity, atoms = _sorted_atoms(group, radius, gens)
     tested, exhausted = 0, []
     for size in range(2, maxsize + 1):
-        for head in ((), (ball[census.identity],)):
+        for head in ((), (ball[identity],)):
             target = size - len(head)
             picks = sorted(
                 c
@@ -644,17 +656,28 @@ def _product_settled(census, atoms):
     return settled
 
 
+def _ways(atoms, top):
+    """`ways[i][s]`: the subsets of `atoms[i:]` with s elements, s <= top."""
+    table = [[1] + [0] * top]
+    for atom in reversed(atoms):
+        below, k = table[-1], len(atom)
+        table.append([below[s] + (below[s - k] if s >= k else 0) for s in range(top + 1)])
+    return table[::-1]
+
+
 def _sized_search(group, radius, maxsize, gens=None):
     """The size-by-size walk the one-pass search replaced: for each size,
-    each family from an empty set, with the settled cut on product counts,
-    each element added to an asymmetric census on its own, and cut
-    subtrees counted off `ProductCensus.ways`; no deadline."""
-    symmetric = ProductCensus(group, radius, gens)
+    each family from an empty set, atoms in sort-key order, with the
+    settled cut on product counts, each element added to an asymmetric
+    census on its own, and cut subtrees counted by atom sizes; no
+    deadline."""
     census = ProductCensus(group, radius, gens, symmetric=False)
-    atoms = symmetric.atoms
+    ball, _, atoms = _sorted_atoms(group, radius, gens)
+    at = {x: i for i, x in enumerate(census.ball)}
+    atoms = [tuple(at[ball[i]] for i in atom) for atom in atoms]  # census indices, sort-key order
     settled = _product_settled(census, atoms)
     n = len(atoms)
-    ways = symmetric.ways(max(maxsize, 0))
+    ways = _ways(atoms, max(maxsize, 0))
     tested = 0
     exhausted = []
 
