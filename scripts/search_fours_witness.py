@@ -4,9 +4,10 @@
 A command-line front end to `groupeq.up.search_nonup_witness` and
 `groupeq.up.anneal_nonup_witness`.  Strategies:
   exhaustive  one depth-first pass over the symmetric subsets of every size
-              up to --max-size, complete in the ball; the first witness by
-              size is the answer.  The pass settles every size together, so
-              a --budget-ms deadline that passes during it reports every
+              up to --max-size, outermost BFS layer first, complete in the
+              ball; the first witness by size, then in sort-key order, is
+              the answer.  The pass settles every size together, so a
+              --budget-ms deadline that passes during it reports every
               size truncated and 0 subsets tested.  It covers symmetric
               sets only, so --no-symmetric is a usage error here
   anneal      simulated annealing, fixed seed; --no-symmetric drops the
@@ -18,7 +19,7 @@ such as a negative --radius or a size the ball cannot fill, exits 2 with
 the library's message; exit 1 means no witness was found.
 
 The exhaustive symmetric run at radius 3 proves there is no symmetric
-witness of size <= 14 in that ball, in 0.19-0.26 s per process on a
+witness of size <= 14 in that ball, in 0.15-0.17 s per process on a
 2-vCPU machine with Python 3.11.7.  Witnesses do exist asymmetrically at
 radius 4: seed 17 finds a verified 14-element set (two translations, six
 elements in each of two reflection cosets) after 76 restarts, in 5.3-5.4 s

@@ -5,7 +5,7 @@ probabilistically.  The witness searches target the fours group but run on
 any backend with decidable equality.  Both of them, the exhaustive
 symmetric search (`search_nonup_witness`) and the seeded anneal
 (`anneal_nonup_witness`), count S*S with one engine, `ProductCensus`: a
-labelled product table over a sorted ball, built once with its products
+labelled product table over an ordered ball, built once with its products
 numbered as they turn up, and plain integer counts updated as atoms enter
 and leave S.
 
@@ -261,16 +261,21 @@ class ProductCensus:
     census counts inverse-pair classes for a symmetric S (the phi-orbit rule
     of the module docstring), an asymmetric one counts products for any S.
 
-    The ball is sorted by the group's sort key and ball indices stand for
-    elements.  The fill multiplies the ball with itself once, reading
-    ball(2 * radius) off its own table, held to `caps.ball_size` row by
-    row.  It numbers the products in the order they turn up, each inverse
-    pair together, so the numbering rests on the sorted ball and payload
-    equality alone; `products[k]` is the payload of product k.  A computed
-    cell (i, j) also fills the cell of its inverse, (flip[j], flip[i]),
-    where flip[i] is the ball index of x_i^-1, so about half the table is
-    multiplied.  Each cell holds a label, `rows[i][j]` that of
-    ball[i]*ball[j], and `label[k]` is the label of product k:
+    The ball's order is the order the atoms are visited in, fixed when the
+    census is built: sorted by the group's sort key, or, `far_first`, its
+    BFS layers (`Group.layers`) outermost first, each sorted by the sort
+    key.  The anneal, whose seeded trajectories index `atoms`, and the
+    search's second pass, which gives its answer in sort-key order, take
+    the first; the search's first pass takes the second.  Ball indices
+    stand for elements.  The fill multiplies the ball with itself once,
+    reading ball(2 * radius) off its own table, held to `caps.ball_size`
+    row by row.  It numbers the products in the order they turn up, each
+    inverse pair together, so the numbering rests on the ball's order and
+    payload equality alone; `products[k]` is the payload of product k.  A
+    computed cell (i, j) also fills the cell of its inverse,
+    (flip[j], flip[i]), where flip[i] is the ball index of x_i^-1, so about
+    half the table is multiplied.  Each cell holds a label, `rows[i][j]`
+    that of ball[i]*ball[j], and `label[k]` is the label of product k:
       - symmetric: the class of the product's inverse pair, numbered from 1
         as the pairs turn up, or 0, the sink, when the product is its own
         inverse;
@@ -332,9 +337,14 @@ class ProductCensus:
         gens: Optional[Sequence[GroupElement]] = None,
         symmetric: bool = True,
         caps: Caps = DEFAULT_CAPS,
+        far_first: bool = False,
     ):
         self.symmetric = symmetric
-        self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
+        if far_first:
+            layers = reversed(group.layers(radius, gens, caps))
+            self.ball = [x for layer in layers for x in sorted(layer, key=group.sort_key)]
+        else:
+            self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
         payloads = [e.payload for e in self.ball]
         mul, inv = group._mul, group._inv
         position = {p: i for i, p in enumerate(payloads)}
@@ -492,6 +502,73 @@ class ProductCensus:
         return tuple(self.ball[i] for i in self.members)
 
 
+class _OutOfTime(Exception):
+    """The search's wall-clock budget ran out during a walk."""
+
+
+def _last_witness(
+    census: ProductCensus, families: tuple[int, ...], limit: int, least: int, out_of_time
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """One depth-first walk of `census` per family in `families` (0 without
+    the identity, 1 with it) over the subsets of at most `limit` elements,
+    loading them in lexicographic order of the atom list and testing each
+    one of 2 or more.  A witness of z elements lowers the limit to z - 1
+    for the rest of the walks, or ends them when z is `least`, the fewest
+    elements a witness can have.  Returns the last witness found as (atom
+    path, with identity), or None; raises `_OutOfTime` when the clock,
+    read before each family and every 2048 nodes, says so.
+
+    Each node, before it extends the loaded subset by atom j, reads the
+    counts of `census.settled[j]`: the lower lists were read earlier with
+    the same counts, and no atom of `atoms[j:]` touches any of them, so a
+    count of 1 there means no extension by `atoms[j:]`, of any size, is a
+    witness, and the loop ends."""
+    atoms, settled = census.atoms, census.settled
+    add, remove = census.add, census.remove
+    n = len(atoms)
+    nodes = 0
+    path: list[int] = []
+    best: Optional[tuple[tuple[int, ...], int]] = None
+    # the class of x*x for the first element x of each atom: a count of 1
+    # there rules out a witness without scanning every class count
+    square = [census.lines[atom[0]][3] for atom in atoms]
+
+    def walk(first: int) -> None:
+        """Load and test every extension of the loaded subset by atoms[first:]
+        of at most `limit` elements, in order."""
+        nonlocal limit, nodes, best
+        held = len(members)
+        for j in range(first, n):
+            if held >= limit or 1 in map(counts.__getitem__, settled[j]):
+                return
+            atom = atoms[j]
+            size = held + len(atom)
+            if size > limit:
+                continue
+            nodes += 1
+            if not nodes & 2047 and out_of_time():
+                raise _OutOfTime
+            add(atom)
+            path.append(j)
+            if size >= 2 and counts[square[j]] != 1 and 1 not in counts:
+                best = (tuple(path), with_ident)
+                limit = size - 1 if size > least else 0
+            elif size < limit:
+                walk(j + 1)
+            path.pop()
+            remove(atom)
+
+    for with_ident in families:
+        census.clear()
+        counts, members = census.counts, census.members  # read by walk; clear() makes new lists
+        if with_ident:
+            add((census.identity,))
+        if out_of_time():
+            raise _OutOfTime
+        walk(0)
+    return best
+
+
 def search_nonup_witness(
     group: Group,
     radius: int,
@@ -504,105 +581,70 @@ def search_nonup_witness(
 
     Subsets are unions of atoms (plus optionally the identity).  The answer
     is the first witness by size, then identity-free before identity, then
-    in lexicographic order of the atom list, so it is deterministic.  Any
-    witness found is re-verified with an independent naive census.
+    in lexicographic order of the atom list of the ball sorted by the
+    group's sort key, so it is deterministic.  Any witness found is
+    re-verified with an independent naive census.
 
-    One depth-first pass per family, identity-free first, loads the subsets
-    in lexicographic order and tests each one it loads, of every size from 2
-    up to a limit.  A witness of z elements lowers the limit to z - 1, for
-    the rest of its pass and for the identity family's, so the last witness
-    found is the answer.  Each node, before it extends the loaded subset by
-    atom j, reads the counts of `census.settled[j]`: the lower lists were
-    read earlier with the same counts, and no atom of `atoms[j:]` touches
-    any of them, so a count of 1 there means no extension by `atoms[j:]`,
-    of any size, is a witness, and the loop ends.
-
-    S is symmetric, so the walk runs on a symmetric census, which counts
+    S is symmetric, so the walks run on symmetric censuses, which count
     inverse-pair classes, not products: the involution
     phi(x, y) = (y^-1, x^-1) of S x S gives p and p^-1 equal counts, a
     product p != 1 that is its own inverse an even count and the identity
     the count |S|, so only a class {p, p^-1} can hold the unique product of
     a set of 2 or more elements, and a witness is a loaded set of 2 or more
-    with no class count at 1.  The cuts, the order of the visit and the
-    answer are those of counting products.
+    with no class count at 1.
 
-    `subsets_tested` is read off `ProductCensus.ways`: it is what a visit of
-    every subset in the answer's order counts up to the answer.  That is
-    every subset of each size below the witness's (of every size when there
-    is none), then the identity-free subsets of the witness's size if the
-    witness holds the identity, then the witness's 1-based lexicographic
-    rank in its family and size.
+    Two passes of `_last_witness` find the answer.  The first walks a
+    census whose ball is in far-first order, its outermost BFS layer first,
+    and loads every subset of every size from 2 up, one walk per family,
+    identity-free first, lowering its limit at each witness.  A product
+    formed in the outer layer is mostly formed by outer-layer pairs alone,
+    so in that order the settled cut fires near the root of the walk.  It
+    gives the least witness size z and its family, or proves there is no
+    witness.  Its lexicographic order is not the answer's, so when it finds
+    a witness a second pass walks a census in sort-key order, in that
+    family alone, up to z elements, and stops at its first witness, which
+    is the answer.
 
-    The wall-clock budget is checked before each pass and every 2048 nodes.
-    The passes settle every size together, so a deadline that passes before
-    they end leaves no witness and no exhausted size, lists every size as
-    truncated and reports `subsets_tested` 0.
+    `subsets_tested` is read off `ProductCensus.ways` of the sort-key
+    census: it is what a visit of every subset in the answer's order counts
+    up to the answer.  That is every subset of each size below the
+    witness's (of every size when there is none, read off the far-first
+    census, since the count of a size does not depend on the order), then
+    the identity-free subsets of the witness's size if the witness holds
+    the identity, then the witness's 1-based lexicographic rank in its
+    family and size.
+
+    The passes share one start and one wall-clock budget, checked before
+    each walk and every 2048 nodes.  The first pass settles every size
+    together, so a deadline that passes before the passes end leaves no
+    witness and no exhausted size, lists every size as truncated and
+    reports `subsets_tested` 0.
     """
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
-    census = ProductCensus(group, radius, gens, caps=caps)
-    atoms, settled = census.atoms, census.settled
-    add, remove = census.add, census.remove
-    n = len(atoms)
     sizes = tuple(range(2, maxsize + 1))
-    limit = maxsize
-    nodes = 0
-    path: list[int] = []
-    best: Optional[tuple[tuple[int, ...], int]] = None  # (atom path, with identity)
-    # the class of x*x for the first element x of each atom: a count of 1
-    # there rules out a witness without scanning every class count
-    square = [census.lines[atom[0]][3] for atom in atoms]
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
 
-    def walk(first: int) -> bool:
-        """Load and test every extension of the loaded subset by atoms[first:]
-        of at most `limit` elements, in order; False means the deadline
-        passed."""
-        nonlocal limit, nodes, best
-        held = len(members)
-        for j in range(first, n):
-            if held >= limit or 1 in map(counts.__getitem__, settled[j]):
-                return True
-            atom = atoms[j]
-            size = held + len(atom)
-            if size > limit:
-                continue
-            nodes += 1
-            if not nodes & 2047 and out_of_time():
-                return False
-            add(atom)
-            path.append(j)
-            if size >= 2 and counts[square[j]] != 1 and 1 not in counts:
-                best = (tuple(path), with_ident)
-                limit = size - 1
-            elif size < limit and not walk(j + 1):
-                return False
-            path.pop()
-            remove(atom)
-        return True
-
-    for with_ident in (0, 1):
-        census.clear()
-        counts, members = census.counts, census.members  # read by walk; clear() makes new lists
-        if with_ident:
-            add((census.identity,))
-        if out_of_time() or not walk(0):
-            return WitnessSearchResult(None, False, (), sizes, 0)
-
-    ways = census.ways(max(maxsize, 0))
-
-    def below(top: int) -> int:
+    def below(ways: list[list[int]], top: int) -> int:
         """The subsets of both families with 2 to top - 1 elements."""
         return sum(ways[0][s] + ways[0][s - 1] for s in range(2, top))
 
-    if best is None:
-        return WitnessSearchResult(None, False, sizes, (), below(maxsize + 1))
-    chosen, with_ident = best
-    left = sum(len(atoms[j]) for j in chosen)
-    size = left + with_ident
-    tested = below(size) + (ways[0][size] if with_ident else 0) + 1
+    far = ProductCensus(group, radius, gens, caps=caps, far_first=True)
+    try:
+        best = _last_witness(far, (0, 1), maxsize, 2, out_of_time)
+        if best is None:
+            return WitnessSearchResult(None, False, sizes, (), below(far.ways(max(maxsize, 0)), maxsize + 1))
+        path, with_ident = best
+        size = with_ident + sum(len(far.atoms[j]) for j in path)
+        census = ProductCensus(group, radius, gens, caps=caps)
+        chosen, _ = _last_witness(census, (with_ident,), size, size, out_of_time)
+    except _OutOfTime:
+        return WitnessSearchResult(None, False, (), sizes, 0)
+    atoms, ways = census.atoms, census.ways(size)
+    left = size - with_ident
+    tested = below(ways, size) + (ways[0][size] if with_ident else 0) + 1
     first = 0
     for j in chosen:  # the subsets before the witness that part from it at j
         tested += ways[first][left] - ways[j][left]

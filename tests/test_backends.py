@@ -394,6 +394,19 @@ def test_ball_matches_the_element_bfs(name, group, radius, gens):
     assert all(x.group is group for x in ball)
 
 
+@pytest.mark.parametrize("name, group, radius, gens", _ball_cases(), ids=[c[0] for c in _ball_cases()])
+def test_layers_are_the_spheres_of_the_element_bfs(name, group, radius, gens):
+    # layer d is ball(d) less ball(d - 1), and the layers stop at the first
+    # empty one
+    layers = group.layers(radius, gens)
+    shells = [_element_ball(group, d, gens) - _element_ball(group, d - 1, gens) if d else
+              frozenset([group.identity()]) for d in range(radius + 1)]
+    while not shells[-1]:
+        shells.pop()
+    assert list(layers) == shells
+    assert all(isinstance(layer, frozenset) for layer in layers)
+
+
 def test_ball_size_cap_fires_on_the_layer_that_passes_it():
     # |ball(4)| = 83 in the fours group, and both BFSs check the cap after
     # each layer with the same message

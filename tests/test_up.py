@@ -7,7 +7,7 @@ import sys
 import types
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupeq import up
@@ -587,6 +587,7 @@ def _search_group(name, n=0):
         "cyclic": lambda: cyclic_group(n),
         "klein": klein_four_group,
         "perm3": lambda: PermutationGroup(3),
+        "s3-table": lambda: table_from_group(PermutationGroup(3)),
         "zn2": lambda: FreeAbelianGroup(2),
         "fours": FoursGroup,
         "free": lambda: FreeGroup(("a", "b")),
@@ -638,6 +639,53 @@ def test_search_finds_the_first_witness_past_cuts(n, radius, gens, tested):
     res = search_nonup_witness(group, radius, 8, g)
     assert res.found and res.verified and res.subsets_tested == tested
     assert res == _reference_search(group, radius, 8, g)
+
+
+@st.composite
+def _finite_search_inputs(draw):
+    name = draw(st.sampled_from(["cyclic", "klein", "perm3", "s3-table"]))
+    n = draw(st.integers(min_value=2, max_value=25)) if name == "cyclic" else 0
+    group = _search_group(name, n)
+    gens = None
+    if draw(st.booleans()):
+        pool = sorted(group.elements(), key=group.sort_key)
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=3, unique=True))
+        gens = [pool[i] for i in picks]
+    return group, draw(st.integers(1, 3)), draw(st.integers(2, 8)), gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(_finite_search_inputs())
+def test_search_with_a_witness_matches_unpruned_reference(inputs):
+    # the second pass, which only a witness starts, answers in sort-key
+    # order whatever order the first pass met its witnesses in
+    group, radius, maxsize, gens = inputs
+    reference = _reference_search(group, radius, maxsize, gens)
+    assume(reference.found)
+    assert search_nonup_witness(group, radius, maxsize, gens) == reference
+
+
+@pytest.mark.parametrize(
+    "n, gens, answer, far_first",
+    # (witness, subsets_tested): cyclic(13) meets the same set at another
+    # rank in far-first order, cyclic(10) another set
+    [
+        (13, (12, 6), (("a^2", "a^11", "a^5", "a^8", "a^6", "a^7"), 24), (("a^2", "a^11", "a^5", "a^8", "a^6", "a^7"), 22)),
+        (10, (1, 3), (("a", "a^9", "a^3", "a^7"), 10), (("a^2", "a^8", "a^4", "a^6"), 9)),
+    ],
+)
+def test_second_pass_replaces_the_far_first_witness(monkeypatch, n, gens, answer, far_first):
+    # a search on far-first censuses alone answers otherwise: the second
+    # pass, in sort-key order, gives the answer
+    group = cyclic_group(n)
+    g = [group.element(k) for k in gens]
+    res = search_nonup_witness(group, 2, 8, g)
+    assert (tuple(map(str, res.witness)), res.subsets_tested) == answer
+    assert res == _reference_search(group, 2, 8, g)
+    build = ProductCensus.__init__
+    monkeypatch.setattr(ProductCensus, "__init__", lambda self, *a, **k: build(self, *a, **{**k, "far_first": True}))
+    far = search_nonup_witness(group, 2, 8, g)
+    assert (tuple(map(str, far.witness)), far.subsets_tested) == far_first and far.verified
 
 
 def _product_settled(census, atoms):
@@ -1061,7 +1109,7 @@ def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
     caps = DEFAULT_CAPS.with_overrides(radius=6)
     res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
-    assert len(calls) == 8_467
+    assert len(calls) == 3_982
 
 
 def test_deadline_inside_the_walk_truncates_every_size(monkeypatch):
@@ -1089,7 +1137,7 @@ def test_deadline_before_the_identity_pass_drops_its_witness(monkeypatch):
     clock = _StepClock()
     monkeypatch.setattr(up, "time", clock)
     assert search_nonup_witness(group, 2, 8, gens).found
-    assert clock.readings == 3  # the start and the two pass checks
+    assert clock.readings == 4  # the start, the first pass's two walk checks and the second's
     monkeypatch.setattr(up, "time", _StepClock(jump=3))
     res = search_nonup_witness(group, 2, 8, gens)
     assert res == WitnessSearchResult(None, False, (), tuple(range(2, 9)), 0)
