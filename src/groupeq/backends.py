@@ -214,9 +214,16 @@ class Group(ABC):
 
     # -- balls
 
-    def _spheres(self, radius: int, gens: Optional[Sequence[GroupElement]], caps: Caps) -> list[set]:
-        """The payloads of the BFS layers of ball(radius), nearest first,
-        from one BFS; an empty layer ends the list."""
+    def layers(
+        self,
+        radius: int,
+        gens: Optional[Sequence[GroupElement]] = None,
+        caps: Caps = DEFAULT_CAPS,
+    ) -> tuple[frozenset[GroupElement], ...]:
+        """The spheres of ball(radius), nearest first: layer d holds the
+        products of d factors from gens and inverses that are no product of
+        fewer.  An empty layer ends the list, so a finite group can give
+        fewer than radius + 1 layers."""
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         if radius > caps.radius:
@@ -227,8 +234,8 @@ class Group(ABC):
         for g in base:
             if g.group is not self and g.group != self:
                 raise GroupMismatchError("ball generators must live in this group")
-        # the BFS runs on payloads, which are canonical; the callers wrap
-        # each element once
+        # the BFS runs on payloads, which are canonical, and wraps each
+        # element once at the end
         mul = self._mul
         syms = list(dict.fromkeys(h for g in base for h in (g.payload, self._inv(g.payload))))
         layer = {self._one}
@@ -242,19 +249,7 @@ class Group(ABC):
             if len(seen) > caps.ball_size:
                 raise CapExceededError(f"ball size exceeds cap {caps.ball_size}")
             spheres.append(layer)
-        return spheres
-
-    def layers(
-        self,
-        radius: int,
-        gens: Optional[Sequence[GroupElement]] = None,
-        caps: Caps = DEFAULT_CAPS,
-    ) -> tuple[frozenset[GroupElement], ...]:
-        """The spheres of ball(radius), nearest first: layer d holds the
-        products of d factors from gens and inverses that are no product of
-        fewer.  An empty layer ends the list, so a finite group can give
-        fewer than radius + 1 layers."""
-        return tuple(frozenset([GroupElement(self, p) for p in layer]) for layer in self._spheres(radius, gens, caps))
+        return tuple(frozenset([GroupElement(self, p) for p in layer]) for layer in spheres)
 
     def ball(
         self,
@@ -264,7 +259,7 @@ class Group(ABC):
     ) -> frozenset[GroupElement]:
         """All products of at most `radius` factors from gens and inverses:
         the union of `layers`."""
-        return frozenset([GroupElement(self, p) for layer in self._spheres(radius, gens, caps) for p in layer])
+        return frozenset().union(*self.layers(radius, gens, caps))
 
 
 # ---------------------------------------------------------------------------

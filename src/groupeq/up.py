@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .backends import Group, GroupElement
 from .config import DEFAULT_CAPS, Caps
@@ -507,7 +507,7 @@ class _OutOfTime(Exception):
 
 
 def _last_witness(
-    census: ProductCensus, families: tuple[int, ...], limit: int, least: int, out_of_time
+    census: ProductCensus, families: tuple[int, ...], limit: int, least: int, out_of_time: Callable[[], bool]
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """One depth-first walk of `census` per family in `families` (0 without
     the identity, 1 with it) over the subsets of at most `limit` elements,

@@ -665,12 +665,15 @@ def test_search_with_a_witness_matches_unpruned_reference(inputs):
     assert search_nonup_witness(group, radius, maxsize, gens) == reference
 
 
+_C13_WITNESS = ("a^2", "a^11", "a^5", "a^8", "a^6", "a^7")
+
+
 @pytest.mark.parametrize(
     "n, gens, answer, far_first",
     # (witness, subsets_tested): cyclic(13) meets the same set at another
     # rank in far-first order, cyclic(10) another set
     [
-        (13, (12, 6), (("a^2", "a^11", "a^5", "a^8", "a^6", "a^7"), 24), (("a^2", "a^11", "a^5", "a^8", "a^6", "a^7"), 22)),
+        (13, (12, 6), (_C13_WITNESS, 24), (_C13_WITNESS, 22)),
         (10, (1, 3), (("a", "a^9", "a^3", "a^7"), 10), (("a^2", "a^8", "a^4", "a^6"), 9)),
     ],
 )
