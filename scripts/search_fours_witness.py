@@ -43,7 +43,7 @@ def main() -> int:
     ap.add_argument("--radius", type=int, default=3)
     ap.add_argument("--max-size", type=int, default=14)
     ap.add_argument("--strategy", choices=("exhaustive", "anneal"), default="exhaustive")
-    ap.add_argument("--budget-ms", type=int, default=600_000)
+    ap.add_argument("--budget-ms", type=int, default=DEFAULT_CAPS.budget_ms)
     ap.add_argument("--seed", type=int, default=17)
     ap.add_argument("--with-ab-generator", action="store_true",
                     help="add the product of the two generators to the ball alphabet")

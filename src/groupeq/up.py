@@ -261,13 +261,10 @@ class ProductCensus:
     census counts inverse-pair classes for a symmetric S (the phi-orbit rule
     of the module docstring), an asymmetric one counts products for any S.
 
-    The ball's order is the order the atoms are visited in, fixed when the
-    census is built: sorted by the group's sort key, or, `far_first`, its
-    BFS layers (`Group.layers`) outermost first, each sorted by the sort
-    key.  The anneal, whose seeded trajectories index `atoms`, and the
-    search's second pass, which gives its answer in sort-key order, take
-    the first; the search's first pass takes the second.  Ball indices
-    stand for elements.  The fill multiplies the ball with itself once,
+    The ball, from one `Group.layers` call, is sorted by the group's sort
+    key, and `depth[i]` is the BFS layer of ball[i]; ball indices stand for
+    elements.  A census has this one order, and a walk takes its own
+    ordering of `atoms`.  The fill multiplies the ball with itself once,
     reading ball(2 * radius) off its own table, held to `caps.ball_size`
     row by row.  It numbers the products in the order they turn up, each
     inverse pair together, so the numbering rests on the ball's order and
@@ -319,15 +316,10 @@ class ProductCensus:
     that has just fallen or risen to c, and the [|S| = 1] term changes once
     a call.
 
-    `settled` files each label but the sink once, in increasing order within
-    a list, under the last atom whose lines hold it: `settled[i]`, for
-    i >= 1, lists the labels `atoms[i - 1]` raises and no later atom does,
-    and `settled[0]` those no atom raises.  Putting atoms from `atoms[i:]`
-    into S raises no count in `settled[0]` through `settled[i]`, so a count
-    of 1 there is final: no such extension of S loses those unique products.
-    `ways(top)` counts the subsets of `atoms[i:]` by their number of
-    elements, so the search reads its subset count off it without visiting
-    the subsets it counts.
+    `settled(atoms)` tells a walk in the order `atoms` when a count of 1 is
+    final.  `ways(top)` counts the subsets of `atoms[i:]` by their number
+    of elements, so the search reads its subset count off it without
+    visiting the subsets it counts.
     """
 
     def __init__(
@@ -337,14 +329,11 @@ class ProductCensus:
         gens: Optional[Sequence[GroupElement]] = None,
         symmetric: bool = True,
         caps: Caps = DEFAULT_CAPS,
-        far_first: bool = False,
     ):
         self.symmetric = symmetric
-        if far_first:
-            layers = reversed(group.layers(radius, gens, caps))
-            self.ball = [x for layer in layers for x in sorted(layer, key=group.sort_key)]
-        else:
-            self.ball = sorted(group.ball(radius, gens, caps), key=group.sort_key)
+        depth = {x: d for d, layer in enumerate(group.layers(radius, gens, caps)) for x in layer}
+        self.ball = sorted(depth, key=group.sort_key)
+        self.depth = [depth[x] for x in self.ball]
         payloads = [e.payload for e in self.ball]
         mul, inv = group._mul, group._inv
         position = {p: i for i, p in enumerate(payloads)}
@@ -396,16 +385,7 @@ class ProductCensus:
             # columns as lists, as the rows are: a subscript that meets tuples
             # and lists is not specialised, and the count loops slow by a fifth
             self.lines = [(row, col, 1, row[i]) for i, (row, col) in enumerate(zip(rows, map(list, zip(*rows))))]
-        labels = classes + 1 if symmetric else len(opp)
-        last = [0] * labels  # label -> 1 + the last atom raising it
-        for i, atom in enumerate(self.atoms, 1):
-            row, other, _, _ = self.lines[atom[0]]
-            for c in row + other:
-                last[c] = i
-        self.settled: list[list[int]] = [[] for _ in range(len(self.atoms) + 1)]
-        for c in range(1 if symmetric else 0, labels):
-            self.settled[last[c]].append(c)
-        empty = [0] * labels
+        empty = [0] * (classes + 1 if symmetric else len(opp))  # one count per label
         if symmetric:
             empty[0] = 3  # the sink starts past 2, where `fell` and `rose` are 0
         self.empty = tuple(empty)  # the counts of an empty S
@@ -421,6 +401,22 @@ class ProductCensus:
         n, w = len(self.ball), self.weight
         top = 3 + n * (n + 1) // 2 if self.symmetric else n
         return (-w, w) + (0,) * (top - 1), (0, w, -w) + (0,) * (top - 2)
+
+    def settled(self, atoms: Sequence[tuple[int, ...]]) -> list[list[int]]:
+        """Each label but the sink, once and in increasing order, under the
+        last atom of `atoms`, an ordering of `self.atoms`, that raises it:
+        `settled[i]`, for i >= 1, under `atoms[i - 1]`, and `settled[0]` the
+        labels no atom raises.  No atom of `atoms[i:]` raises a count in
+        `settled[:i + 1]`, so a count of 1 there is final."""
+        last = [0] * len(self.empty)  # label -> 1 + the last atom raising it
+        for i, atom in enumerate(atoms, 1):
+            row, other, _, _ = self.lines[atom[0]]
+            for c in row + other:
+                last[c] = i
+        settled: list[list[int]] = [[] for _ in range(len(atoms) + 1)]
+        for c in range(self.symmetric, len(last)):
+            settled[last[c]].append(c)
+        return settled
 
     def ways(self, top: int) -> list[list[int]]:
         """`ways(top)[i][s]`, for s <= top, is the number of subsets of
@@ -507,23 +503,25 @@ class _OutOfTime(Exception):
 
 
 def _last_witness(
-    census: ProductCensus, families: tuple[int, ...], limit: int, least: int, out_of_time: Callable[[], bool]
+    census: ProductCensus, atoms: Sequence[tuple[int, ...]], families: tuple[int, ...],
+    limit: int, least: int, out_of_time: Callable[[], bool],
 ) -> Optional[tuple[tuple[int, ...], int]]:
     """One depth-first walk of `census` per family in `families` (0 without
     the identity, 1 with it) over the subsets of at most `limit` elements,
-    loading them in lexicographic order of the atom list and testing each
-    one of 2 or more.  A witness of z elements lowers the limit to z - 1
-    for the rest of the walks, or ends them when z is `least`, the fewest
-    elements a witness can have.  Returns the last witness found as (atom
-    path, with identity), or None; raises `_OutOfTime` when the clock,
-    read before each family and every 2048 nodes, says so.
+    loading them in lexicographic order of `atoms`, an ordering of
+    `census.atoms`, and testing each one of 2 or more.  A witness of z
+    elements lowers the limit to z - 1 for the rest of the walks, or ends
+    them when z is `least`, the fewest elements a witness can have.
+    Returns the last witness found as (path of indices into `atoms`, with
+    identity), or None; raises `_OutOfTime` when the clock, read before
+    each family and every 2048 nodes, says so.
 
     Each node, before it extends the loaded subset by atom j, reads the
-    counts of `census.settled[j]`: the lower lists were read earlier with
-    the same counts, and no atom of `atoms[j:]` touches any of them, so a
-    count of 1 there means no extension by `atoms[j:]`, of any size, is a
-    witness, and the loop ends."""
-    atoms, settled = census.atoms, census.settled
+    counts of `census.settled(atoms)[j]`: the lower lists were read earlier
+    with the same counts, and no atom of `atoms[j:]` touches any of them,
+    so a count of 1 there means no extension by `atoms[j:]`, of any size,
+    is a witness, and the loop ends."""
+    settled = census.settled(atoms)
     add, remove = census.add, census.remove
     n = len(atoms)
     nodes = 0
@@ -585,7 +583,7 @@ def search_nonup_witness(
     group's sort key, so it is deterministic.  Any witness found is
     re-verified with an independent naive census.
 
-    S is symmetric, so the walks run on symmetric censuses, which count
+    S is symmetric, so the walks run on a symmetric census, which counts
     inverse-pair classes, not products: the involution
     phi(x, y) = (y^-1, x^-1) of S x S gives p and p^-1 equal counts, a
     product p != 1 that is its own inverse an even count and the identity
@@ -593,26 +591,25 @@ def search_nonup_witness(
     a set of 2 or more elements, and a witness is a loaded set of 2 or more
     with no class count at 1.
 
-    Two passes of `_last_witness` find the answer.  The first walks a
-    census whose ball is in far-first order, its outermost BFS layer first,
-    and loads every subset of every size from 2 up, one walk per family,
-    identity-free first, lowering its limit at each witness.  A product
-    formed in the outer layer is mostly formed by outer-layer pairs alone,
-    so in that order the settled cut fires near the root of the walk.  It
-    gives the least witness size z and its family, or proves there is no
-    witness.  Its lexicographic order is not the answer's, so when it finds
-    a witness a second pass walks a census in sort-key order, in that
-    family alone, up to z elements, and stops at its first witness, which
-    is the answer.
+    One census, its ball in sort-key order, serves two passes of
+    `_last_witness`, each in its own order of the census's atoms.  The
+    first walks them outermost BFS layer first (x and x^-1 lie in one
+    layer), sort key within a layer, and loads every subset of every size
+    from 2 up, one walk per family, identity-free first, lowering its limit
+    at each witness.  A product formed in the outer layer is mostly formed
+    by outer-layer pairs alone, so in that order the settled cut fires near
+    the root of the walk.  It gives the least witness size z and its
+    family, or proves there is no witness.  Its lexicographic order is not
+    the answer's, so when it finds a witness a second pass walks the atoms
+    in sort-key order, in that family alone, up to z elements, and stops
+    at its first witness, which is the answer.
 
-    `subsets_tested` is read off `ProductCensus.ways` of the sort-key
-    census: it is what a visit of every subset in the answer's order counts
-    up to the answer.  That is every subset of each size below the
-    witness's (of every size when there is none, read off the far-first
-    census, since the count of a size does not depend on the order), then
-    the identity-free subsets of the witness's size if the witness holds
-    the identity, then the witness's 1-based lexicographic rank in its
-    family and size.
+    `subsets_tested` is read off `ProductCensus.ways`, in sort-key order:
+    it is what a visit of every subset in the answer's order counts up to
+    the answer.  That is every subset of each size below the witness's (of
+    every size when there is none), then the identity-free subsets of the
+    witness's size if the witness holds the identity, then the witness's
+    1-based lexicographic rank in its family and size.
 
     The passes share one start and one wall-clock budget, checked before
     each walk and every 2048 nodes.  The first pass settles every size
@@ -631,18 +628,19 @@ def search_nonup_witness(
         """The subsets of both families with 2 to top - 1 elements."""
         return sum(ways[0][s] + ways[0][s - 1] for s in range(2, top))
 
-    far = ProductCensus(group, radius, gens, caps=caps, far_first=True)
+    census = ProductCensus(group, radius, gens, caps=caps)
+    atoms, depth = census.atoms, census.depth
+    far = sorted(atoms, key=lambda atom: -depth[atom[0]])
     try:
-        best = _last_witness(far, (0, 1), maxsize, 2, out_of_time)
+        best = _last_witness(census, far, (0, 1), maxsize, 2, out_of_time)
         if best is None:
-            return WitnessSearchResult(None, False, sizes, (), below(far.ways(max(maxsize, 0)), maxsize + 1))
+            return WitnessSearchResult(None, False, sizes, (), below(census.ways(max(maxsize, 0)), maxsize + 1))
         path, with_ident = best
-        size = with_ident + sum(len(far.atoms[j]) for j in path)
-        census = ProductCensus(group, radius, gens, caps=caps)
-        chosen, _ = _last_witness(census, (with_ident,), size, size, out_of_time)
+        size = with_ident + sum(len(far[j]) for j in path)
+        chosen, _ = _last_witness(census, atoms, (with_ident,), size, size, out_of_time)
     except _OutOfTime:
         return WitnessSearchResult(None, False, (), sizes, 0)
-    atoms, ways = census.atoms, census.ways(size)
+    ways = census.ways(size)
     left = size - with_ident
     tested = below(ways, size) + (ways[0][size] if with_ident else 0) + 1
     first = 0

@@ -16,6 +16,7 @@ from groupeq.backends import (
     FreeAbelianGroup,
     FreeGroup,
     FreeProductGroup,
+    Group,
     GroupElement,
     PermutationGroup,
     QuotientFreeAbelianGroup,
@@ -669,26 +670,52 @@ _C13_WITNESS = ("a^2", "a^11", "a^5", "a^8", "a^6", "a^7")
 
 
 @pytest.mark.parametrize(
-    "n, gens, answer, far_first",
+    "n, gens, answer, first_pass",
     # (witness, subsets_tested): cyclic(13) meets the same set at another
-    # rank in far-first order, cyclic(10) another set
+    # rank in the first pass's order, outermost BFS layer first, cyclic(10)
+    # another set
     [
         (13, (12, 6), (_C13_WITNESS, 24), (_C13_WITNESS, 22)),
         (10, (1, 3), (("a", "a^9", "a^3", "a^7"), 10), (("a^2", "a^8", "a^4", "a^6"), 9)),
     ],
 )
-def test_second_pass_replaces_the_far_first_witness(monkeypatch, n, gens, answer, far_first):
-    # a search on far-first censuses alone answers otherwise: the second
-    # pass, in sort-key order, gives the answer
+def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answer, first_pass):
+    # a search whose passes both walk the atoms outermost layer first
+    # answers otherwise: the second pass, in sort-key order, gives the answer
     group = cyclic_group(n)
     g = [group.element(k) for k in gens]
     res = search_nonup_witness(group, 2, 8, g)
     assert (tuple(map(str, res.witness)), res.subsets_tested) == answer
     assert res == _reference_search(group, 2, 8, g)
     build = ProductCensus.__init__
-    monkeypatch.setattr(ProductCensus, "__init__", lambda self, *a, **k: build(self, *a, **{**k, "far_first": True}))
+
+    def outer_first(self, *a, **k):
+        build(self, *a, **k)
+        self.atoms.sort(key=lambda atom: -self.depth[atom[0]])
+
+    monkeypatch.setattr(ProductCensus, "__init__", outer_first)
     far = search_nonup_witness(group, 2, 8, g)
-    assert (tuple(map(str, far.witness)), far.subsets_tested) == far_first and far.verified
+    assert (tuple(map(str, far.witness)), far.subsets_tested) == first_pass and far.verified
+
+
+@pytest.mark.parametrize(
+    "group, radius, maxsize, gens, caps",
+    [
+        (cyclic_group(6), 2, 8, (1, 5), DEFAULT_CAPS),  # a witness, so both passes run
+        (FoursGroup(), 3, 14, None, DEFAULT_CAPS.with_overrides(radius=6)),  # no witness
+    ],
+    ids=["cyclic6-witness", "fours-r3-exhaustion"],
+)
+def test_search_builds_one_census_from_one_bfs(monkeypatch, group, radius, maxsize, gens, caps):
+    # both passes walk one census, each in its own atom order
+    gens = None if gens is None else [group.element(k) for k in gens]
+    built, bfs = [], []
+    build, layers = ProductCensus.__init__, Group.layers
+    monkeypatch.setattr(ProductCensus, "__init__", lambda self, *a, **k: built.append(a) or build(self, *a, **k))
+    monkeypatch.setattr(Group, "layers", lambda self, *a, **k: bfs.append(a) or layers(self, *a, **k))
+    res = search_nonup_witness(group, radius, maxsize, gens, caps=caps)
+    assert res.found == (gens is not None)
+    assert len(built) == len(bfs) == 1
 
 
 def _product_settled(census, atoms):
@@ -854,24 +881,28 @@ def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radi
     # that is not its own inverse, once, under the last atom that forms it,
     # the sink in no list; in an asymmetric one each product, under the last
     # element that forms it
+    # the ordering it is given: sort key, or outermost BFS layer first
     group = _search_group(name, n)
+    layers = group.layers(radius)
     for symmetric in (True, False):
         census = ProductCensus(group, radius, symmetric=symmetric)
-        products, label = census.products, census.label
-        ball, atoms, settled = census.ball, census.atoms, census.settled
+        products, label, ball = census.products, census.label, census.ball
+        assert all(x in layers[d] for x, d in zip(ball, census.depth, strict=True))
         labels = range(1 if symmetric else 0, len(census.counts))
-        assert len(settled) == len(atoms) + 1
-        assert sorted(c for part in settled for c in part) == list(labels)
-        for i in range(len(atoms) + 1):
-            formed = {
-                label[products.index(p.payload)]
-                for a in atoms[i:]
-                for x in a
-                for y in ball
-                for p in (ball[x] * y, y * ball[x])
-            }
-            assert sorted(c for part in settled[:i + 1] for c in part) == [c for c in labels if c not in formed]
-            assert settled[i] == sorted(settled[i])
+        for atoms in (census.atoms, sorted(census.atoms, key=lambda a: -census.depth[a[0]])):
+            settled = census.settled(atoms)
+            assert len(settled) == len(atoms) + 1
+            assert sorted(c for part in settled for c in part) == list(labels)
+            for i in range(len(atoms) + 1):
+                formed = {
+                    label[products.index(p.payload)]
+                    for a in atoms[i:]
+                    for x in a
+                    for y in ball
+                    for p in (ball[x] * y, y * ball[x])
+                }
+                assert sorted(c for part in settled[:i + 1] for c in part) == [c for c in labels if c not in formed]
+                assert settled[i] == sorted(settled[i])
 
 
 def test_settled_holds_each_free_radius_5_product_once():
@@ -879,7 +910,7 @@ def test_settled_holds_each_free_radius_5_product_once():
     # the identity is the one product that is its own inverse, so the other
     # 118,096 products make 59,048 pair classes, beside the sink
     assert (len(census.atoms), len(census.products), len(census.counts)) == (242, 118_097, 59_049)
-    assert sum(map(len, census.settled)) == 59_048
+    assert sum(map(len, census.settled(census.atoms))) == 59_048
     # `fell` and `rose` would hold 3 + 485 * 486 / 2 entries each; only
     # `move`, which the search never calls, builds them
     assert "steps" not in vars(census)
@@ -959,7 +990,7 @@ def test_product_table_indexes_the_sorted_double_ball(group, radius, gens):
     assert [big[relabel[k]].payload for k in range(len(big))] == census.products == symmetric.products
     assert symmetric.atoms == atoms
     back = {r: k for k, r in relabel.items()}
-    assert symmetric.settled == [sorted({symmetric.label[back[r]] for r in part} - {0}) for part in settled]
+    assert symmetric.settled(symmetric.atoms) == [sorted({symmetric.label[back[r]] for r in part} - {0}) for part in settled]
 
 
 def _flip(census):
