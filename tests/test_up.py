@@ -877,11 +877,11 @@ _CENSUS_CASES = [
 
 @pytest.mark.parametrize("name, n, radius", _CENSUS_CASES)
 def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radius):
-    # settled holds labels: in a symmetric census the class of each product
-    # that is not its own inverse, once, under the last atom that forms it,
-    # the sink in no list; in an asymmetric one each product, under the last
-    # element that forms it
-    # the ordering it is given: sort key, or outermost BFS layer first
+    # settled(atoms) holds labels: in a symmetric census the class of each
+    # product that is not its own inverse, once, under the last atom of
+    # `atoms` that forms it, the sink in no list; in an asymmetric one each
+    # product, under the last element that forms it; `atoms` in sort-key
+    # order, or outermost BFS layer first
     group = _search_group(name, n)
     layers = group.layers(radius)
     for symmetric in (True, False):
