@@ -19,11 +19,9 @@ such as a negative --radius or a size the ball cannot fill, exits 2 with
 the library's message; exit 1 means no witness was found.
 
 The exhaustive symmetric run at radius 3 proves there is no symmetric
-witness of size <= 14 in that ball, in 0.15-0.17 s per process on a
-2-vCPU machine with Python 3.11.7.  Witnesses do exist asymmetrically at
+witness of size <= 14 in that ball.  Witnesses do exist asymmetrically at
 radius 4: seed 17 finds a verified 14-element set (two translations, six
-elements in each of two reflection cosets) after 76 restarts, in 5.3-5.4 s
-per process on the same machine, via
+elements in each of two reflection cosets) after 76 restarts, via
 
   python3 scripts/search_fours_witness.py --radius 4 --strategy anneal --no-symmetric
 """

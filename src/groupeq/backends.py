@@ -18,7 +18,7 @@ import re
 from abc import ABC, abstractmethod
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .config import DEFAULT_CAPS, Caps
@@ -153,10 +153,6 @@ class Group(ABC):
         return GroupElement(self, self._mul(x.payload, y.payload))
 
     # -- structure queries
-
-    @abstractmethod
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        """The finite order of x, or None when it is infinite."""
 
     @abstractmethod
     def generators(self) -> tuple[GroupElement, ...]:
@@ -326,13 +322,6 @@ class FiniteTableGroup(Group):
     def _inv(self, a: int) -> int:
         return self.inverses[a]
 
-    def element_order(self, x: GroupElement) -> int:
-        k, cur = 1, x.payload
-        while cur != self._one:
-            cur = self.table[cur][x.payload]
-            k += 1
-        return k
-
     def generators(self) -> tuple[GroupElement, ...]:
         return tuple(GroupElement(self, i) for i in range(self.size) if i != self._one)
 
@@ -483,9 +472,6 @@ class PermutationGroup(Group):
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
-
-    def element_order(self, x: GroupElement) -> int:
-        return lcm(*[len(c) for c in self.cycles(x)])
 
     def generators(self) -> tuple[GroupElement, ...]:
         if self._gens:
@@ -687,9 +673,6 @@ class FreeGroup(SyllableGroup):
 
     def gen(self, name: str) -> GroupElement:
         return self.word([(name, 1)])
-
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        return 1 if not x.payload else None
 
     @staticmethod
     def letters(x: GroupElement) -> tuple[tuple[int, int], ...]:
@@ -913,9 +896,6 @@ class FreeAbelianGroup(Group):
             for i in range(self.rank)
         )
 
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        return 1 if x.is_identity else None
-
     def orderable_certificate(self) -> Optional[str]:
         return "lexicographic order on Z^r is a bi-invariant total order"
 
@@ -1044,12 +1024,6 @@ class FoursGroup(Group):
         self._validate(payload)
         return GroupElement(self, payload)
 
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        # square of every element is a translation; nonzero translations
-        # have infinite order, and the parity condition forbids g^2 = 1
-        # for g != 1
-        return 1 if x.is_identity else None
-
     def format_element(self, x: GroupElement) -> str:
         stack: list[list] = []
         for nm, e in self.express(x):
@@ -1175,15 +1149,6 @@ class FreeProductGroup(SyllableGroup):
             out.extend(self.embed(i, g) for g in f.generators())
         return tuple(out)
 
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        core, _ = self.cyclically_reduce(x)
-        w = core.payload
-        if not w:
-            return 1
-        if len(w) == 1:
-            return self.factors[w[0][0]].element_order(w[0][1])
-        return None
-
     def sort_key(self, x: GroupElement) -> tuple:
         return (len(x.payload), tuple((i, self.factors[i].sort_key(el)) for i, el in x.payload))
 
@@ -1276,10 +1241,6 @@ class DirectProductGroup(Group):
             out.extend(self.embed(i, g) for g in f.generators())
         return tuple(out)
 
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        orders = [f.element_order(c) for f, c in zip(self.factors, x.payload)]
-        return None if None in orders else lcm(*orders)
-
     def sort_key(self, x: GroupElement) -> tuple:
         return tuple(f.sort_key(c) for f, c in zip(self.factors, x.payload))
 
@@ -1332,19 +1293,6 @@ class QuotientFreeAbelianGroup(Group):
 
     def generators(self) -> tuple[GroupElement, ...]:
         return tuple(self.project(g) for g in self.base.generators())
-
-    def element_order(self, x: GroupElement) -> Optional[int]:
-        w, v = x.payload, self.modulus
-        if all(c == 0 for c in w):
-            return 1
-        # finite order iff w is parallel to v; then order is the reduced denominator
-        for i in range(len(w)):
-            for j in range(len(w)):
-                if w[i] * v[j] != w[j] * v[i]:
-                    return None
-        p = self.pivot
-        g = gcd(abs(w[p]), abs(v[p]))
-        return abs(v[p]) // g
 
     def orderable_certificate(self) -> Optional[str]:
         if self.content == 1:

@@ -19,8 +19,6 @@ class Caps:
 
     radius: int = 8               # largest ball radius
     ball_size: int = 200_000      # largest ball cardinality
-    max_len: int = 10             # relation falsifier word weight
-    falsifier_nodes: int = 500_000
     table_size: int = 64          # largest finite multiplication table
     window: int = 8               # default index window for presentations
     max_degree: int = 12          # symmetric-group degree for the finite solver

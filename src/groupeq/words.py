@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
 from .backends import GroupElement, Presentation
-from .config import DEFAULT_CAPS, Caps
 from .errors import CapExceededError
 
 
@@ -36,6 +35,9 @@ def is_conjugate_to_constant(w: GroupElement, factor: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # bounded transcendence falsifier
+
+MAX_LEN = 10               # largest word weight the falsifier accepts
+FALSIFIER_NODES = 500_000  # node budget of the pool and of the word search
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ def relation_falsifier(
     b,
     identity,
     max_len: int = 8,
-    caps: Caps = DEFAULT_CAPS,
 ):
     """Search nonempty reduced words of the abstract free product <A> * <b>.
 
@@ -72,8 +73,8 @@ def relation_falsifier(
     the search degenerates to checking powers of b, which is the right test
     when A is trivial.
     """
-    if max_len > caps.max_len:
-        raise CapExceededError(f"max_len {max_len} exceeds cap {caps.max_len}")
+    if max_len > MAX_LEN:
+        raise CapExceededError(f"max_len {max_len} exceeds cap {MAX_LEN}")
     if max_len < 1:
         raise ValueError("max_len must be positive")
 
@@ -95,7 +96,7 @@ def relation_falsifier(
                     if cand in seen:
                         continue
                     nodes += 1
-                    if nodes > caps.falsifier_nodes:
+                    if nodes > FALSIFIER_NODES:
                         raise CapExceededError("falsifier pool cap exceeded")
                     seen.add(cand)
                     nxt[cand] = expr + (tag,)
@@ -119,7 +120,7 @@ def relation_falsifier(
 
     # powers of b in search order 1, -1, 2, -2, ...; weight w takes the first 2w
     b_order = [k for j in range(1, max_len + 1) for k in (j, -j)]
-    budget = [caps.falsifier_nodes]
+    budget = [FALSIFIER_NODES]
 
     def search(prefix_val, weight_left: int, last: str, tokens: tuple):
         budget[0] -= 1

@@ -241,7 +241,6 @@ def test_acceptance_6_fours_group_backend():
     assert (~b) * a ** 2 * b == a ** -2
     for g in P.ball(4):
         if not g.is_identity:
-            assert P.element_order(g) is None
             sq = g * g
             assert fours_translation(sq) is not None and sq != P.identity()
     # the 600 s default budget is far above the few seconds this takes, so

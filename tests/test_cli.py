@@ -294,7 +294,7 @@ def _up_check_with_config(tmp_path, extra):
 
 def test_config_valid_file_applies(tmp_path, capsys):
     cfg = tmp_path / "caps.json"
-    cfg.write_text('{"radius": 3, "max_len": 6}')
+    cfg.write_text('{"radius": 3, "window": 6}')
     assert _up_check_with_config(tmp_path, ["--config", str(cfg)]) == 0
     assert "unique_elements" in capsys.readouterr().out
 
@@ -322,10 +322,12 @@ def test_config_missing_env_file_exits_two(tmp_path, capsys, monkeypatch):
         ('{"radius": "3"}', "integer"),
         ('{"radius": true}', "integer"),
         ('{"oracle_m": 4}', "oracle_m"),
+        ('{"max_len": 6}', "max_len"),
+        ('{"falsifier_nodes": 7}', "falsifier_nodes"),
         ('{"budget_ms": -1}', "cap 'budget_ms' in config file"),
     ],
     ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value", "removed-cap",
-         "negative-value"],
+         "removed-cap-max-len", "removed-cap-falsifier-nodes", "negative-value"],
 )
 def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     cfg = tmp_path / "caps.json"

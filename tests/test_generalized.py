@@ -19,7 +19,7 @@ from groupeq.generalized import (
 )
 from groupeq.words import is_conjugate_to_constant
 
-from conftest import assert_round_trips, random_free_word, random_vector
+from conftest import assert_round_trips, random_element, random_free_word, random_vector
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +100,30 @@ def test_verdict_degenerate_identity(gz2):
     v = unimodular_verdict(ge)
     assert v.order_infinite.status == "no"
     assert v.overall == "not-unimodular"
+
+
+@pytest.mark.parametrize("T", [FreeGroup(("x",)), FreeGroup(("x", "y")), FreeAbelianGroup(1),
+                               FreeAbelianGroup(2), FreeAbelianGroup(3)], ids=lambda T: T.describe())
+def test_condition_one_reads_infinite_order_exactly_when_no_power_is_trivial(gz2, T):
+    # condition 1 asks for t of infinite order; on every T the verdict
+    # accepts, a power t^k with 1 <= k <= 12 is trivial exactly when t is
+    G, _ = gz2
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(150):
+        pairs = [(random_free_word(rng, G, 2), random_element(rng, T, 2)) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:
+            # close the product: the last entry cancels the ones before it
+            pairs.append((random_free_word(rng, G, 2), ~total_product(make_geq(G, T, pairs))))
+        ge = make_geq(G, T, pairs)
+        t = total_product(ge)
+        c = unimodular_verdict(ge).order_infinite
+        if any((t ** k).is_identity for k in range(1, 13)):
+            assert (c.status, c.detail, c.witness) == ("no", "total product has order 1", (1,))
+        else:
+            assert (c.status, c.detail, c.witness) == ("yes", "total product has infinite order", None)
+        seen.add(c.status)
+    assert seen == {"yes", "no"}
 
 
 def test_verdict_cyclic_t_matches_ordinary_sigma(gz2):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupeq import words
 from groupeq.backends import (
     FiniteTableGroup,
     FreeAbelianGroup,
@@ -11,7 +12,6 @@ from groupeq.backends import (
     GroupElement,
     cyclic_group,
 )
-from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError, GroupEqError, GroupMismatchError, SymbolClashError
 from groupeq.words import (
     Presentation,
@@ -222,23 +222,23 @@ def test_falsifier_cap():
         relation_falsifier([F.gen("a")], F.gen("a"), F.identity(), max_len=99)
 
 
-def test_falsifier_pool_node_cap():
+def test_falsifier_pool_node_cap(monkeypatch):
     # a, b and their inverses give 4 pool words of weight 1 and 12 of
     # weight 2, past a cap of 10
     F = FreeGroup(("a", "b"))
-    caps = DEFAULT_CAPS.with_overrides(falsifier_nodes=10)
+    monkeypatch.setattr(words, "FALSIFIER_NODES", 10)
     with pytest.raises(CapExceededError, match="falsifier pool cap exceeded"):
-        relation_falsifier(list(F.gens()), F.gen("a"), F.identity(), max_len=4, caps=caps)
+        relation_falsifier(list(F.gens()), F.gen("a"), F.identity(), max_len=4)
 
 
-def test_falsifier_enumeration_node_cap():
+def test_falsifier_enumeration_node_cap(monkeypatch):
     # the pool of a^+-1..a^+-4 holds 8 words, within the cap; the search
     # over words in <a> * <b> of weight up to 4 visits more than 30 nodes
     F = FreeGroup(("a", "b"))
     a, b = F.gens()
-    caps = DEFAULT_CAPS.with_overrides(falsifier_nodes=30)
+    monkeypatch.setattr(words, "FALSIFIER_NODES", 30)
     with pytest.raises(CapExceededError, match="falsifier enumeration cap exceeded"):
-        relation_falsifier([a], b, F.identity(), max_len=4, caps=caps)
+        relation_falsifier([a], b, F.identity(), max_len=4)
 
 
 def test_hnn_examples():
