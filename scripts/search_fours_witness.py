@@ -4,12 +4,15 @@
 A command-line front end to `groupeq.up.search_nonup_witness` and
 `groupeq.up.anneal_nonup_witness`.  Strategies:
   exhaustive  one depth-first pass over the symmetric subsets of every size
-              up to --max-size, outermost BFS layer first, complete in the
-              ball; the first witness by size, then in sort-key order, is
-              the answer.  The pass settles every size together, so a
-              --budget-ms deadline that passes during it reports every
-              size truncated and 0 subsets tested.  It covers symmetric
-              sets only, so --no-symmetric is a usage error here
+              up to --max-size, outermost BFS layer first and, within a
+              layer, the atoms forming the rarest products first, complete
+              in the ball (3,744 nodes visited at radius 3); the first
+              witness by size, then in sort-key order, is the answer,
+              whatever order the pass visits in.  The pass settles every
+              size together, so a --budget-ms deadline that passes during
+              it reports every size truncated and 0 subsets tested.  It
+              covers symmetric sets only, so --no-symmetric is a usage
+              error here
   anneal      simulated annealing, fixed seed; --no-symmetric drops the
               S = S^-1 restriction and anneals over arbitrary subsets
 

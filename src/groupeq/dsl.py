@@ -65,6 +65,9 @@ def _declared(sess: Session, kind: str, name: str):
 
 
 def _split_top(text: str, sep: str) -> list[str]:
+    """`text` split at each `sep` outside brackets."""
+    if not any(b in text for b in "({[)}]"):
+        return text.split(sep)
     out, depth, cur = [], 0, []
     for ch in text:
         if ch in "({[":

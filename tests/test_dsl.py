@@ -2,9 +2,11 @@
 line and column of every parse error of every statement kind."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from groupeq.cli import run_command
-from groupeq.dsl import parse_script
+from groupeq.dsl import _split_top, parse_script
 from groupeq.errors import GroupEqError, ParseError
 
 G = "group G = fours\n"
@@ -231,3 +233,34 @@ def test_cli_without_a_name_picks_the_last_declaration():
 def test_cli_reports_parse_error_position():
     error = _error("classify", {}, G + "eq E over G: a t^0 = 1\n")
     assert error == {"type": "ParseError", "message": "t^0 is not a valid occurrence", "line": 2, "column": 2}
+
+
+def _split_by_characters(text, sep):
+    """`text` split at each `sep` outside brackets, one character at a time."""
+    out, depth, cur = [], 0, []
+    for ch in text:
+        if ch in "({[":
+            depth += 1
+        elif ch in ")}]":
+            depth -= 1
+        if ch == sep and depth == 0:
+            out.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    out.append("".join(cur))
+    return out
+
+
+@given(
+    st.text(alphabet="ab1^- ,*") | st.text(alphabet="ab1^- ,*({[)}]"),
+    st.sampled_from(["*", ",", " "]),
+)
+@example("", ",")
+@example("a,,b, ", ",")
+@example("  a  b ", " ")
+@example("(1, 2), (3", ",")
+def test_split_top_matches_the_character_walk(text, sep):
+    # text without brackets takes str.split, which must split it as the
+    # bracket-tracking walk does
+    assert _split_top(text, sep) == _split_by_characters(text, sep)

@@ -670,18 +670,19 @@ _C13_WITNESS = ("a^2", "a^11", "a^5", "a^8", "a^6", "a^7")
 
 
 @pytest.mark.parametrize(
-    "n, gens, answer, first_pass",
+    "n, gens, answer, patched",
     # (witness, subsets_tested): cyclic(13) meets the same set at another
-    # rank in the first pass's order, outermost BFS layer first, cyclic(10)
-    # another set
+    # rank in the atom order outermost BFS layer first, cyclic(10) another
+    # set
     [
         (13, (12, 6), (_C13_WITNESS, 24), (_C13_WITNESS, 22)),
         (10, (1, 3), (("a", "a^9", "a^3", "a^7"), 10), (("a^2", "a^8", "a^4", "a^6"), 9)),
     ],
 )
-def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answer, first_pass):
-    # a search whose passes both walk the atoms outermost layer first
-    # answers otherwise: the second pass, in sort-key order, gives the answer
+def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answer, patched):
+    # a census whose own atoms are sorted outermost layer first makes the
+    # second pass walk them in that order, and the search then answers
+    # otherwise: the second pass, in sort-key order, gives the answer
     group = cyclic_group(n)
     g = [group.element(k) for k in gens]
     res = search_nonup_witness(group, 2, 8, g)
@@ -695,7 +696,46 @@ def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answe
 
     monkeypatch.setattr(ProductCensus, "__init__", outer_first)
     far = search_nonup_witness(group, 2, 8, g)
-    assert (tuple(map(str, far.witness)), far.subsets_tested) == first_pass and far.verified
+    assert (tuple(map(str, far.witness)), far.subsets_tested) == patched and far.verified
+
+
+def _far_first(census):
+    """The first pass's order before the fail-first key: outermost BFS layer
+    first, sort key within a layer."""
+    return sorted(census.atoms, key=lambda atom: -census.depth[atom[0]])
+
+
+@st.composite
+def _order_inputs(draw):
+    name = draw(st.sampled_from(["fours", "cyclic", "perm3", "free"]))
+    if name == "fours":
+        pool = [e for e in _gen_pool("fours") if not e.is_identity]
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=3, unique=True))
+        return _search_group("fours"), 2, draw(st.integers(2, 10)), [pool[i] for i in picks]
+    n = draw(st.integers(min_value=2, max_value=25)) if name == "cyclic" else 0
+    group = _search_group(name, n)
+    gens = None
+    if name == "cyclic":
+        picks = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=3, unique=True))
+        gens = [group.element(k) for k in picks]
+    radius = draw(st.integers(1, 2 if name == "free" else 3))
+    return group, radius, draw(st.integers(2, 8)), gens
+
+
+@settings(max_examples=100, deadline=None)
+@given(_order_inputs())
+@example((_search_group("cyclic", 13), 2, 8, [_search_group("cyclic", 13).element(k) for k in (12, 6)]))
+@example((_search_group("cyclic", 6), 2, 8, [_search_group("cyclic", 6).element(k) for k in (1, 5)]))
+def test_first_pass_order_leaves_the_result_unchanged(inputs):
+    # the first pass decides only the least witness size and its family,
+    # which no visit order changes, so the far-first order, which the
+    # fail-first key refines, returns the same result; the examples meet
+    # their witnesses out of answer order, and in the identity family
+    group, radius, maxsize, gens = inputs
+    res = search_nonup_witness(group, radius, maxsize, gens)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(up, "_first_pass_order", _far_first)
+        assert search_nonup_witness(group, radius, maxsize, gens) == res
 
 
 @pytest.mark.parametrize(
@@ -881,7 +921,8 @@ def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radi
     # product that is not its own inverse, once, under the last atom of
     # `atoms` that forms it, the sink in no list; in an asymmetric one each
     # product, under the last element that forms it; `atoms` in sort-key
-    # order, or outermost BFS layer first
+    # order, outermost BFS layer first, or in the first pass's fail-first
+    # order
     group = _search_group(name, n)
     layers = group.layers(radius)
     for symmetric in (True, False):
@@ -889,7 +930,7 @@ def test_settled_files_each_product_under_the_last_atom_forming_it(name, n, radi
         products, label, ball = census.products, census.label, census.ball
         assert all(x in layers[d] for x, d in zip(ball, census.depth, strict=True))
         labels = range(1 if symmetric else 0, len(census.counts))
-        for atoms in (census.atoms, sorted(census.atoms, key=lambda a: -census.depth[a[0]])):
+        for atoms in (census.atoms, _far_first(census), up._first_pass_order(census)):
             settled = census.settled(atoms)
             assert len(settled) == len(atoms) + 1
             assert sorted(c for part in settled for c in part) == list(labels)
@@ -1134,16 +1175,36 @@ class _StepClock:
         return 1e9 if self.jump is not None and self.readings >= self.jump else 0.0
 
 
-def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
-    # the cut's strength, which no result shows: the atoms the walk adds,
-    # one per visited node, plus the identity once
+def _adds(monkeypatch, *args, **kwargs):
+    """The search's result and the atoms its walks add, one per visited
+    node, plus the identity once per identity walk."""
     calls = []
     add = ProductCensus.add
-    monkeypatch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
-    caps = DEFAULT_CAPS.with_overrides(radius=6)
-    res = search_nonup_witness(FoursGroup(), 3, 14, caps=caps)
+    with monkeypatch.context() as patch:
+        patch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
+        res = search_nonup_witness(*args, **kwargs)
+    return res, len(calls)
+
+
+def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
+    # the cut's strength, which no result shows
+    res, adds = _adds(monkeypatch, FoursGroup(), 3, 14, caps=DEFAULT_CAPS.with_overrides(radius=6))
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
-    assert len(calls) == 3_982
+    assert adds == 3_745
+
+
+def test_fail_first_order_cuts_a_stream_search_below_far_first(monkeypatch):
+    # a generating set of the benchmark stream's largest shape, 3 generators
+    # and 14 inverse pairs in ball(2), at its largest size: leading each
+    # layer with the atoms that form rare products settles them sooner
+    group = FoursGroup()
+    gens = [group.parse_element(w) for w in ("a", "b^2", "a b")]
+    assert len(group.ball(2, gens)) == 29
+    res, adds = _adds(monkeypatch, group, 2, 10, gens)
+    monkeypatch.setattr(up, "_first_pass_order", _far_first)
+    far, far_adds = _adds(monkeypatch, group, 2, 10, gens)
+    assert res == far and res.subsets_tested == 4_942 and not res.found
+    assert (adds, far_adds) == (259, 616)
 
 
 def test_deadline_inside_the_walk_truncates_every_size(monkeypatch):
