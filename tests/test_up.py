@@ -1175,20 +1175,20 @@ class _StepClock:
         return 1e9 if self.jump is not None and self.readings >= self.jump else 0.0
 
 
-def _adds(monkeypatch, *args, **kwargs):
+def _adds(*args, **kwargs):
     """The search's result and the atoms its walks add, one per visited
     node, plus the identity once per identity walk."""
     calls = []
     add = ProductCensus.add
-    with monkeypatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ProductCensus, "add", lambda self, atom: calls.append(atom) or add(self, atom))
         res = search_nonup_witness(*args, **kwargs)
     return res, len(calls)
 
 
-def test_radius_3_exhaustion_adds_each_atom_it_visits(monkeypatch):
+def test_radius_3_exhaustion_adds_each_atom_it_visits():
     # the cut's strength, which no result shows
-    res, adds = _adds(monkeypatch, FoursGroup(), 3, 14, caps=DEFAULT_CAPS.with_overrides(radius=6))
+    res, adds = _adds(FoursGroup(), 3, 14, caps=DEFAULT_CAPS.with_overrides(radius=6))
     assert res.subsets_tested == 198_438 and res.sizes_exhausted == tuple(range(2, 15))
     assert adds == 3_745
 
@@ -1200,9 +1200,9 @@ def test_fail_first_order_cuts_a_stream_search_below_far_first(monkeypatch):
     group = FoursGroup()
     gens = [group.parse_element(w) for w in ("a", "b^2", "a b")]
     assert len(group.ball(2, gens)) == 29
-    res, adds = _adds(monkeypatch, group, 2, 10, gens)
+    res, adds = _adds(group, 2, 10, gens)
     monkeypatch.setattr(up, "_first_pass_order", _far_first)
-    far, far_adds = _adds(monkeypatch, group, 2, 10, gens)
+    far, far_adds = _adds(group, 2, 10, gens)
     assert res == far and res.subsets_tested == 4_942 and not res.found
     assert (adds, far_adds) == (259, 616)
 
