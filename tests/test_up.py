@@ -670,16 +670,17 @@ _C13_WITNESS = ("a^2", "a^11", "a^5", "a^8", "a^6", "a^7")
 
 
 @pytest.mark.parametrize(
-    "n, gens, answer, patched",
-    # (witness, subsets_tested): cyclic(13) meets the same set at another
-    # rank in the atom order outermost BFS layer first, cyclic(10) another
-    # set
+    "n, gens, answer, first_pass",
+    # (witness, subsets_tested): `first_pass` is the answer when the second
+    # pass walks the atoms in the far-first order the first pass once used,
+    # outermost BFS layer first; cyclic(13) meets the same set there at
+    # another rank, cyclic(10) another set
     [
         (13, (12, 6), (_C13_WITNESS, 24), (_C13_WITNESS, 22)),
         (10, (1, 3), (("a", "a^9", "a^3", "a^7"), 10), (("a^2", "a^8", "a^4", "a^6"), 9)),
     ],
 )
-def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answer, patched):
+def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answer, first_pass):
     # a census whose own atoms are sorted outermost layer first makes the
     # second pass walk them in that order, and the search then answers
     # otherwise: the second pass, in sort-key order, gives the answer
@@ -696,7 +697,7 @@ def test_second_pass_replaces_the_first_pass_witness(monkeypatch, n, gens, answe
 
     monkeypatch.setattr(ProductCensus, "__init__", outer_first)
     far = search_nonup_witness(group, 2, 8, g)
-    assert (tuple(map(str, far.witness)), far.subsets_tested) == patched and far.verified
+    assert (tuple(map(str, far.witness)), far.subsets_tested) == first_pass and far.verified
 
 
 def _far_first(census):
