@@ -18,8 +18,8 @@ A command-line front end to `groupeq.up.search_nonup_witness` and
 
 The fours group is torsion-free, so a symmetric set without the identity
 has even size; the symmetric anneal rejects an odd --max-size.  Bad input,
-such as a negative --radius or a size the ball cannot fill, exits 2 with
-the library's message; exit 1 means no witness was found.
+such as a negative --radius or --max-size or a size the ball cannot fill,
+exits 2 with the library's message; exit 1 means no witness was found.
 
 The exhaustive symmetric run at radius 3 proves there is no symmetric
 witness of size <= 14 in that ball.  Witnesses do exist asymmetrically at
@@ -69,7 +69,7 @@ def main() -> int:
         if args.strategy == "exhaustive":
             caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=args.radius)
             res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
-            print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.1f}s")
+            print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.3f}s")
             print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
         else:
             caps = DEFAULT_CAPS.with_overrides(

@@ -76,13 +76,6 @@ from .up import (
     up_check,
     verify_up4_implies_strong,
 )
-from .words import (
-    amalgam,
-    conjugate_into,
-    hnn,
-    in_subfreeproduct,
-    is_conjugate_to_constant,
-    relation_falsifier,
-)
+from .words import in_subfreeproduct, relation_falsifier
 
 __version__ = "0.1.0"

@@ -69,7 +69,10 @@ def _named_sets(sess: Session, spec: str, count: int):
 def _cosets(ge: gen.GeneralizedEquation, spec: Optional[str]):
     if spec is None:
         return None
-    return [ge.vargroup.parse_element(lit.strip()) for lit in spec.split(";") if lit.strip()]
+    lits = [lit.strip() for lit in spec.split(";") if lit.strip()]
+    if not lits:
+        raise GroupEqError(f"--cosets needs at least one ';'-separated element, not {spec!r}")
+    return [ge.vargroup.parse_element(lit) for lit in lits]
 
 
 def _split_of(e: eqmod.Equation, spec: Optional[str]) -> eqmod.Split:

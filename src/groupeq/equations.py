@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator, Optional, Sequence
 
-from .backends import FreeGroup, FreeProductGroup, Group, GroupElement
+from .backends import FreeGroup, FreeProductGroup, Group, GroupElement, Presentation
 from .errors import (
     EquationError,
     EquationOverFactorError,
@@ -30,7 +30,7 @@ from .errors import (
     SigmaError,
     WindowError,
 )
-from .words import Presentation, copy_name, in_subfreeproduct
+from .words import copy_name, in_subfreeproduct
 
 T_LETTER = "t"
 # the infinite cyclic group of the unknown, the last factor of an equation's word

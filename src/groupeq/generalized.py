@@ -22,6 +22,7 @@ from .backends import (
     FreeProductGroup,
     Group,
     GroupElement,
+    Presentation,
     QuotientFreeAbelianGroup,
 )
 from .errors import (
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .equations import Equation
 from .up import strong_up_check
-from .words import Presentation, copy_name
+from .words import copy_name
 
 
 @dataclass(frozen=True)

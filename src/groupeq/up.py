@@ -636,8 +636,10 @@ def search_nonup_witness(
     each walk and every 2048 nodes.  The first pass settles every size
     together, so a deadline that passes before the passes end leaves no
     witness and no exhausted size, lists every size as truncated and
-    reports `subsets_tested` 0.
+    reports `subsets_tested` 0.  A negative `maxsize` is a ValueError.
     """
+    if maxsize < 0:
+        raise ValueError("maxsize must be nonnegative")
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
     sizes = tuple(range(2, maxsize + 1))
@@ -655,7 +657,7 @@ def search_nonup_witness(
     try:
         best = _last_witness(census, order, (0, 1), maxsize, 2, out_of_time)
         if best is None:
-            return WitnessSearchResult(None, False, sizes, (), below(census.ways(max(maxsize, 0)), maxsize + 1))
+            return WitnessSearchResult(None, False, sizes, (), below(census.ways(maxsize), maxsize + 1))
         path, with_ident = best
         size = with_ident + sum(len(order[j]) for j in path)
         chosen, _ = _last_witness(census, atoms, (with_ident,), size, size, out_of_time)

@@ -2,9 +2,9 @@
 
 Words are elements of `backends.FreeProductGroup` (syllable sources are
 factor indices) or, for presentations, of the `backends.FreeGroup` on the
-generator names.  This module adds sub-free-product membership tests, the
-bounded transcendence falsifier, the copy-name rule of emitted presentations,
-and the HNN and amalgam combinators, each a `backends.Presentation.join`.
+generator names.  This module holds the sub-free-product membership test,
+the bounded transcendence falsifier and the copy-name rule of emitted
+presentations.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence
 
-from .backends import GroupElement, Presentation
+from .backends import GroupElement
 from .errors import CapExceededError
 
 
@@ -20,17 +20,6 @@ def in_subfreeproduct(w: GroupElement, allowed: Iterable[int]) -> bool:
     """True iff every syllable of w comes from a factor index in `allowed`."""
     allowed = set(allowed)
     return all(i in allowed for i, _ in w.payload)
-
-
-def conjugate_into(w: GroupElement, allowed: Iterable[int]) -> bool:
-    """True iff w is conjugate into the sub-free-product on the factor indices `allowed`."""
-    core, _ = w.group.cyclically_reduce(w)
-    return in_subfreeproduct(core, allowed)
-
-
-def is_conjugate_to_constant(w: GroupElement, factor: int) -> bool:
-    """True iff w is conjugate to an element of the given factor."""
-    return conjugate_into(w, {factor})
 
 
 # ---------------------------------------------------------------------------
@@ -153,25 +142,11 @@ def relation_falsifier(
 
 
 # ---------------------------------------------------------------------------
-# presentations (the type lives in backends, beside the free group its
-# relators belong to)
+# the copy-name rule of emitted presentations (the Presentation type lives
+# in backends, beside the free group its relators belong to)
 
 
 def copy_name(name: str, label: Any) -> str:
     """The generator name of the copy of `name` labelled `label`: name@label."""
     return f"{name}@{label}"
 
-
-def hnn(base: Presentation, stable: str, pairs: Sequence[tuple[GroupElement, GroupElement]]) -> Presentation:
-    """HNN extension <base, stable | u_i^stable = v_i>, purely syntactic."""
-    if not pairs:
-        raise ValueError("hnn needs at least one associated pair")
-    rels = [[(stable, -1), *u.group.express(u), (stable, 1), *v.group.express(~v)] for u, v in pairs]
-    return Presentation.join((base, Presentation((stable,), ())), rels)
-
-
-def amalgam(
-    left: Presentation, right: Presentation, glue: Sequence[tuple[GroupElement, GroupElement]]
-) -> Presentation:
-    """Disjoint-union presentation plus relators equating glued words."""
-    return Presentation.join((left, right), [[*u.group.express(u), *v.group.express(~v)] for u, v in glue])

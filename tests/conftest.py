@@ -117,7 +117,7 @@ def random_element(rng, group, size=4):
 
 def assert_round_trips(pres):
     """Both serial formats of a presentation read back to the same presentation."""
-    from groupeq.words import Presentation
+    from groupeq.backends import Presentation
 
     assert Presentation.from_text(pres.to_text()) == pres
     assert Presentation.from_struct(pres.to_struct()) == pres

@@ -185,10 +185,11 @@ SINGLETON_Y_SCRIPT = "group Z = zn(1)\nset X in Z: 0, 1\nset Y in Z: 0\n"
         ("strong-up", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the strong UP property needs |Y| >= 2"),
         ("strojnowski", {"sets": "X,Y"}, SINGLETON_Y_SCRIPT, "the Strojnowski bound needs nonsingleton subsets"),
         ("search-nonup", {"radius": -1}, "group C = cyclic(3)\n", "radius must be nonnegative"),
+        ("search-nonup", {"radius": 2, "max_size": -3}, "group F = fours\n", "maxsize must be nonnegative"),
         ("conjugate-family", {"cosets": "zz"}, GEQ_SCRIPT, "bad vector literal 'zz'"),
     ],
     ids=["strong-up-singleton-y", "strojnowski-singleton", "search-nonup-negative-radius",
-         "conjugate-family-bad-cosets"],
+         "search-nonup-negative-max-size", "conjugate-family-bad-cosets"],
 )
 def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, args, script, message):
     # the library rejects the input with ValueError; the CLI reports it with
@@ -196,6 +197,23 @@ def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, arg
     report, code = run_command(command, args, script)
     assert code == 2 and report["status"] == "error"
     assert report["error"] == {"type": "ValueError", "message": message}
+    path = tmp_path / "report.json"
+    path.write_text(canonical_json(report) + "\n")
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out == "verified: reports match\n"
+
+
+@pytest.mark.parametrize("command", ["conjugate-family", "emit-ky", "emit-solution-group"])
+@pytest.mark.parametrize("cosets", ["", ";"])
+def test_cosets_with_no_element_is_an_error_report(tmp_path, capsys, command, cosets):
+    # a given --cosets must name a coset; an empty one does not fall back to
+    # the default cosets
+    report, code = run_command(command, {"cosets": cosets}, GEQ_SCRIPT)
+    assert code == 2 and report["status"] == "error"
+    assert report["error"] == {
+        "type": "GroupEqError",
+        "message": f"--cosets needs at least one ';'-separated element, not {cosets!r}",
+    }
     path = tmp_path / "report.json"
     path.write_text(canonical_json(report) + "\n")
     assert main(["verify", str(path)]) == 0

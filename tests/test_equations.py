@@ -28,7 +28,7 @@ from groupeq.errors import (
     WindowError,
 )
 
-from groupeq.words import is_conjugate_to_constant
+from groupeq.words import in_subfreeproduct
 
 from conftest import assert_round_trips, random_element
 
@@ -144,7 +144,8 @@ def _classified_in_g_times_t(e):
     w = FreeProductGroup((e.group, T)).word(
         syll for g, k in e.terms for syll in ((0, g), (1, T.word([("t", k)])))
     )
-    return sum(abs(v.payload[0][1]) for i, v in w.payload if i == 1), is_conjugate_to_constant(w, 0)
+    length = sum(abs(v.payload[0][1]) for i, v in w.payload if i == 1)
+    return length, in_subfreeproduct(w.group.cyclically_reduce(w)[0], {0})
 
 
 def test_classify_matches_the_g_times_t_word(setup, c3, fours):

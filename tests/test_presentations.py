@@ -29,7 +29,6 @@ from groupeq.generalized import (
     induced_ordinary,
     total_product,
 )
-from groupeq.words import amalgam, hnn
 
 from conftest import abelian_invariants, assert_round_trips
 
@@ -75,13 +74,7 @@ def test_join_clash_names_the_clashing_generators_sorted():
         Presentation.join(((c, {"c": "c@0"}), (c, {"c": "c@0"})))
 
 
-def test_hnn_amalgam_and_universal_solution_group_clashes_name_the_generators():
-    base = Presentation(("a", "b"), ())
-    a = Presentation.free_group(base.generators).gen("a")
-    with pytest.raises(SymbolClashError, match=r"\['b'\]"):
-        hnn(base, "b", [(a, a)])
-    with pytest.raises(SymbolClashError, match=r"\['a', 'b'\]"):
-        amalgam(base, base, [])
+def test_universal_solution_group_clash_names_the_generator():
     G = FreeGroup(("t",))
     with pytest.raises(SymbolClashError, match=r"\['t'\]"):
         universal_solution_group(Equation(G, ((G.gen("t"), 1),)))

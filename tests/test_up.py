@@ -516,9 +516,10 @@ def test_witness_script_rejects_odd_symmetric_anneal():
         (("--strategy", "anneal", "--budget-ms", "-1"), "budget_ms must be nonnegative"),
         (("--strategy", "exhaustive", "--radius", "2", "--no-symmetric"),
          "the exhaustive search covers symmetric sets only; --no-symmetric needs --strategy anneal"),
+        (("--radius", "2", "--max-size", "-3"), "maxsize must be nonnegative"),
     ],
     ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero", "negative-budget",
-         "anneal-negative-budget", "exhaustive-no-symmetric"],
+         "anneal-negative-budget", "exhaustive-no-symmetric", "negative-max-size"],
 )
 def test_witness_script_reports_bad_input_with_exit_2(args, message):
     # exit 1 is the "no witness" outcome; bad input is a usage error, with

@@ -10,17 +10,11 @@ from groupeq.backends import (
     FreeGroup,
     FreeProductGroup,
     GroupElement,
+    Presentation,
     cyclic_group,
 )
-from groupeq.errors import CapExceededError, GroupEqError, GroupMismatchError, SymbolClashError
-from groupeq.words import (
-    Presentation,
-    amalgam,
-    hnn,
-    in_subfreeproduct,
-    is_conjugate_to_constant,
-    relation_falsifier,
-)
+from groupeq.errors import CapExceededError, GroupEqError, GroupMismatchError
+from groupeq.words import in_subfreeproduct, relation_falsifier
 
 from conftest import assert_round_trips, random_element
 
@@ -122,15 +116,6 @@ def test_cyclic_reduce_reconstruction_and_minimality(rng, amb):
         for r in range(max(1, len(s))):
             rot = amb.word(s[r:] + s[:r])
             assert len(amb.cyclically_reduce(rot)[0].payload) >= len(s)
-
-
-def test_conjugate_to_constant(amb):
-    g = syl(amb, "g")
-    h = syl(amb, "h")
-    assert is_conjugate_to_constant(t(amb, -1) * g * t(amb), 0)
-    assert not is_conjugate_to_constant(g * t(amb), 0)
-    w = t(amb) * g * t(amb, -1) * h
-    assert not is_conjugate_to_constant(w, 0)
 
 
 def test_in_subfreeproduct(amb):
@@ -239,52 +224,6 @@ def test_falsifier_enumeration_node_cap(monkeypatch):
     monkeypatch.setattr(words, "FALSIFIER_NODES", 30)
     with pytest.raises(CapExceededError, match="falsifier enumeration cap exceeded"):
         relation_falsifier([a], b, F.identity(), max_len=4)
-
-
-def test_hnn_examples():
-    base = Presentation(("a",), ())
-    F = Presentation.free_group(base.generators)
-    p = hnn(base, "t", [(F.word([("a", 1)]), F.word([("a", 1)]))])
-    assert p.generators == ("a", "t")
-    assert len(p.relators) == 1
-    assert str(p.relators[0]) == "t^-1 a t a^-1"
-    assert_round_trips(p)
-    with pytest.raises(SymbolClashError):
-        hnn(base, "a", [(F.word([("a", 1)]), F.word([("a", 1)]))])
-    with pytest.raises(ValueError):
-        hnn(base, "t", [])
-
-
-def test_hnn_shift_family_count():
-    # <H-bar, t | H_i^t = H_{i+1}> on a 2-generator H over a window of 5
-    names = []
-    for i in range(-2, 3):
-        names += [f"x@{i}", f"y@{i}"]
-    base = Presentation(tuple(names), ())
-    F = Presentation.free_group(base.generators)
-    pairs = []
-    for i in range(-2, 2):
-        for nm in ("x", "y"):
-            pairs.append((F.word([(f"{nm}@{i}", 1)]), F.word([(f"{nm}@{i+1}", 1)])))
-    p = hnn(base, "t", pairs)
-    assert len(p.relators) == 2 * 4
-    assert_round_trips(p)
-
-
-def test_amalgam_examples():
-    left = Presentation(("a",), ())
-    right = Presentation(("c",), ())
-    free = amalgam(left, right, [])
-    assert free.generators == ("a", "c") and free.relators == ()
-    a = Presentation.free_group(left.generators).gen("a")
-    c = Presentation.free_group(right.generators).gen("c")
-    glued = amalgam(left, right, [(a, c)])
-    assert len(glued.relators) == 1
-    assert str(glued.relators[0]) == "a c^-1"
-    assert_round_trips(free)
-    assert_round_trips(glued)
-    with pytest.raises(SymbolClashError):
-        amalgam(left, left, [])
 
 
 def test_presentation_text_round_trip():
