@@ -18,7 +18,7 @@ provided as the desk-scale verification oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterator, Optional, Sequence
 
 from .backends import FreeGroup, FreeProductGroup, Group, GroupElement, Presentation
@@ -43,26 +43,6 @@ UNIMODULAR = "unimodular"
 
 # ---------------------------------------------------------------------------
 # equations and classification
-
-
-class _kept:
-    """A value built on first access and written into the instance's
-    __dict__, which later accesses read before this non-data descriptor:
-    `functools.cached_property` without the lock it takes on every first
-    access under Python 3.11.  A build that raises keeps nothing."""
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.build(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -100,7 +80,7 @@ class Equation:
         """The word g_1 t^{e_1} ... g_n t^{e_n} of the refined group."""
         return self._refined
 
-    @_kept
+    @cached_property
     def _refined(self) -> GroupElement:
         if isinstance(self.group, FreeProductGroup):
             terms = [(g.payload, e) for g, e in self.terms]
@@ -108,13 +88,13 @@ class Equation:
             terms = [(() if g.is_identity else ((0, g),), e) for g, e in self.terms]
         return _t_word(self.refined_group(), terms)
 
-    @_kept
+    @cached_property
     def _core(self) -> GroupElement:
         """The cyclically reduced core of the refined word."""
         w = self._refined
         return w.group.cyclically_reduce(w)[0]
 
-    @_kept
+    @cached_property
     def _accepted(self) -> set:
         """The splits _prepare has accepted this equation under."""
         return set()
@@ -127,7 +107,7 @@ class Equation:
         (g_1^-1, -e_n), (g_n^-1, -e_{n-1}), ..., (g_2^-1, -e_1)."""
         return self._inverse
 
-    @_kept
+    @cached_property
     def _inverse(self) -> "Equation":
         rebuilt = [(~self.terms[0][0], -self.terms[-1][1])]
         for j in range(len(self.terms) - 1, 0, -1):

@@ -657,7 +657,8 @@ def search_nonup_witness(
     try:
         best = _last_witness(census, order, (0, 1), maxsize, 2, out_of_time)
         if best is None:
-            return WitnessSearchResult(None, False, sizes, (), below(census.ways(maxsize), maxsize + 1))
+            top = min(maxsize, len(census.ball))  # no subset holds more
+            return WitnessSearchResult(None, False, sizes, (), below(census.ways(top), top + 1))
         path, with_ident = best
         size = with_ident + sum(len(order[j]) for j in path)
         chosen, _ = _last_witness(census, atoms, (with_ident,), size, size, out_of_time)

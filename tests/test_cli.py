@@ -300,6 +300,22 @@ def test_cli_import_leaves_numpy_out():
     )
 
 
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("groupeq.up", {"groupeq", "groupeq.backends", "groupeq.config", "groupeq.errors", "groupeq.up"}),
+        ("groupeq.equations", {"groupeq", "groupeq.backends", "groupeq.config", "groupeq.errors",
+                               "groupeq.words", "groupeq.equations"}),
+    ],
+    ids=["up", "equations"],
+)
+def test_each_layer_loads_only_what_it_imports(module, loaded):
+    # the package root imports nothing, so a script loads only its own layers
+    code = f"import sys, {module}; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'groupeq')))"
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True, capture_output=True, text=True)
+    assert set(out.stdout.split()) == loaded
+
+
 # ---------------------------------------------------------------------------
 # configuration errors exit 2 with a message on stderr
 

@@ -1195,6 +1195,27 @@ def test_radius_3_exhaustion_adds_each_atom_it_visits():
     assert adds == 3_745
 
 
+def test_radius_4_exhaustion_finds_no_symmetric_witness():
+    group = FoursGroup()
+    census = ProductCensus(group, 4)
+    assert (len(census.ball), len(census.atoms)) == (83, 41)
+    res = search_nonup_witness(group, 4, 14)
+    assert res.witness is None and not res.verified
+    assert res.sizes_exhausted == tuple(range(2, 15)) and res.sizes_truncated == ()
+    assert res.subsets_tested == 33_199_094
+
+
+def test_no_witness_count_caps_ways_at_the_ball(monkeypatch):
+    # ball(1) holds 5 elements, so a larger --max-size counts no more subsets
+    tops = []
+    ways = ProductCensus.ways
+    monkeypatch.setattr(ProductCensus, "ways", lambda self, top: tops.append(top) or ways(self, top))
+    res = search_nonup_witness(FoursGroup(), 1, 100_000)
+    assert tops and max(tops) <= 5
+    assert res.subsets_tested == search_nonup_witness(FoursGroup(), 1, 5).subsets_tested == 6
+    assert res.sizes_exhausted == tuple(range(2, 100_001))
+
+
 def test_fail_first_order_cuts_a_stream_search_below_far_first(monkeypatch):
     # a generating set of the benchmark stream's largest shape, 3 generators
     # and 14 inverse pairs in ball(2), at its largest size: leading each
