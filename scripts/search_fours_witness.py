@@ -2,22 +2,19 @@
 """Search the fours group for a subset whose square has no unique product.
 
 A command-line front end to `groupeq.up.search_nonup_witness` and
-`groupeq.up.anneal_nonup_witness`.  Strategies:
-  exhaustive  one depth-first pass over the symmetric subsets of every size
-              up to --max-size, outermost BFS layer first and, within a
-              layer, the atoms forming the rarest products first, complete
-              in the ball (3,744 nodes visited at radius 3); the first
-              witness by size, then in sort-key order, is the answer,
-              whatever order the pass visits in.  The pass settles every
-              size together, so a --budget-ms deadline that passes during
-              it reports every size truncated and 0 subsets tested.  It
-              covers symmetric sets only, so --no-symmetric is a usage
-              error here
-  anneal      simulated annealing, fixed seed; --no-symmetric drops the
-              S = S^-1 restriction and anneals over arbitrary subsets
-
-The fours group is torsion-free, so a symmetric set without the identity
-has even size; the symmetric anneal rejects an odd --max-size.  Bad input,
+`groupeq.up.anneal_nonup_witness`.  Each strategy covers one family:
+  exhaustive  the symmetric sets S = S^-1: one depth-first pass over those
+              of every size up to --max-size, outermost BFS layer first
+              and, within a layer, the atoms forming the rarest products
+              first, complete in the ball (3,744 nodes visited at radius
+              3); the first witness by size, then in sort-key order, is the
+              answer, whatever order the pass visits in.  The pass settles
+              every size together, so a --budget-ms deadline that passes
+              during it reports every size truncated and 0 subsets tested
+  anneal      arbitrary subsets of --max-size elements: simulated
+              annealing with a fixed seed, which needs --no-symmetric
+A strategy and its family must agree: an exhaustive run with
+--no-symmetric, or an anneal without it, is a usage error.  Bad input,
 such as a negative --radius or --max-size or a size the ball cannot fill,
 exits 2 with the library's message; exit 1 means no witness was found.
 
@@ -52,15 +49,14 @@ def main() -> int:
     ap.add_argument("--with-ab-generator", action="store_true",
                     help="add the product of the two generators to the ball alphabet")
     ap.add_argument("--no-symmetric", action="store_true",
-                    help="anneal over arbitrary subsets instead of S = S^-1 shapes")
+                    help="search arbitrary subsets, not S = S^-1: the anneal's family")
     args = ap.parse_args()
-    symmetric = not args.no_symmetric
-    if args.strategy == "exhaustive" and not symmetric:
+    if args.strategy == "exhaustive" and args.no_symmetric:
         ap.error("the exhaustive search covers symmetric sets only; "
                  "--no-symmetric needs --strategy anneal")
-    if args.strategy == "anneal" and symmetric and args.max_size % 2:
-        ap.error("the symmetric anneal needs an even --max-size "
-                 "(the fours group is torsion-free)")
+    if args.strategy == "anneal" and not args.no_symmetric:
+        ap.error("the anneal covers arbitrary subsets only; "
+                 "--strategy anneal needs --no-symmetric")
 
     group = FoursGroup()
     gens = None
@@ -77,10 +73,8 @@ def main() -> int:
         else:
             caps = DEFAULT_CAPS.with_overrides(
                 budget_ms=args.budget_ms, radius=args.radius, ball_size=10 ** 6)
-            res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed,
-                                       gens=gens, symmetric=symmetric, caps=caps)
-            print(f"ball({args.radius}): {res.ball_size} elements, {res.atom_count} atoms, "
-                  f"{'symmetric' if symmetric else 'asymmetric'} mode")
+            res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed, gens=gens, caps=caps)
+            print(f"ball({args.radius}): {res.ball_size} elements, {res.ball_size} atoms, asymmetric mode")
             print(f"{res.restarts} restarts in {time.monotonic()-start:.1f}s; "
                   f"best unique-count {res.best_unique_count}")
     except (ValueError, GroupEqError) as exc:

@@ -408,7 +408,12 @@ def table_from_group(g: Group) -> FiniteTableGroup:
 
 
 class PermutationGroup(Group):
-    """S_degree acting on {0..degree-1}; products compose left to right."""
+    """S_degree acting on {0..degree-1}; products compose left to right.
+
+    Given generators must generate all of S_degree, or the ball, the
+    elements and the presentation would describe different groups: their
+    closure under products is checked, and held to `perms_per_degree` as
+    `elements()` is, so a degree past the cap takes no generators."""
 
     kind = "permutation"
 
@@ -420,6 +425,20 @@ class PermutationGroup(Group):
         self._gens = tuple(tuple(p) for p in gens) if gens else ()
         for p in self._gens:
             self._check(p)
+        if self._gens:
+            order = factorial(degree)
+            if order > DEFAULT_CAPS.perms_per_degree:
+                raise CapExceededError(f"S_{degree} enumeration exceeds cap")
+            reached = {self._one}
+            todo = [self._one]
+            for x in todo:  # grows as it is read; positive words suffice in a finite group
+                for g in self._gens:
+                    y = self._mul(x, g)
+                    if y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+            if len(reached) < order:
+                raise ValueError(f"the generators reach {len(reached)} of the {order} elements of S_{degree}")
 
     def _check(self, p: tuple[int, ...]) -> None:
         if sorted(p) != list(range(self.degree)):
@@ -958,20 +977,13 @@ class FreeAbelianGroup(Group):
 # Affine realization on R^3: elements (D, v) with D a +-1 sign-diagonal
 # matrix from the Klein four point group and v in (1/2 Z)^3, acting as
 # x |-> Dx + v.  Translations are doubled so all arithmetic is integral.
-_FOURS_PARITY = {
-    (1, 1, 1): (0, 0, 0),
-    (1, -1, -1): (1, 1, 0),
-    (-1, 1, -1): (0, 1, 1),
-    (-1, -1, 1): (1, 0, 1),
-}
 
 
 class FoursGroup(Group):
     """<a, b | a^-1 b^2 a = b^-2, b^-1 a^2 b = a^-2>, Promislow's group.
 
     Both defining relations are verified by direct affine multiplication at
-    construction time; membership of a payload in the group is the parity
-    condition linking the sign matrix to the translation vector.
+    construction time.
     """
 
     kind = "fours-group"
@@ -991,15 +1003,6 @@ class FoursGroup(Group):
     def _key(self) -> tuple:
         return ()
 
-    def _validate(self, payload: tuple) -> None:
-        signs, v = payload
-        if signs not in _FOURS_PARITY:
-            raise ValueError(f"{signs} is not in the fours point group")
-        if len(v) != 3 or not all(isinstance(c, int) for c in v):
-            raise ValueError(f"{v} is not a vector of three integers")
-        if any(c % 2 != p for c, p in zip(v, _FOURS_PARITY[signs])):
-            raise ValueError("translation parity does not match the point part")
-
     # straight-line arithmetic on the 3-vectors: (D, v)(E, w) = (DE, Dw + v)
     def _mul(self, x: tuple, y: tuple) -> tuple:
         (p, q, r), v = x
@@ -1018,11 +1021,6 @@ class FoursGroup(Group):
 
     def generators(self) -> tuple[GroupElement, ...]:
         return (self.a(), self.b())
-
-    def element(self, signs: tuple, doubled: tuple) -> GroupElement:
-        payload = (tuple(signs), tuple(doubled))
-        self._validate(payload)
-        return GroupElement(self, payload)
 
     def format_element(self, x: GroupElement) -> str:
         stack: list[list] = []

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError
@@ -37,8 +36,6 @@ class Caps:
 
 DEFAULT_CAPS = Caps()
 
-CONFIG_ENV_VAR = "GROUPEQ_CONFIG"
-
 
 def check_caps(data, where: str) -> dict:
     """`data` when it is a JSON object mapping cap names to nonnegative
@@ -58,11 +55,10 @@ def check_caps(data, where: str) -> dict:
 
 
 def read_config(path: str | None = None) -> dict:
-    """The cap overrides in a JSON file, or in $GROUPEQ_CONFIG's, or none.
+    """The cap overrides in the JSON file at `path`, or none without one.
 
-    A named file must exist and pass `check_caps`; otherwise ConfigError.
+    The file must exist and pass `check_caps`; otherwise ConfigError.
     """
-    path = path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
     try:

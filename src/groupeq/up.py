@@ -2,24 +2,23 @@
 
 Censuses are exact: products are keyed by canonical forms, never hashed
 probabilistically.  The witness searches target the fours group but run on
-any backend with decidable equality.  Both of them, the exhaustive
-symmetric search (`search_nonup_witness`) and the seeded anneal
-(`anneal_nonup_witness`), count S*S with one engine, `ProductCensus`: a
-labelled product table over an ordered ball, built once with its products
-numbered as they turn up, and plain integer counts updated as atoms enter
-and leave S.
+any backend with decidable equality, and each covers one family of
+subsets: the exhaustive search (`search_nonup_witness`) the symmetric sets
+S = S^-1, the seeded anneal (`anneal_nonup_witness`) arbitrary subsets.
+Both count S*S with one engine, `ProductCensus`: a labelled product table
+over an ordered ball, built once with its products numbered as they turn
+up, and plain integer counts updated as atoms enter and leave S.
 
 A census counts one way, fixed when it is built.  For a symmetric
 S = S^-1, phi(x, y) = (y^-1, x^-1) is an involution of S x S that sends a
 pair with product p to one with product p^-1, so p and p^-1 have equal
 counts.  Its only fixed pairs are the (x, x^-1), whose product is 1.  So a
 product p != 1 with p = p^-1 has an even count, and 1 has count |S|:
-neither is ever unique once |S| >= 2.  A symmetric census, the search's and
-the symmetric anneal's, therefore keeps one count per inverse pair
-{p, p^-1} and raises one pair of each phi-orbit; S*S then has
-2 * (classes at 1) + [|S| = 1] unique products.  An asymmetric census, the
-anneal's over arbitrary subsets, keeps one count per product, and S*S has
-as many unique products as counts at 1.
+neither is ever unique once |S| >= 2.  A symmetric census, the search's,
+therefore keeps one count per inverse pair {p, p^-1} and raises one pair
+of each phi-orbit; S*S then has 2 * (classes at 1) + [|S| = 1] unique
+products.  An asymmetric census, the anneal's, keeps one count per
+product, and S*S has as many unique products as counts at 1.
 """
 
 from __future__ import annotations
@@ -284,10 +283,9 @@ class ProductCensus:
     as counts at 1.  In a symmetric one it is the number of phi-orbits of
     S x S whose products lie in class c, the count of each of its two
     products; the sink starts at 3 and only grows with real orbits, so it
-    never reads 1, and a read of it moves neither `fell` nor `rose`.  Each
-    count at 1 there is a pair of unique products, and a
-    one-element S, an involution or the identity, has the unique product 1:
-    S*S has 2 * (counts at 1) + [|S| = 1] unique products.
+    never reads 1.  Each count at 1 there is a pair of unique products, and
+    a one-element S, an involution or the identity, has the unique product
+    1: S*S has 2 * (counts at 1) + [|S| = 1] unique products.
 
     `atoms` are the units S is made of, in ball order: the inverse pairs of
     the ball without the identity, an involution forming a 1-element atom,
@@ -301,22 +299,20 @@ class ProductCensus:
       - a single element: row x and column x, for x*m and m*x;
       - an involution or the identity: row x alone, since the orbit of
         (x, m) holds (m^-1, x); its second row is all sink, raised by 0.
-    So `add`, `remove` and `move` make one raise per orbit or per product
-    in one loop, with no branch in it, and a count depends on S alone,
-    whatever order atoms enter and leave in.  (Raising that sink row by 1
-    would not: an involution added beside a pair atom would raise the sink
-    twice, the pair added beside it not at all, so the sink would drift
-    down through 1 as S changes.  Looping over one row or two costs the
-    anneal a sixth of its time.)
+    So `add` and `remove` make one raise per orbit or per product in one
+    loop, with no branch in it, and a count depends on S alone, whatever
+    order atoms enter and leave in.  (Raising that sink row by 1 would not:
+    an involution added beside a pair atom would raise the sink twice, the
+    pair added beside it not at all, so the sink would drift down through 1
+    as S changes.)
 
-    `move(out, into)` swaps one atom of S for one outside it and returns the
-    change in `unique_count()` without rescanning the counts: a touched
-    count that falls to 1 (2->1) or rises to 1 (0->1) gains unique
-    products, one that leaves 1 (1->0, 1->2) loses them.  `fell[c]` and
-    `rose[c]` (`steps`, built on the first `move`) hold that change, 2 a
-    count in a symmetric census and 1 in an asymmetric one, for a count
-    that has just fallen or risen to c, and the [|S| = 1] term changes once
-    a call.
+    `move(out, into)`, the anneal's step, swaps one element of S for one
+    outside it in an asymmetric census and returns the change in
+    `unique_count()` without rescanning the counts: a touched count that
+    falls to 1 (2->1) or rises to 1 (0->1) gains a unique product, one that
+    leaves 1 (1->0, 1->2) loses one.  `fell[c]` and `rose[c]` (`steps`,
+    built on the first `move`) hold that change for a count that has just
+    fallen or risen to c.  A symmetric census has no `move`: ValueError.
 
     `settled(atoms)` tells a walk in the order `atoms` when a count of 1 is
     final.  `ways(top)` counts the subsets of `atoms[i:]` by their number
@@ -389,7 +385,7 @@ class ProductCensus:
             self.lines = [(row, col, 1, row[i]) for i, (row, col) in enumerate(zip(rows, map(list, zip(*rows))))]
         empty = [0] * (classes + 1 if symmetric else len(opp))  # one count per label
         if symmetric:
-            empty[0] = 3  # the sink starts past 2, where `fell` and `rose` are 0
+            empty[0] = 3  # the sink starts past 1 and never falls back to it
         self.empty = tuple(empty)  # the counts of an empty S
         self.clear()
         self.weight = 2 if symmetric else 1  # unique products per count at 1
@@ -398,11 +394,11 @@ class ProductCensus:
     def steps(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(`fell`, `rose`), built on the first `move`, their only reader, so
         a census the search walks holds neither.  No count exceeds
-        |S| <= len(ball) but the sink, which holds at most the
-        |S|(|S| + 1) / 2 orbits of S x S beside its start."""
-        n, w = len(self.ball), self.weight
-        top = 3 + n * (n + 1) // 2 if self.symmetric else n
-        return (-w, w) + (0,) * (top - 1), (0, w, -w) + (0,) * (top - 2)
+        |S| <= len(ball)."""
+        if self.symmetric:
+            raise ValueError("move needs an asymmetric census")
+        n = len(self.ball)
+        return (-1, 1) + (0,) * (n - 1), (0, 1, -1) + (0,) * (n - 2)
 
     def settled(self, atoms: Sequence[tuple[int, ...]]) -> list[list[int]]:
         """Each label but the sink, once and in increasing order, under the
@@ -460,33 +456,29 @@ class ProductCensus:
         the counts the swap touches, through `fell` and `rose`."""
         counts, members, lines = self.counts, self.members, self.lines
         fell, rose = self.steps
-        held = len(members)
-        for i in out:
-            members.remove(i)
-        row, other, step, square = lines[out[0]]
+        members.remove(out[0])  # an asymmetric census's atoms are single elements
+        row, col, _, square = lines[out[0]]
         c = counts[square] = counts[square] - 1
         delta = fell[c]
         for m in members:
             k = row[m]
             c = counts[k] = counts[k] - 1
             delta += fell[c]
-            k = other[m]
-            c = counts[k] = counts[k] - step
+            k = col[m]
+            c = counts[k] = counts[k] - 1
             delta += fell[c]
-        row, other, step, square = lines[into[0]]
+        row, col, _, square = lines[into[0]]
         for m in members:
             k = row[m]
             c = counts[k] = counts[k] + 1
             delta += rose[c]
-            k = other[m]
-            c = counts[k] = counts[k] + step
+            k = col[m]
+            c = counts[k] = counts[k] + 1
             delta += rose[c]
         c = counts[square] = counts[square] + 1
         delta += rose[c]
         members += into
-        # a symmetric S of one element, an involution or the identity, has
-        # the unique product 1, which no class count shows
-        return delta + self.symmetric * ((len(members) == 1) - (held == 1))
+        return delta
 
     def clear(self) -> None:
         self.counts = list(self.empty)
@@ -683,7 +675,6 @@ class AnnealResult:
     restarts: int
     best_unique_count: Optional[int]  # None when no step ran
     ball_size: int
-    atom_count: int
 
 
 def anneal_nonup_witness(
@@ -692,56 +683,50 @@ def anneal_nonup_witness(
     size: int,
     seed: int,
     gens: Optional[Sequence[GroupElement]] = None,
-    symmetric: bool = True,
     caps: Caps = DEFAULT_CAPS,
 ) -> AnnealResult:
-    """Simulated annealing for a subset S of ball(radius) whose square has no
-    uniquely decomposable element.
+    """Simulated annealing for a subset S of `size` elements of
+    ball(radius) whose square has no uniquely decomposable element.
 
-    The mode fixes the census and its atoms.  Symmetric mode anneals over
-    `size // 2` atoms of a symmetric census (S = S^-1 without the
-    identity), which counts inverse-pair classes; asymmetric mode over
-    `size` atoms of an asymmetric census, the single elements, which
-    counts products.  Either way the unique count is exact, so a seed's
-    trajectory does not depend on the mode's counting rule.
+    S ranges over arbitrary subsets, on an asymmetric census, which counts
+    products; the symmetric sets S = S^-1 are the exhaustive search's
+    (`search_nonup_witness`), which settles them.
+
     Each restart draws a random start and runs 8000 steps with geometric
-    cooling from temperature 8; a step swaps one slot for an unused atom
-    with `ProductCensus.move`, which reads the new unique count off the
+    cooling from temperature 8; a step swaps one element of S for an unused
+    one with `ProductCensus.move`, which reads the new unique count off the
     counts the swap touches, and undoes the swap if the Metropolis rule
     rejects it.  Restarts continue until a witness turns up or
     `caps.budget_ms` runs out.  The run is deterministic for a given seed
     up to that deadline, and any witness is re-verified with an
-    independent naive census.  A size that takes every atom leaves no step
-    to make: the census of that one set is the answer, after one restart
-    and no random draw.  A size that asks for no atom, or for more
-    atoms than the ball has, is a ValueError.
+    independent naive census.  A size that takes the whole ball leaves no
+    step to make: the census of that one set is the answer, after one
+    restart and no random draw.  A size below 1 or past the ball is a
+    ValueError.
     """
     rng = random.Random(seed)
-    census = ProductCensus(group, radius, gens, symmetric, caps)
+    census = ProductCensus(group, radius, gens, symmetric=False, caps=caps)
     atoms = census.atoms
-    slots = size // 2 if symmetric else size
-    if not 1 <= slots <= len(atoms):
-        raise ValueError(
-            f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to "
-            f"{len(atoms)} (ball({radius}) has {len(atoms)} atoms)"
-        )
+    n = len(atoms)
+    if not 1 <= size <= n:
+        raise ValueError(f"anneal size {size} must be 1 to {n}: ball({radius}) has {n} elements")
 
-    if slots == len(atoms):
-        # a set of every atom admits no step, so its one census decides
+    if size == n:
+        # the whole ball admits no step, so its one census decides
         for atom in atoms:
             census.add(atom)
         count = census.unique_count()
         witness = None if count else census.subset()
         verified = witness is not None and naive_no_unique_product(witness)
-        return AnnealResult(witness, verified, 1, count, len(census.ball), len(atoms))
+        return AnnealResult(witness, verified, 1, count, n)
 
     deadline = time.monotonic() + caps.budget_ms / 1000.0
     best: Optional[int] = None
     restarts = 0
     while time.monotonic() < deadline:
         restarts += 1
-        cur = rng.sample(range(len(atoms)), slots)
-        used = [False] * len(atoms)
+        cur = rng.sample(range(n), size)
+        used = [False] * n
         census.clear()
         for s in cur:
             used[s] = True
@@ -750,8 +735,8 @@ def anneal_nonup_witness(
         temp = 8.0
         for _ in range(8000):
             temp = max(0.05, temp * 0.999)
-            pos = rng.randrange(slots)
-            cand = rng.randrange(len(atoms))
+            pos = rng.randrange(size)
+            cand = rng.randrange(n)
             if used[cand]:
                 continue
             val = cur_val + census.move(atoms[cur[pos]], atoms[cand])
@@ -765,8 +750,5 @@ def anneal_nonup_witness(
                 best = cur_val
             if cur_val == 0:
                 witness = census.subset()
-                return AnnealResult(
-                    witness, naive_no_unique_product(witness), restarts, best,
-                    len(census.ball), len(atoms),
-                )
-    return AnnealResult(None, False, restarts, best, len(census.ball), len(atoms))
+                return AnnealResult(witness, naive_no_unique_product(witness), restarts, best, n)
+    return AnnealResult(None, False, restarts, best, n)

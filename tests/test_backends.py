@@ -105,17 +105,27 @@ def test_fours_relations_verified_at_construction():
     assert (~b) * a ** 2 * b * a ** 2 == g.identity()
 
 
-def test_fours_element_needs_three_integer_entries():
-    g = FoursGroup()
-    # a fourth entry once passed the parity check unseen and squared to a^4
-    with pytest.raises(ValueError):
-        g.element((1, 1, 1), (2, 0, 0, 5))
-    # a short vector once passed and then broke format_element
-    with pytest.raises(ValueError):
-        g.element((1, 1, 1), (0, 0))
-    with pytest.raises(ValueError):
-        g.element((1, 1, 1), (2.0, 0, 0))
-    assert g.element((1, 1, 1), (2, 0, 0)) * g.element((1, 1, 1), (-2, 0, 0)) == g.identity()
+def test_permutation_generators_must_generate_the_symmetric_group():
+    with pytest.raises(ValueError, match="^the generators reach 2 of the 6 elements of S_3$"):
+        PermutationGroup(3, [(1, 0, 2)])
+    with pytest.raises(ValueError, match="^the generators reach 12 of the 24 elements of S_4$"):
+        PermutationGroup(4, [(1, 2, 0, 3), (0, 2, 3, 1)])  # A4
+    s4 = PermutationGroup(4, [(1, 0, 2, 3), (1, 2, 3, 0)])
+    assert len(s4.ball(6)) == len(s4.elements()) == 24
+    # the closure is held to perms_per_degree, as elements() is
+    with pytest.raises(CapExceededError, match="^S_9 enumeration exceeds cap$"):
+        PermutationGroup(9, [(1, 0, 2, 3, 4, 5, 6, 7, 8), (1, 2, 3, 4, 5, 6, 7, 8, 0)])
+
+
+# the doubled-translation parity of each point of the fours group
+_FOURS_POINTS = {(1, 1, 1): (0, 0, 0), (1, -1, -1): (1, 1, 0), (-1, 1, -1): (0, 1, 1), (-1, -1, 1): (1, 0, 1)}
+
+
+def _assert_fours_payload(payload):
+    """A point of the fours point group and three integers of its parity."""
+    signs, v = payload
+    assert len(v) == 3 and all(isinstance(c, int) for c in v)
+    assert tuple(c % 2 for c in v) == _FOURS_POINTS[signs]
 
 
 # -- fours literals: each g^k is read in closed form off g's payload; the
@@ -139,7 +149,7 @@ _FOURS_EXPONENTS = [0, 1, -1, 2, -2, 3, -3, 12_345, -12_346, 10_000, -10_001]
 def test_fours_literal_power_matches_repeated_multiplication(fours, k):
     for name in "ab":
         x = fours.parse_element(f"{name}^{k}")
-        fours._validate(x.payload)
+        _assert_fours_payload(x.payload)
         assert x == _fours_word_by_multiplication(fours, [(name, k)])
     word = [("a", k), ("b", -k), ("a", 1), ("b", 0), ("b", k + 1), ("a", -1)]
     text = " ".join(f"{name}^{e}" for name, e in word)
@@ -216,7 +226,6 @@ def test_fours_kernel_matches_affine_matrices_on_ball_three(fours):
             assert _affine(fours._mul(x.payload, y.payload)) == _matmul(_affine(x.payload), _affine(y.payload))
 
 
-_FOURS_POINTS = {(1, 1, 1): (0, 0, 0), (1, -1, -1): (1, 1, 0), (-1, 1, -1): (0, 1, 1), (-1, -1, 1): (1, 0, 1)}
 _fours_payloads = st.builds(
     lambda d, t: (d, tuple(2 * c + p for c, p in zip(t, _FOURS_POINTS[d]))),
     st.sampled_from(sorted(_FOURS_POINTS)),
@@ -228,7 +237,7 @@ _fours_payloads = st.builds(
 def test_fours_kernel_matches_affine_matrices_on_random_payloads(x, y):
     g = FoursGroup()
     p = g._mul(x, y)
-    g._validate(p)
+    _assert_fours_payload(p)
     assert _affine(p) == _matmul(_affine(x), _affine(y))
     assert _affine(g._inv(x)) == _matinv(_affine(x))
 

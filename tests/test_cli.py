@@ -286,11 +286,8 @@ def test_cli_fuzz_binary_garbage():
 
 
 def _src_env():
-    """This environment with the checkout's src first on PYTHONPATH and no
-    $GROUPEQ_CONFIG."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
-    env.pop("GROUPEQ_CONFIG", None)
-    return env
+    """This environment with the checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
 
 
 def test_cli_import_leaves_numpy_out():
@@ -339,12 +336,6 @@ def test_config_missing_file_exits_two(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert "config error" in captured.err and "absent.json" in captured.err
-
-
-def test_config_missing_env_file_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GROUPEQ_CONFIG", str(tmp_path / "absent.json"))
-    assert _up_check_with_config(tmp_path, []) == 2
-    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -397,34 +388,43 @@ def test_caps_refuse_a_negative_override():
 
 
 def _fours_search_with_config(tmp_path, capsys, config, flags=("--radius", "2", "--max-size", "4")):
+    """A fours search-nonup run with `config` as its --config file, or with
+    no --config when it is None: (exit code, report, report path)."""
     script = tmp_path / "fours.ge"
     script.write_text("group F = fours\n")
-    cfg = tmp_path / "made-with.json"
-    cfg.write_text(config)
-    code = main(["search-nonup", str(script), *flags, "--config", str(cfg), "--format", "structured"])
+    if config is not None:
+        cfg = tmp_path / "made-with.json"
+        cfg.write_text(config)
+        flags = (*flags, "--config", str(cfg))
+    code = main(["search-nonup", str(script), *flags, "--format", "structured"])
     path = tmp_path / "report.json"
     path.write_text(capsys.readouterr().out)
     return code, json.loads(path.read_text()), str(path)
 
 
 @pytest.mark.parametrize(
-    "env_config",
-    [None, '{"window": 2}', '{"ball_size": 300000}', '{"radius": 3, "bogus": 1}', "{oops"],
-    ids=["no-env", "other-valid", "same-key", "unknown-key", "malformed-json"],
+    "set_env, env_config",
+    [(False, None), (True, '{"window": 2}'), (True, '{"ball_size": 300000}'),
+     (True, '{"radius": 3, "bogus": 1}'), (True, "{oops"), (True, None)],
+    ids=["no-env", "other-valid", "same-key", "unknown-key", "malformed-json", "missing-file"],
 )
-def test_verify_uses_the_reports_config_caps_not_the_env(tmp_path, capsys, monkeypatch, env_config):
+def test_verify_uses_the_reports_config_caps_not_the_env(tmp_path, capsys, monkeypatch, set_env, env_config):
     # a ball cap no flag can set turns the search into an error report; the
-    # report carries that cap, and verify reads no $GROUPEQ_CONFIG at all
+    # report carries that cap, verify reads it from there, and no command
+    # reads a $GROUPEQ_CONFIG file, readable or not
+    if set_env:
+        env = tmp_path / "env.json"
+        if env_config is not None:
+            env.write_text(env_config)
+        monkeypatch.setenv("GROUPEQ_CONFIG", str(env))
     code, report, path = _fours_search_with_config(tmp_path, capsys, '{"ball_size": 30}')
     assert code == 2 and report["status"] == "error"
     assert report["error"]["message"] == "ball size exceeds cap 30"
     assert report["caps"] == {"ball_size": 30}
-    if env_config is not None:
-        env = tmp_path / "env.json"
-        env.write_text(env_config)
-        monkeypatch.setenv("GROUPEQ_CONFIG", str(env))
     assert main(["verify", path]) == 0
     assert capsys.readouterr().out == "verified: reports match\n"
+    code, report, _ = _fours_search_with_config(tmp_path, capsys, None)
+    assert code == 0 and report["status"] == "ok" and "caps" not in report
 
 
 def test_report_caps_hold_only_non_default_config_values(tmp_path, capsys):

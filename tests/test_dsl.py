@@ -98,6 +98,8 @@ ERRORS = [
     ("geq-group-before-duplicate", GT + "geq G over G with S: a (1) = 1\n", "unknown group 'S'", 3, 1),
     ("mveq-vars-before-duplicate", G + "mveq G over G vars : a = 1\n", "mveq needs declared variables", 2, 1),
     ("name-before-group", "let t = H: a\n", "name 't' is reserved", 1, 1),
+    ("perm-generators-short-of-s3", "group P = perm(3){(1 2)}\n",
+     "bad group expression 'perm(3){(1 2)}': the generators reach 2 of the 6 elements of S_3", 1, 1),
     ("first-error-wins", G + "bogus\neq E over G: a b = 1\n", "unknown statement 'bogus'", 2, 1),
 ]
 
@@ -228,6 +230,15 @@ def test_cli_without_a_name_picks_the_last_declaration():
     script = "group F = free(a)\neq E over F: a t = 1\neq D over F: a t^2 = 1\n"
     report, code = run_command("classify", {}, script)
     assert code == 0 and report["result"]["exponent_sum"] == 2
+
+
+def test_perm_generators_must_generate_the_symmetric_group():
+    # perm(3){(1 2)} once walked a ball of C2 while its elements and
+    # presentation were those of S3; now it is a parse error, exit 2
+    assert _error("search-nonup", {"radius": 3}, "group P = perm(3){(1 2)}\n")["type"] == "ParseError"
+    P = parse_script("group P = perm(3){(1 2), (1 2 3)}\n").get("group")
+    assert len(P.ball(3)) == len(P.elements()) == 6
+    assert [str(g) for g in P.generators()] == ["(1 2)", "(1 2 3)"]
 
 
 def test_cli_reports_parse_error_position():

@@ -404,86 +404,86 @@ def test_census_matches_up_check_under_add_remove(name, symmetric, picks):
 @st.composite
 def _moves(draw):
     name = draw(st.sampled_from(["fours", "klein", "c7", "perm3", "cyclic6", "s3-table"]))
-    symmetric = draw(st.booleans())
-    slots = range(len(_pool(_census(name, symmetric))))
+    slots = range(len(_census(name, False).atoms))
     loaded = draw(st.lists(st.sampled_from(slots), min_size=1, max_size=len(slots) - 1, unique=True))
     out = draw(st.sampled_from(loaded))
     into = draw(st.sampled_from([j for j in slots if j not in loaded]))
-    return name, symmetric, loaded, out, into
+    return name, loaded, out, into
 
 
+# perm(3) at radius 2, in sort-key order: (), (2 3), (1 2), (1 2 3), (1 3 2), (1 3)
 @settings(max_examples=150, deadline=None)
 @given(_moves())
-@example(("perm3", True, [0], 0, 2))  # a lone involution for the 3-cycles
-@example(("perm3", True, [2], 2, 1))  # the 3-cycles for a lone involution
-@example(("perm3", True, [4], 4, 0))  # the identity for an involution
-@example(("s3-table", True, [0, 1, 2, 4], 4, 3))  # the identity for the last transposition
-@example(("cyclic6", True, [2, 3], 2, 0))  # {1, a^3} to {1, a, a^5}
+@example(("perm3", [2], 2, 0))  # a lone involution for the identity
+@example(("perm3", [0], 0, 3))  # the identity for a 3-cycle
+@example(("perm3", [0, 3, 4], 3, 1))  # out of the subgroup {1, (1 2 3), (1 3 2)}
 def test_move_is_remove_then_add(move):
     # one swap leaves the counts and members of remove + add, and returns
     # the change in the unique count
-    name, symmetric, loaded, out, into = move
-    census = _census(name, symmetric)
-    pool = _pool(census)
+    name, loaded, out, into = move
+    census = _census(name, False)
+    atoms = census.atoms
 
     def load():
         census.clear()
         for j in loaded:
-            census.add(pool[j])
+            census.add(atoms[j])
 
     load()
     before = census.unique_count()
-    delta = census.move(pool[out], pool[into])
+    delta = census.move(atoms[out], atoms[into])
     moved = (list(census.counts), list(census.members))
     load()
-    census.remove(pool[out])
-    census.add(pool[into])
+    census.remove(atoms[out])
+    census.add(atoms[into])
     assert moved == (census.counts, census.members)
     assert delta == census.unique_count() - before
 
 
-@pytest.mark.parametrize("symmetric,size", [(True, 4), (False, 2)])
-def test_anneal_on_klein_finds_verified_witness(klein, symmetric, size):
+def test_move_needs_an_asymmetric_census():
+    # only the anneal moves, over arbitrary subsets; a symmetric census
+    # refuses before it touches S
+    census = ProductCensus(PermutationGroup(3), 1)
+    census.add(census.atoms[0])
+    counts, members = list(census.counts), list(census.members)
+    with pytest.raises(ValueError, match="^move needs an asymmetric census$"):
+        census.move(census.atoms[0], census.atoms[1])
+    assert (census.counts, census.members) == (counts, members)
+
+
+def test_anneal_on_klein_finds_verified_witness(klein):
     caps = DEFAULT_CAPS.with_overrides(budget_ms=30_000)
-    res = anneal_nonup_witness(klein, 1, size, seed=3, symmetric=symmetric, caps=caps)
+    res = anneal_nonup_witness(klein, 1, 2, seed=3, caps=caps)
     assert res.witness is not None and res.verified
-    # symmetric mode anneals over size // 2 atoms, and Klein atoms are
-    # single involutions
-    assert len(res.witness) == (size // 2 if symmetric else size)
+    assert len(res.witness) == 2
     assert naive_no_unique_product(res.witness)
     assert res.restarts == 1 and res.best_unique_count == 0
-    assert (res.ball_size, res.atom_count) == (4, 3 if symmetric else 4)
-    if symmetric:
-        assert {~x for x in res.witness} == set(res.witness)
+    assert res.ball_size == 4
 
 
-@pytest.mark.parametrize(
-    "name, size, symmetric, best",
-    [("klein", 6, True, 0), ("klein", 4, False, 0), ("fours", 4, True, 12)],
-)
-def test_anneal_with_every_atom_takes_one_census(monkeypatch, name, size, symmetric, best):
-    # the set holds every atom, so no step can move it: its one census
+@pytest.mark.parametrize("name, size, best", [("klein", 4, 0), ("fours", 5, 12)])
+def test_anneal_with_every_atom_takes_one_census(monkeypatch, name, size, best):
+    # the set is the whole ball, so no step can move it: its one census
     # decides, with no random draw, where the clock would allow three restarts
     group = klein_four_group() if name == "klein" else FoursGroup()
     monkeypatch.setattr(up, "time", _StepClock(jump=5))
     monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
-    res = anneal_nonup_witness(group, 1, size, seed=3, symmetric=symmetric)
+    res = anneal_nonup_witness(group, 1, size, seed=3)
     assert res.restarts == 1 and res.best_unique_count == best
     assert _RecordingRandom.last.random() == random.Random(3).random()
-    ball = group.ball(1)
     if best:
         assert (res.witness, res.verified) == (None, False)
     else:
         assert res.verified and naive_no_unique_product(res.witness)
-        assert set(res.witness) == (ball - {group.identity()} if symmetric else ball)
+        assert set(res.witness) == group.ball(1)
 
 
 def test_witness_script_anneal_with_every_atom_stops_after_one_restart():
-    # ball(1) of the fours group has 2 atoms, and size 4 takes both
-    proc = _run_witness_script("--strategy", "anneal", "--radius", "1", "--max-size", "4")
+    # ball(1) of the fours group has 5 elements, and size 5 takes them all
+    proc = _run_witness_script("--strategy", "anneal", "--no-symmetric", "--radius", "1", "--max-size", "5")
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()
-    assert lines[0] == "ball(1): 5 elements, 2 atoms, symmetric mode"
+    assert lines[0] == "ball(1): 5 elements, 5 atoms, asymmetric mode"
     assert lines[1].startswith("1 restarts in ") and lines[1].endswith("; best unique-count 12")
     assert lines[2:] == ["no witness found within the caps (honest exhaustion or budget)"]
 
@@ -498,28 +498,24 @@ def _run_witness_script(*args):
     )
 
 
-def test_witness_script_rejects_odd_symmetric_anneal():
-    proc = _run_witness_script("--strategy", "anneal", "--max-size", "13")
-    assert proc.returncode == 2
-    assert "even --max-size" in proc.stderr
-
-
 @pytest.mark.parametrize(
     "args, message",
     [
         (("--radius", "-1"), "radius must be nonnegative"),
-        (("--strategy", "anneal", "--radius", "1", "--max-size", "20"),
-         "anneal size 20 needs 10 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
-        (("--strategy", "anneal", "--radius", "1", "--max-size", "0"),
-         "anneal size 0 needs 0 atoms, but the anneal takes 1 to 2 (ball(1) has 2 atoms)"),
+        (("--strategy", "anneal", "--no-symmetric", "--radius", "1", "--max-size", "20"),
+         "anneal size 20 must be 1 to 5: ball(1) has 5 elements"),
+        (("--strategy", "anneal", "--no-symmetric", "--radius", "1", "--max-size", "0"),
+         "anneal size 0 must be 1 to 5: ball(1) has 5 elements"),
         (("--budget-ms", "-1"), "budget_ms must be nonnegative"),
-        (("--strategy", "anneal", "--budget-ms", "-1"), "budget_ms must be nonnegative"),
+        (("--strategy", "anneal", "--no-symmetric", "--budget-ms", "-1"), "budget_ms must be nonnegative"),
         (("--strategy", "exhaustive", "--radius", "2", "--no-symmetric"),
          "the exhaustive search covers symmetric sets only; --no-symmetric needs --strategy anneal"),
+        (("--strategy", "anneal", "--max-size", "13"),
+         "the anneal covers arbitrary subsets only; --strategy anneal needs --no-symmetric"),
         (("--radius", "2", "--max-size", "-3"), "maxsize must be nonnegative"),
     ],
     ids=["negative-radius", "anneal-size-past-the-ball", "anneal-size-zero", "negative-budget",
-         "anneal-negative-budget", "exhaustive-no-symmetric", "negative-max-size"],
+         "anneal-negative-budget", "exhaustive-no-symmetric", "symmetric-anneal", "negative-max-size"],
 )
 def test_witness_script_reports_bad_input_with_exit_2(args, message):
     # exit 1 is the "no witness" outcome; bad input is a usage error, with
@@ -530,16 +526,13 @@ def test_witness_script_reports_bad_input_with_exit_2(args, message):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-@pytest.mark.parametrize("symmetric, size, slots", [(True, 0, 0), (True, 1, 0), (True, 8, 4), (False, 0, 0), (False, 5, 5)])
-def test_anneal_rejects_a_size_the_ball_cannot_fill(monkeypatch, symmetric, size, slots):
-    # Klein ball(1) has 3 atoms and 4 elements; the check comes before any
-    # random draw
+@pytest.mark.parametrize("size", [0, 5])
+def test_anneal_rejects_a_size_the_ball_cannot_fill(monkeypatch, size):
+    # Klein ball(1) has 4 elements; the check comes before any random draw
     monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
-    atoms = 3 if symmetric else 4
-    message = f"anneal size {size} needs {slots} atoms, but the anneal takes 1 to {atoms} (ball(1) has {atoms} atoms)"
     with pytest.raises(ValueError) as info:
-        anneal_nonup_witness(klein_four_group(), 1, size, seed=3, symmetric=symmetric)
-    assert str(info.value) == message
+        anneal_nonup_witness(klein_four_group(), 1, size, seed=3)
+    assert str(info.value) == f"anneal size {size} must be 1 to 4: ball(1) has 4 elements"
     assert _RecordingRandom.last.random() == random.Random(3).random()
 
 
@@ -954,8 +947,7 @@ def test_settled_holds_each_free_radius_5_product_once():
     # 118,096 products make 59,048 pair classes, beside the sink
     assert (len(census.atoms), len(census.products), len(census.counts)) == (242, 118_097, 59_049)
     assert sum(map(len, census.settled(census.atoms))) == 59_048
-    # `fell` and `rose` would hold 3 + 485 * 486 / 2 entries each; only
-    # `move`, which the search never calls, builds them
+    # only `move`, which the search never calls, builds `fell` and `rose`
     assert "steps" not in vars(census)
 
 
@@ -1278,29 +1270,30 @@ class _RecordingRandom(random.Random):
         _RecordingRandom.last = self
 
 
-# (group, radius, size, seed, symmetric, clock jump) ->
+# (group, radius, size, seed, clock jump) ->
 # (restarts, best unique count, witness in census order, next draw);
 # a clock that jumps at reading k lets the anneal start k - 2 restarts
 _ANNEAL_PINS = [
-    (("klein", 1, 4, 3, True, None), (1, 0, ("uv", "v"), 0.25935401432800764)),
-    (("klein", 1, 2, 3, False, None), (1, 0, ("u", "1"), 0.6055995301393269)),
-    (("fours", 2, 6, 5, False, 4), (2, 4, None, 0.8700907187527503)),
-    (("fours", 3, 10, 7, True, 4), (2, 6, None, 0.6319379533039833)),
-    # one slot of perm(3)'s ball(1): S is the involution (1 2), whose square
-    # is the unique product 1, or the pair of 3-cycles
-    (("perm3", 1, 2, 5, True, 4), (2, 1, None, 0.40039396855256615)),
-    (("perm3", 2, 4, 3, True, 4), (2, 2, None, 0.5490263684586864)),
+    (("klein", 1, 3, 3, None), (1, 0, ("u", "1", "uv"), 0.625720304108054)),
+    (("klein", 1, 2, 3, None), (1, 0, ("u", "1"), 0.6055995301393269)),
+    (("fours", 2, 6, 5, 4), (2, 4, None, 0.8700907187527503)),
+    (("fours", 3, 10, 7, 4), (2, 4, None, 0.8511686127969907)),
+    # perm(3), where the identity and the involutions are elements like any
+    # other: the subgroup {1, (1 2)} at radius 1, and a set of four at
+    # radius 2 whose square is S3 with no product formed once
+    (("perm3", 1, 2, 5, 4), (1, 0, ("(1 2)", "()"), 0.3717933555623072)),
+    (("perm3", 2, 4, 3, 4), (1, 0, ("(1 3 2)", "(1 3)", "(1 2 3)", "(1 2)"), 0.7800764890835564)),
 ]
 
 
 @pytest.mark.parametrize("inputs,pinned", _ANNEAL_PINS)
 def test_anneal_trajectory_is_pinned(monkeypatch, inputs, pinned):
-    name, radius, size, seed, symmetric, jump = inputs
+    name, radius, size, seed, jump = inputs
     group = {"klein": klein_four_group, "perm3": lambda: PermutationGroup(3), "fours": FoursGroup}[name]()
     monkeypatch.setattr(up, "time", _StepClock(jump))
     monkeypatch.setattr(up, "random", types.SimpleNamespace(Random=_RecordingRandom))
     caps = DEFAULT_CAPS.with_overrides(radius=2 * radius)
-    res = anneal_nonup_witness(group, radius, size, seed, symmetric=symmetric, caps=caps)
+    res = anneal_nonup_witness(group, radius, size, seed, caps=caps)
     witness = None if res.witness is None else tuple(str(x) for x in res.witness)
     assert (res.restarts, res.best_unique_count, witness, _RecordingRandom.last.random()) == pinned
     assert res.verified == (witness is not None)
