@@ -201,11 +201,9 @@ class Group(ABC):
     # -- cosets of a cyclic subgroup (variable-group support)
 
     def coset_decompose(self, s: GroupElement, t: GroupElement) -> tuple[GroupElement, int]:
-        """Canonical (c, k) with s = c * t**k; the identity coset gets c = 1."""
-        raise UnsupportedBackendError(f"{self.kind} backend has no <t>-coset support")
-
-    def power_solve(self, s: GroupElement, t: GroupElement) -> Optional[int]:
-        """Integer k with s = t**k, or None."""
+        """Canonical (c, k) with s = c * t**k; the identity coset gets c = 1.
+        So for t != 1, s is a power of t exactly when c is the identity, and
+        then s = t**k."""
         raise UnsupportedBackendError(f"{self.kind} backend has no <t>-coset support")
 
     # -- balls
@@ -412,8 +410,9 @@ class PermutationGroup(Group):
 
     Given generators must generate all of S_degree, or the ball, the
     elements and the presentation would describe different groups: their
-    closure under products is checked, and held to `perms_per_degree` as
-    `elements()` is, so a degree past the cap takes no generators."""
+    ball is walked until it stops growing and must hold all of S_degree,
+    which is held to `perms_per_degree` as `elements()` is, so a degree past
+    the cap takes no generators."""
 
     kind = "permutation"
 
@@ -429,16 +428,10 @@ class PermutationGroup(Group):
             order = factorial(degree)
             if order > DEFAULT_CAPS.perms_per_degree:
                 raise CapExceededError(f"S_{degree} enumeration exceeds cap")
-            reached = {self._one}
-            todo = [self._one]
-            for x in todo:  # grows as it is read; positive words suffice in a finite group
-                for g in self._gens:
-                    y = self._mul(x, g)
-                    if y not in reached:
-                        reached.add(y)
-                        todo.append(y)
-            if len(reached) < order:
-                raise ValueError(f"the generators reach {len(reached)} of the {order} elements of S_{degree}")
+            # no element needs a word of more than `order` factors
+            reached = len(self.ball(order, caps=DEFAULT_CAPS.with_overrides(radius=order)))
+            if reached < order:
+                raise ValueError(f"the generators reach {reached} of the {order} elements of S_{degree}")
 
     def _check(self, p: tuple[int, ...]) -> None:
         if sorted(p) != list(range(self.degree)):
@@ -741,33 +734,22 @@ class FreeGroup(SyllableGroup):
         if t.is_identity:
             raise ValueError("coset decomposition needs t != 1")
         best = (self.sort_key(s), s, 0)
-        for sign in (1, -1):
-            k = sign
+        inv = ~t
+        for sign, step, back in ((1, t, inv), (-1, inv, t)):
+            # cand = s * t^-k and power = t^k, advanced one factor per k
+            k, cand, power = 0, s, self.identity()
             while True:
-                cand = s * t ** (-k)
+                k += sign
+                cand, power = cand * back, power * step
+                if cand.is_identity:  # nothing sorts before 1, and s = t^k
+                    return cand, k
                 key = self.sort_key(cand)
                 if key < best[0]:
                     best = (key, cand, k)
                 # once t^k alone is longer than |s| + |best|, no improvement can come
-                if FreeGroup.length(t ** k) > FreeGroup.length(s) + best[0][0]:
+                if FreeGroup.length(power) > FreeGroup.length(s) + best[0][0]:
                     break
-                k += sign
         return best[1], best[2]
-
-    def power_solve(self, s: GroupElement, t: GroupElement) -> Optional[int]:
-        if t.is_identity:
-            return 0 if s.is_identity else None
-        if s.is_identity:
-            return 0
-        bound = FreeGroup.length(s) + FreeGroup.length(t) + 1
-        for sign in (1, -1):
-            p = t if sign == 1 else ~t
-            cur = self.identity()
-            for k in range(1, bound + 1):
-                cur = cur * p
-                if cur == s:
-                    return sign * k
-        return None
 
     def describe(self) -> str:
         return f"free({', '.join(self.names)})"
@@ -956,16 +938,6 @@ class FreeAbelianGroup(Group):
         k = s.payload[p] // v[p]
         rep = tuple(x - k * y for x, y in zip(s.payload, v))
         return GroupElement(self, rep), k
-
-    def power_solve(self, s: GroupElement, t: GroupElement) -> Optional[int]:
-        v, w = t.payload, s.payload
-        if all(c == 0 for c in v):
-            return 0 if s.is_identity else None
-        p = next(i for i, c in enumerate(v) if c != 0)
-        if w[p] % v[p] != 0:
-            return None
-        k = w[p] // v[p]
-        return k if all(x == k * y for x, y in zip(w, v)) else None
 
     def describe(self) -> str:
         return f"zn({self.rank})"

@@ -94,11 +94,6 @@ class Equation:
         w = self._refined
         return w.group.cyclically_reduce(w)[0]
 
-    @cached_property
-    def _accepted(self) -> set:
-        """The splits _prepare has accepted this equation under."""
-        return set()
-
     def exponent_sum(self) -> int:
         return sum(e for _, e in self.terms)
 
@@ -355,9 +350,7 @@ class NormalFormResult:
 
 def _prepare(e: Equation, split: Split) -> tuple[Equation, bool]:
     """(the equation with exponent sum +1 that e stands for, whether that is
-    e inverted).  The split checks run once per (equation, split): the
-    equation keeps the splits that pass, and a failing check raises again on
-    every call."""
+    e inverted), after checking the split against it."""
     sigma = e.exponent_sum()
     if sigma == -1:
         base, inverted = e.inverted(), True
@@ -365,9 +358,7 @@ def _prepare(e: Equation, split: Split) -> tuple[Equation, bool]:
         base, inverted = e, False
     else:
         raise SigmaError(f"normal form needs exponent sum +-1, got {sigma}")
-    if split not in base._accepted:
-        _check_split(base, split)
-        base._accepted.add(split)
+    _check_split(base, split)
     return base, inverted
 
 

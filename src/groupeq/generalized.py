@@ -112,11 +112,13 @@ def cyclic_subgroup_normal(T: Group, t: GroupElement) -> Condition:
         return Condition("yes", "abelian variable group")
     for s in T.generators():
         for z in (s, ~s):
-            if T.power_solve(t.conj(z), t) is None:
+            tz = t.conj(z)
+            # tz == t covers t = 1, where <t> is trivial and normal
+            if tz != t and not T.coset_decompose(tz, t)[0].is_identity:
                 return Condition(
                     "no",
                     "witness generator conjugates t outside <t>",
-                    witness=(z, t.conj(z)),
+                    witness=(z, tz),
                 )
     return Condition("yes", "all generator conjugates stay in <t>")
 
@@ -134,8 +136,8 @@ def quotient_strong_up_condition(T: Group, t: GroupElement) -> tuple[Condition, 
     if isinstance(T, FreeAbelianGroup):
         q = QuotientFreeAbelianGroup(T, t.payload)
     elif isinstance(T, FreeGroup) and T.rank == 1:
-        k = T.power_solve(t, T.gens()[0])
-        if k is None:
+        c, k = T.coset_decompose(t, T.gens()[0])
+        if not c.is_identity:
             raise InternalError("rank-1 free group element is always a power")
         q = QuotientFreeAbelianGroup(FreeAbelianGroup(1), (k,))
     else:
@@ -441,8 +443,8 @@ def induced_ordinary(ge: GeneralizedEquation) -> Equation:
         pairs[0] = (carry * pairs[0][0], pairs[0][1])
     terms: list[tuple[GroupElement, int]] = []
     for g, t in pairs:
-        k = T.power_solve(t, gen)
-        if k is None:
+        c, k = T.coset_decompose(t, gen)
+        if not c.is_identity:
             raise InternalError("rank-1 element is always a power of the generator")
         terms.append((g, k))
     return Equation(ge.group, tuple(terms))

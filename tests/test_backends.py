@@ -24,7 +24,7 @@ from groupeq.backends import (
 from groupeq.config import DEFAULT_CAPS
 from groupeq.errors import CapExceededError, GroupMismatchError, UnsupportedBackendError
 
-from conftest import assert_round_trips, fours_translation, random_element
+from conftest import assert_round_trips, fours_translation, random_element, random_free_word
 
 
 ALL_BACKENDS = [
@@ -461,15 +461,55 @@ def test_free_coset_decompose(free2):
         for j in (-2, 1, 3):
             c2, k2 = free2.coset_decompose(s * t ** j, t)
             assert c2 == c and k2 == k + j
-    assert free2.coset_decompose(t ** 5, t)[0] == free2.identity()
+    # s is a power of t exactly when its representative is 1, and then s = t^k
+    u = a * ~b
+    for s, t, k in [(t ** 5, t, 5), (u ** 4, u, 4), (u ** -3, u, -3)]:
+        assert free2.coset_decompose(s, t) == (free2.identity(), k)
+    assert not free2.coset_decompose(a, u)[0].is_identity
 
 
-def test_free_power_solve(free2):
-    a, b = free2.gens()
-    t = a * ~b
-    assert free2.power_solve(t ** 4, t) == 4
-    assert free2.power_solve(t ** -3, t) == -3
-    assert free2.power_solve(a, t) is None
+def _reference_free_coset_decompose(group, s, t):
+    """The free-group coset walk as first written: s * t^-k for k = 1, 2, ...
+    then -1, -2, ..., each power built from scratch, a direction ending once
+    t^k is longer than |s| + |best|."""
+    best = (group.sort_key(s), s, 0)
+    for sign in (1, -1):
+        k = sign
+        while True:
+            cand = s * t ** (-k)
+            key = group.sort_key(cand)
+            if key < best[0]:
+                best = (key, cand, k)
+            if FreeGroup.length(t ** k) > FreeGroup.length(s) + best[0][0]:
+                break
+            k += sign
+    return best[1], best[2]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_free_coset_decompose_matches_the_reference_walk(rank):
+    group = FreeGroup(("a", "b", "c")[:rank])
+    rng = random.Random(34 + rank)
+    proper_powers = unreduced = 0
+    for _ in range(300):
+        root = random_free_word(rng, group, 4)
+        if root.is_identity:
+            continue
+        # t a proper power of root, or a conjugate of it by a word z that the
+        # free reduction may leave in place, so t need not be cyclically reduced
+        n = rng.choice([1, 2, 3])
+        t = root ** n
+        if rng.random() < 0.5:
+            z = random_free_word(rng, group, 3)
+            t = ~z * t * z
+        proper_powers += n > 1
+        unreduced += group.cyclically_reduce(t)[0] != t
+        s = random_free_word(rng, group, 6)
+        if rng.random() < 0.3:
+            s = s * t ** rng.randrange(-3, 4)
+        assert group.coset_decompose(s, t) == _reference_free_coset_decompose(group, s, t)
+    # every element of rank 1 is cyclically reduced
+    assert proper_powers > 50 and (unreduced > 30 or rank == 1)
 
 
 def test_abelian_coset_decompose(z2):
