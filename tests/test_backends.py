@@ -461,11 +461,16 @@ def test_free_coset_decompose(free2):
         for j in (-2, 1, 3):
             c2, k2 = free2.coset_decompose(s * t ** j, t)
             assert c2 == c and k2 == k + j
-    # s is a power of t exactly when its representative is 1, and then s = t^k
-    u = a * ~b
-    for s, t, k in [(t ** 5, t, 5), (u ** 4, u, 4), (u ** -3, u, -3)]:
-        assert free2.coset_decompose(s, t) == (free2.identity(), k)
-    assert not free2.coset_decompose(a, u)[0].is_identity
+    assert free2.coset_decompose(t ** 5, t) == (free2.identity(), 5)
+
+
+def test_free_power_solve(free2):
+    # s is a power of t exactly when its coset representative is 1, and then s = t^k
+    a, b = free2.gens()
+    t = a * ~b
+    assert free2.coset_decompose(t ** 4, t) == (free2.identity(), 4)
+    assert free2.coset_decompose(t ** -3, t) == (free2.identity(), -3)
+    assert not free2.coset_decompose(a, t)[0].is_identity
 
 
 def _reference_free_coset_decompose(group, s, t):
