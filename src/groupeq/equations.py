@@ -51,9 +51,10 @@ class Equation:
     word lives in the refined group.
 
     The refined word, its cyclic core and the inverted equation are built on
-    first use and kept, as are the splits the normal form has accepted; none
-    of them refers back to the equation, so dropping it frees them at once.
-    Copies and pickles carry the two fields only.
+    first use and kept; none of them refers back to the equation, so dropping
+    it frees them at once.  Splits are not kept: the normal form and its
+    oracle check the split each time they prepare the equation.  Copies and
+    pickles carry the two fields only.
     """
 
     group: Group

@@ -97,8 +97,9 @@ def solve_over_finite(
     candidates = 0
     for degree in range(n, max_degree + 1):
         if factorial(degree) > caps.perms_per_degree:
-            capped.append(degree)
-            continue
+            # d! only grows, so every degree from here on is capped too
+            capped.extend(range(degree, max_degree + 1))
+            break
         elems, emb = regular_embedding(group, degree)
         steps = [(emb[g], exp) for g, exp in e.terms]
         for cand in itertools.permutations(range(degree)):

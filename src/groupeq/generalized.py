@@ -34,6 +34,7 @@ from .errors import (
     WindowError,
 )
 from .equations import Equation
+from .freegroup import exponent_sums
 from .up import strong_up_check
 from .words import copy_name
 
@@ -107,19 +108,18 @@ def _require_coset_backend(T: Group) -> None:
 
 
 def cyclic_subgroup_normal(T: Group, t: GroupElement) -> Condition:
-    """Is <t> normal in T?  Checked on generators and their inverses."""
+    """Is <t> normal in T?  In a free group t^z lies in <t> only as t: it
+    keeps t's cyclic length, so t^z = t^k forces |k| = 1, and no nontrivial
+    element is conjugate to its inverse.  So <t> is normal exactly when every
+    generator commutes with t (and t^s = t exactly when t^(s^-1) = t)."""
+    _require_coset_backend(T)
     if isinstance(T, FreeAbelianGroup):
         return Condition("yes", "abelian variable group")
     for s in T.generators():
-        for z in (s, ~s):
-            tz = t.conj(z)
-            # tz == t covers t = 1, where <t> is trivial and normal
-            if tz != t and not T.coset_decompose(tz, t)[0].is_identity:
-                return Condition(
-                    "no",
-                    "witness generator conjugates t outside <t>",
-                    witness=(z, tz),
-                )
+        ts = t.conj(s)
+        # ts == t covers t = 1, where <t> is trivial and normal
+        if ts != t:
+            return Condition("no", "witness generator conjugates t outside <t>", witness=(s, ts))
     return Condition("yes", "all generator conjugates stay in <t>")
 
 
@@ -128,18 +128,16 @@ def quotient_strong_up_condition(T: Group, t: GroupElement) -> tuple[Condition, 
     <t> normal: T is free abelian or free of rank 1, since a nontrivial t
     never generates a normal subgroup of a free group of rank 2 or more.
 
-    The quotient is Z^r/<v>.  Certification is structural: with content 1 it
-    is free abelian (or trivial), hence right orderable, hence strong UP.
+    The quotient is Z^r/<v>, v the exponent vector of t.  Certification is
+    structural: with content 1 it is free abelian (or trivial), hence right
+    orderable, hence strong UP.
     Falsification exhibits the finite cyclic torsion subgroup as X = Y and
     verifies by census that strong UP fails on it.
     """
     if isinstance(T, FreeAbelianGroup):
         q = QuotientFreeAbelianGroup(T, t.payload)
     elif isinstance(T, FreeGroup) and T.rank == 1:
-        c, k = T.coset_decompose(t, T.gens()[0])
-        if not c.is_identity:
-            raise InternalError("rank-1 free group element is always a power")
-        q = QuotientFreeAbelianGroup(FreeAbelianGroup(1), (k,))
+        q = QuotientFreeAbelianGroup(FreeAbelianGroup(1), exponent_sums(t))
     else:
         raise UnsupportedBackendError(f"no quotient construction for {T.kind}")
     if q.content == 1:
@@ -317,18 +315,30 @@ def _label(T: Group, c: GroupElement) -> str:
     return T.format_element(c).replace(" ", "")
 
 
-def _ky_copies(re: RewrittenEquation, Y: Sequence[GroupElement]) -> list[GroupElement]:
-    """The coset representatives of X_1 Y, sorted: one copy of G in K_Y each."""
-    T, x1 = re.vargroup, re.coset_reps()
-    copies: list[GroupElement] = []
+def _ky(
+    re: RewrittenEquation,
+    Y: Sequence[GroupElement],
+    witness_var: str,
+) -> tuple[Presentation, list[GroupElement]]:
+    """K_Y and its copies, the coset representatives of X_1 Y, sorted."""
+    T, G = re.vargroup, re.group
+    firsts: dict[GroupElement, GroupElement] = {}
     for y in Y:
-        c_y, _ = T.coset_decompose(y, re.t)
-        for c in x1:
-            cf, _ = T.coset_decompose(c * c_y, re.t)
-            if cf not in copies:
-                copies.append(cf)
-    copies.sort(key=T.sort_key)
-    return copies
+        firsts.setdefault(T.coset_decompose(y, re.t)[0], y)
+    family = conjugate_family(re, list(firsts.values()))
+    # <t> is normal, so t commutes with T: the family's labels rep(c t^k c_y)
+    # are the rep(c c_y), the cosets of X_1 Y
+    copies = sorted({c for w_y in family for _, c, _ in w_y.terms}, key=T.sort_key)
+    gpres = G.presentation
+    parts = [(gpres, {nm: copy_name(nm, _label(T, c)) for nm in gpres.generators}) for c in copies]
+    rels = []
+    for w_y in family:
+        word = [(witness_var, 1)]
+        for g, c, k in w_y.terms:
+            lbl = _label(T, c)
+            word += [(witness_var, -k), *((copy_name(nm, lbl), e) for nm, e in G.express(g)), (witness_var, k)]
+        rels.append(word)
+    return Presentation.join(parts + [Presentation((witness_var,), ())], rels), copies
 
 
 def emit_ky(
@@ -344,21 +354,7 @@ def emit_ky(
     generators and relators together: G's presentation renamed name@label.
     The copies' relators come before the family relators.
     """
-    T, G = re.vargroup, re.group
-    firsts: dict[GroupElement, GroupElement] = {}
-    for y in Y:
-        firsts.setdefault(T.coset_decompose(y, re.t)[0], y)
-    family = conjugate_family(re, list(firsts.values()))
-    gpres = G.presentation
-    copies = [(gpres, {nm: copy_name(nm, _label(T, c)) for nm in gpres.generators}) for c in _ky_copies(re, Y)]
-    rels = []
-    for w_y in family:
-        word = [(witness_var, 1)]
-        for g, c, k in w_y.terms:
-            lbl = _label(T, c)
-            word += [(witness_var, -k), *((copy_name(nm, lbl), e) for nm, e in G.express(g)), (witness_var, k)]
-        rels.append(word)
-    return Presentation.join(copies + [Presentation((witness_var,), ())], rels)
+    return _ky(re, Y, witness_var)[0]
 
 
 def emit_solution_group(
@@ -380,10 +376,11 @@ def emit_solution_group(
     leaves the emitted copies.
     """
     T, G = re.vargroup, re.group
-    ky = emit_ky(re, Y, witness_var)
+    ky, copies = _ky(re, Y, witness_var)
     gnames = G.presentation.generators
-    # a G without generators emits no copies, so the action has none to move
-    copies = _ky_copies(re, Y) if gnames else []
+    # copies of a G without generators have no generators for the action to move
+    if not gnames:
+        copies = []
     rels = []
     for y in T.generators() if window >= 1 else ():
         y_word = T.express(y)
@@ -435,7 +432,6 @@ def induced_ordinary(ge: GeneralizedEquation) -> Equation:
     T = ge.vargroup
     if not (isinstance(T, (FreeGroup, FreeAbelianGroup)) and T.rank == 1):
         raise UnsupportedBackendError("induced ordinary form needs T infinite cyclic")
-    gen = T.generators()[0]
     pairs = _merged_pairs(ge)
     if pairs[-1][1].is_identity:
         # a trailing coefficient folds cyclically into the first term
@@ -443,8 +439,7 @@ def induced_ordinary(ge: GeneralizedEquation) -> Equation:
         pairs[0] = (carry * pairs[0][0], pairs[0][1])
     terms: list[tuple[GroupElement, int]] = []
     for g, t in pairs:
-        c, k = T.coset_decompose(t, gen)
-        if not c.is_identity:
-            raise InternalError("rank-1 element is always a power of the generator")
+        # t = x^k: k is its coordinate in Z, or its exponent sum in free(x)
+        (k,) = t.payload if isinstance(T, FreeAbelianGroup) else exponent_sums(t)
         terms.append((g, k))
     return Equation(ge.group, tuple(terms))

@@ -101,6 +101,25 @@ def test_degree_cap_reported(c3):
     assert rep.degrees_capped == (3, 4)
 
 
+def test_degrees_past_the_cap_are_capped_without_their_factorials(c3, monkeypatch):
+    # d! only grows, so the first capped degree caps the rest of the range;
+    # computing d! for each of 5,000 degrees once took seconds
+    calls = []
+
+    def spy(d):
+        calls.append(d)
+        return factorial(d)
+
+    monkeypatch.setattr("groupeq.finite_solver.factorial", spy)
+    e = Equation(c3, ((c3.element(1), 1), (c3.identity(), -1)))
+    rep = solve_over_finite(e, max_degree=5000, caps=DEFAULT_CAPS.with_overrides(perms_per_degree=100))
+    assert not rep.found
+    # 4! = 24 fits the cap of 100 permutations; 5! = 120 does not
+    assert rep.degrees_tested == (3, 4)
+    assert rep.degrees_capped == tuple(range(5, 5001))
+    assert calls == [3, 4, 5]
+
+
 def test_unimodular_sweep_small_groups():
     s3 = table_from_group(PermutationGroup(3))
     groups = [cyclic_group(n) for n in (2, 3, 4, 5)] + [klein_four_group(), s3]

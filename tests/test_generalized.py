@@ -6,6 +6,7 @@ from groupeq.backends import FiniteTableGroup, FreeAbelianGroup, FreeGroup, cycl
 from groupeq.equations import classify
 from groupeq.errors import EquationError, NormalityError, UnsupportedBackendError, WindowError
 from groupeq.generalized import (
+    Condition,
     GeneralizedEquation,
     conjugate_family,
     coset_rewrite,
@@ -18,7 +19,7 @@ from groupeq.generalized import (
     total_product,
     unimodular_verdict,
 )
-from groupeq.words import in_subfreeproduct
+from groupeq.words import copy_name, in_subfreeproduct
 
 from conftest import assert_round_trips, random_element, random_free_word, random_vector
 
@@ -81,6 +82,44 @@ def test_cyclic_subgroup_normal_trivial_t_over_free():
     Tf = FreeGroup(("x", "y"))
     c = cyclic_subgroup_normal(Tf, Tf.identity())
     assert (c.status, c.detail, c.witness) == ("yes", "all generator conjugates stay in <t>", None)
+
+
+def walk_cyclic_subgroup_normal(T, t):
+    """The reference normality check over a free T: each generator and its
+    inverse, with t^z in <t> read off the coset walk of t^z (c = 1)."""
+    for s in T.generators():
+        for z in (s, ~s):
+            tz = t.conj(z)
+            if tz != t and not T.coset_decompose(tz, t)[0].is_identity:
+                return Condition("no", "witness generator conjugates t outside <t>", witness=(z, tz))
+    return Condition("yes", "all generator conjugates stay in <t>")
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_cyclic_subgroup_normal_matches_the_coset_walk(rank):
+    # t = 1, proper powers and conjugated t, against the walk kept above
+    T = FreeGroup(("x", "y", "z")[:rank])
+    rng = random.Random(3500 + rank)
+    ts = [T.identity()]
+    for _ in range(399):
+        t = random_free_word(rng, T, 4)
+        shape = rng.randrange(3)
+        if shape == 1:
+            t = t ** rng.choice((2, 3, -2))
+        elif shape == 2:
+            t = t.conj(random_free_word(rng, T, 3))
+        ts.append(t)
+    for t in ts:
+        assert cyclic_subgroup_normal(T, t) == walk_cyclic_subgroup_normal(T, t)
+
+
+def test_cyclic_subgroup_normal_needs_a_coset_backend(fours):
+    # (a^2)^b = a^-2 lies in <a^2>, so the free-group commutation rule
+    # would answer wrongly here
+    a, b = fours.generators()
+    assert (a * a).conj(b) == ~(a * a)
+    with pytest.raises(UnsupportedBackendError):
+        cyclic_subgroup_normal(fours, a * a)
 
 
 def test_verdict_torsion_quotient(gz2):
@@ -316,6 +355,46 @@ def test_emit_ky_counts(gz2):
     assert len(pres.generators) == 2 * len(labels) + 1
     assert len(pres.relators) == 2
     assert_round_trips(pres)
+
+
+def walk_ky_copies(re, Y):
+    """The reference copies of K_Y: the coset representatives of c c_y over
+    every X_1 label c and every y in Y, sorted."""
+    T = re.vargroup
+    copies = []
+    for y in Y:
+        c_y, _ = T.coset_decompose(y, re.t)
+        for c in re.coset_reps():
+            cf, _ = T.coset_decompose(c * c_y, re.t)
+            if cf not in copies:
+                copies.append(cf)
+    return sorted(copies, key=T.sort_key)
+
+
+@pytest.mark.parametrize(
+    "T", [FreeGroup(("x",)), FreeAbelianGroup(1), FreeAbelianGroup(2), FreeAbelianGroup(3)],
+    ids=["free(x)", "zn(1)", "zn(2)", "zn(3)"],
+)
+def test_emit_ky_copies_match_the_coset_walk(gz2, T):
+    G, _ = gz2
+    rand_t = random_free_word if isinstance(T, FreeGroup) else random_vector
+    rng = random.Random(3600 + T.rank)
+    checked = 0
+    for _ in range(40):
+        pairs = [(random_free_word(rng, G, 2), rand_t(rng, T, 2)) for _ in range(rng.randrange(1, 5))]
+        ge = make_geq(G, T, pairs)
+        if total_product(ge).is_identity:
+            continue
+        re = coset_rewrite(ge)
+        for _ in range(4):
+            Y = [rand_t(rng, T, 3) for _ in range(rng.randrange(1, 4))]
+            # two elements of one coset of <t>
+            Y.append(rng.choice(Y) * re.t ** rng.choice((-2, -1, 1, 2)))
+            rng.shuffle(Y)
+            names = tuple(copy_name(nm, _label(T, c)) for c in walk_ky_copies(re, Y) for nm in ("g", "h"))
+            assert emit_ky(re, Y).generators == names + ("t~",)
+            checked += 1
+    assert checked >= 100
 
 
 def test_emit_solution_group(gz2):

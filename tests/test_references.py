@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the round-trip oracles of the presentation text and struct formats
 TEST_ONLY = {"Presentation.from_text", "Presentation.from_struct"}
 # constructions of the paper kept as library API, which no command or script reaches
-LIBRARY_ONLY = {"universal_solution_group", "induced_ordinary", "verify_up4_implies_strong", "exponent_sums"}
+LIBRARY_ONLY = {"universal_solution_group", "induced_ordinary", "verify_up4_implies_strong"}
 
 
 def _class_body_names(cls):
