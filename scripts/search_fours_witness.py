@@ -65,13 +65,12 @@ def main() -> int:
         gens = [a, b, a * b]
     start = time.monotonic()
     try:
+        caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=args.radius)
         if args.strategy == "exhaustive":
-            caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=args.radius)
             res = search_nonup_witness(group, args.radius, args.max_size, gens=gens, caps=caps)
             print(f"tested {res.subsets_tested} symmetric subsets in {time.monotonic()-start:.3f}s")
             print(f"sizes exhausted: {list(res.sizes_exhausted)}  truncated: {list(res.sizes_truncated)}")
         else:
-            caps = DEFAULT_CAPS.with_overrides(budget_ms=args.budget_ms, radius=args.radius)
             res = anneal_nonup_witness(group, args.radius, args.max_size, args.seed, gens=gens, caps=caps)
             print(f"ball({args.radius}): {res.ball_size} elements, {res.ball_size} atoms, asymmetric mode")
             print(f"{res.restarts} restarts in {time.monotonic()-start:.1f}s; "

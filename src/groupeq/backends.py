@@ -410,9 +410,9 @@ class PermutationGroup(Group):
 
     Given generators must generate all of S_degree, or the ball, the
     elements and the presentation would describe different groups: their
-    ball is walked until it stops growing and must hold all of S_degree,
-    which is held to `perms_per_degree` as `elements()` is, so a degree past
-    the cap takes no generators."""
+    products are closed until no new one turns up and must reach all of
+    S_degree, which is held to `perms_per_degree` as `elements()` is, so a
+    degree past the cap takes no generators."""
 
     kind = "permutation"
 
@@ -428,10 +428,14 @@ class PermutationGroup(Group):
             order = factorial(degree)
             if order > DEFAULT_CAPS.perms_per_degree:
                 raise CapExceededError(f"S_{degree} enumeration exceeds cap")
-            # no element needs a word of more than `order` factors
-            reached = len(self.ball(order, caps=DEFAULT_CAPS.with_overrides(radius=order)))
-            if reached < order:
-                raise ValueError(f"the generators reach {reached} of the {order} elements of S_{degree}")
+            # the closure of the generators' payloads: in a finite group the
+            # generators' products reach their inverses too
+            reached, layer = {self._one}, {self._one}
+            while layer:
+                layer = {self._mul(x, g) for x in layer for g in self._gens} - reached
+                reached |= layer
+            if len(reached) < order:
+                raise ValueError(f"the generators reach {len(reached)} of the {order} elements of S_{degree}")
 
     def _check(self, p: tuple[int, ...]) -> None:
         if sorted(p) != list(range(self.degree)):

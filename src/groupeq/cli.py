@@ -137,7 +137,7 @@ def _run_emit_solution_group(sess: Session, args: dict, caps: Caps):
     ge = sess.get("geq", args.get("name"))
     re = gen.coset_rewrite(ge)
     ys = _cosets(ge, args.get("cosets")) or [ge.vargroup.identity()]
-    pres = gen.emit_solution_group(re, ys, caps.window, args.get("witness_var", "t~"))
+    pres = gen.emit_solution_group(re, ys, args.get("window", 8), args.get("witness_var", "t~"))
     return {"presentation": pres.to_struct(), "text": pres.to_text()}, False
 
 
@@ -206,6 +206,9 @@ def _run_normal_form_6(sess: Session, args: dict, caps: Caps):
 
 
 def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
+    window = args.get("window", 8)
+    if window < 0:  # a length-one form never reaches emit_system_7's check
+        raise ValueError("window must be nonnegative")
     e = sess.get("equation", args.get("name"))
     res = eqmod.normal_form_6(e, _split_of(e, args.get("split")))
     if res.kind == "length-one":
@@ -214,7 +217,7 @@ def _run_emit_system_7(sess: Session, args: dict, caps: Caps):
             "note": "system degenerates to the shift relations with u substituted",
             "u": str(res.length_one.u),
         }, False
-    pres = eqmod.emit_system_7(res.form6, caps.window)
+    pres = eqmod.emit_system_7(res.form6, window)
     return {"kind": "form6", "presentation": pres.to_struct(), "text": pres.to_text()}, False
 
 
@@ -272,10 +275,10 @@ def _run_strojnowski(sess: Session, args: dict, caps: Caps):
 
 
 def _run_search_nonup(sess: Session, args: dict, caps: Caps):
+    # the only command whose flags set caps: --radius lifts the radius cap
+    caps = caps.with_overrides(radius=args.get("radius"), budget_ms=args.get("budget_ms"))
     group = sess.get("group", args.get("group"))
-    radius = 3 if args.get("radius") is None else args["radius"]
-    maxsize = 14 if args.get("max_size") is None else args["max_size"]
-    res = upmod.search_nonup_witness(group, radius, maxsize, caps=caps)
+    res = upmod.search_nonup_witness(group, args.get("radius", 3), args.get("max_size", 14), caps=caps)
     return {
         "found": res.found,
         "witness": list(map(str, res.witness)) if res.witness else None,
@@ -310,7 +313,7 @@ def _run_corollary_precheck(sess: Session, args: dict, caps: Caps):
 
 def _run_solve_finite(sess: Session, args: dict, caps: Caps):
     e = sess.get("equation", args.get("name"))
-    rep = solver.solve_over_finite(e, caps=caps)
+    rep = solver.solve_over_finite(e, args.get("max_degree", 12), caps)
     if rep.found:
         cert = rep.certificate
         ok = solver.verify_certificate(cert, e)
@@ -373,17 +376,13 @@ COMMANDS = {
 def run_command(command: str, args: dict, script: str, config: Optional[dict] = None) -> tuple[dict, int]:
     """Parse the script, dispatch under the default caps with `config`'s
     overrides (a config file's when running, the report's own when
-    verifying) and the command's cap flags on top, and build the structured
-    report; it embeds the config values that differ from the defaults, under
-    `caps`.  A negative cap flag is a ValueError, and so an error report."""
+    verifying), and build the structured report; it embeds the config values
+    that differ from the defaults, under `caps`.  Each runner reads its own
+    flags and holds their defaults; a library ValueError, a negative flag's
+    among them, is an error report."""
     config = config or {}
     try:
-        caps = DEFAULT_CAPS.with_overrides(**config).with_overrides(
-            radius=args.get("radius"),
-            window=args.get("window"),
-            max_degree=args.get("max_degree"),
-            budget_ms=args.get("budget_ms"),
-        )
+        caps = DEFAULT_CAPS.with_overrides(**config)
         result, falsified = COMMANDS[command][0](parse_script(script, caps), args, caps)
         status, code = ("falsified", 1) if falsified else ("ok", 0)
         report = make_report(command, args, script, status, result)

@@ -13,14 +13,13 @@ class Caps:
     """Hard limits that guard the exhaustive searches.
 
     Every bound below is an honest cap: operations that hit one report it
-    rather than silently truncating results.
+    rather than silently truncating results.  A command's own values, such
+    as a window or the solver's largest degree, are its arguments, not caps.
     """
 
     radius: int = 8               # largest ball radius
     ball_size: int = 200_000      # largest ball cardinality
     table_size: int = 64          # largest finite multiplication table
-    window: int = 8               # default index window for presentations
-    max_degree: int = 12          # symmetric-group degree for the finite solver
     perms_per_degree: int = 250_000
     budget_ms: int = 600_000      # wall-clock budget for witness search
 

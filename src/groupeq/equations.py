@@ -496,13 +496,15 @@ def _min_blocks(string: list, split: Split, delta: int, m: int) -> Optional[int]
     return best if best < INF else None
 
 
-ORACLE_MAX_M = 4
-ORACLE_MAX_N = 8
+ORACLE_MAX_M = 16
+ORACLE_MAX_N = 32
 
 
 def bruteforce_min_form6(e: Equation, split: Split) -> Optional[tuple[int, int]]:
     """Exhaustive lexicographic minimum of (m, n) over all expressions with
     m <= ORACLE_MAX_M and n <= ORACLE_MAX_N, or None when there is none.
+    The reach, 16 and 32, judges every seeded word of 9-60 letters the tests
+    draw (they reach m = 12); a word with n > 32 has more than 65 letters.
 
     Enumerates every rotation of the cyclic word, every window shift, and
     every block assignment of syllables to the c/a_i (window [0, m]) and
@@ -543,8 +545,11 @@ def emit_system_7(f: Form6, window: int = 8) -> Presentation:
     levels below m) and the main equation c x prod b_i x^-1 a_i x.  Every
     copy carries its factor's relators verbatim: over the S3 table (5
     generators, 25 relators) with the default window the system has 87
-    generators and 506 relators, 425 of them copied.
+    generators and 506 relators, 425 of them copied.  A negative window is
+    a ValueError.
     """
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     group: FreeProductGroup = f.equation.group  # type: ignore[assignment]
     var = "x"
     if f.n < 1:

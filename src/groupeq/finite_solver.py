@@ -79,17 +79,15 @@ def _closes(steps: list, t: tuple[int, ...]) -> bool:
     return True
 
 
-def solve_over_finite(
-    e: Equation,
-    max_degree: Optional[int] = None,
-    caps: Caps = DEFAULT_CAPS,
-) -> SolverReport:
+def solve_over_finite(e: Equation, max_degree: int, caps: Caps = DEFAULT_CAPS) -> SolverReport:
     """Search S_d for d = |G| .. max_degree for a permutation solving the
-    equation under the regular embedding of G; CapExceededError when
-    max_degree < |G| leaves no degree to search."""
+    equation under the regular embedding of G; ValueError for a negative
+    max_degree, and CapExceededError when max_degree < |G| leaves no degree
+    to search."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     group = e.group
     n = len(group.elements())
-    max_degree = caps.max_degree if max_degree is None else max_degree
     if max_degree < n:
         raise CapExceededError(f"|G| = {n} exceeds max_degree {max_degree}: no degree to search")
     tested: list[int] = []

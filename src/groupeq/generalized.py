@@ -373,8 +373,10 @@ def emit_solution_group(
     up gives the same presentation.  K_Y is built first, so a <t> that is
     not normal raises NormalityError before the action is read; a normal
     <t> is fixed by every generator.  Raises WindowError when the action
-    leaves the emitted copies.
+    leaves the emitted copies, and ValueError for a negative window.
     """
+    if window < 0:
+        raise ValueError("window must be nonnegative")
     T, G = re.vargroup, re.group
     ky, copies = _ky(re, Y, witness_var)
     gnames = G.presentation.generators

@@ -272,8 +272,10 @@ class ProductCensus:
     payload equality alone; `products[k]` is the payload of product k.  A
     computed cell (i, j) also fills the cell of its inverse,
     (flip[j], flip[i]), where flip[i] is the ball index of x_i^-1, so about
-    half the table is multiplied.  Each cell holds a label, `rows[i][j]`
-    that of ball[i]*ball[j], and `label[k]` is the label of product k:
+    half the table is multiplied, and a new product's inverse is numbered
+    off the mirror cell's product, so the fill inverts no product.  Each
+    cell holds a label, `rows[i][j]` that of ball[i]*ball[j], and
+    `label[k]` is the label of product k:
       - symmetric: the class of the product's inverse pair, numbered from 1
         as the pairs turn up, or 0, the sink, when the product is its own
         inverse;
@@ -351,15 +353,16 @@ class ProductCensus:
         classes = 0
         n = len(payloads)
         rows = [[0] * n for _ in range(n)]
-        tail = [(m, j, payloads[j]) for m, j in enumerate(flip)]
+        tail = [(m, j, payloads[m], payloads[j]) for m, j in enumerate(flip)]
         for i, x in enumerate(payloads):
             row, fi = rows[i], flip[i]
-            for m, j, y in tail[i:]:
+            xf = payloads[fi]
+            for m, j, xm, y in tail[i:]:
                 p = mul(x, y)
                 k = number.get(p)
-                if k is None:  # number p and its inverse, the same when p = p^-1
+                if k is None:  # number p and its inverse x_m x_i^-1, one number when p = p^-1
                     k = number[p] = len(opp)
-                    q = number.setdefault(inv(p), k + 1)
+                    q = number.setdefault(mul(xm, xf), k + 1)
                     if q > k:
                         classes += 1
                         opp += (q, k)
@@ -628,13 +631,13 @@ def search_nonup_witness(
     each walk and every 2048 nodes.  The first pass settles every size
     together, so a deadline that passes before the passes end leaves no
     witness and no exhausted size, lists every size as truncated and
-    reports `subsets_tested` 0.  A negative `maxsize` is a ValueError.
+    reports `subsets_tested` 0.  Sizes past the ball's, which no subset
+    has, are listed neither way.  A negative `maxsize` is a ValueError.
     """
     if maxsize < 0:
         raise ValueError("maxsize must be nonnegative")
     start = time.monotonic()
     budget = caps.budget_ms / 1000.0
-    sizes = tuple(range(2, maxsize + 1))
 
     def out_of_time() -> bool:
         return time.monotonic() - start > budget
@@ -646,10 +649,11 @@ def search_nonup_witness(
     census = ProductCensus(group, radius, gens, caps=caps)
     atoms = census.atoms
     order = _first_pass_order(census)
+    top = min(maxsize, len(census.ball))  # no subset holds more
+    sizes = tuple(range(2, top + 1))
     try:
         best = _last_witness(census, order, (0, 1), maxsize, 2, out_of_time)
         if best is None:
-            top = min(maxsize, len(census.ball))  # no subset holds more
             return WitnessSearchResult(None, False, sizes, (), below(census.ways(top), top + 1))
         path, with_ident = best
         size = with_ident + sum(len(order[j]) for j in path)

@@ -187,9 +187,16 @@ SINGLETON_Y_SCRIPT = "group Z = zn(1)\nset X in Z: 0, 1\nset Y in Z: 0\n"
         ("search-nonup", {"radius": -1}, "group C = cyclic(3)\n", "radius must be nonnegative"),
         ("search-nonup", {"radius": 2, "max_size": -3}, "group F = fours\n", "maxsize must be nonnegative"),
         ("conjugate-family", {"cosets": "zz"}, GEQ_SCRIPT, "bad vector literal 'zz'"),
+        ("emit-solution-group", {"window": -1}, GEQ_SCRIPT, "window must be nonnegative"),
+        ("emit-system-7", {"window": -1}, EQ_SCRIPT, "window must be nonnegative"),
+        ("emit-system-7", {"split": "0|1", "window": -1}, EQ_SCRIPT.replace("b t b t b t^-1", "b t"),
+         "window must be nonnegative"),
+        ("solve-finite", {"max_degree": -1}, FIN_SCRIPT, "max_degree must be nonnegative"),
     ],
     ids=["strong-up-singleton-y", "strojnowski-singleton", "search-nonup-negative-radius",
-         "search-nonup-negative-max-size", "conjugate-family-bad-cosets"],
+         "search-nonup-negative-max-size", "conjugate-family-bad-cosets", "emit-solution-group-negative-window",
+         "emit-system-7-negative-window", "emit-system-7-length-one-negative-window",
+         "solve-finite-negative-max-degree"],
 )
 def test_a_library_value_error_is_an_error_report(tmp_path, capsys, command, args, script, message):
     # the library rejects the input with ValueError; the CLI reports it with
@@ -325,7 +332,7 @@ def _up_check_with_config(tmp_path, extra):
 
 def test_config_valid_file_applies(tmp_path, capsys):
     cfg = tmp_path / "caps.json"
-    cfg.write_text('{"radius": 3, "window": 6}')
+    cfg.write_text('{"radius": 3, "table_size": 6}')
     assert _up_check_with_config(tmp_path, ["--config", str(cfg)]) == 0
     assert "unique_elements" in capsys.readouterr().out
 
@@ -350,9 +357,12 @@ def test_config_missing_file_exits_two(tmp_path, capsys):
         ('{"max_len": 6}', "max_len"),
         ('{"falsifier_nodes": 7}', "falsifier_nodes"),
         ('{"budget_ms": -1}', "cap 'budget_ms' in config file"),
+        ('{"window": 8}', "caps.json': window"),
+        ('{"max_degree": 12}', "caps.json': max_degree"),
     ],
     ids=["malformed-json", "non-object", "unknown-key", "string-value", "bool-value", "removed-cap",
-         "removed-cap-max-len", "removed-cap-falsifier-nodes", "negative-value"],
+         "removed-cap-max-len", "removed-cap-falsifier-nodes", "negative-value",
+         "removed-cap-window", "removed-cap-max-degree"],
 )
 def test_config_bad_file_exits_two(tmp_path, capsys, body, needle):
     cfg = tmp_path / "caps.json"
@@ -404,7 +414,7 @@ def _fours_search_with_config(tmp_path, capsys, config, flags=("--radius", "2", 
 
 @pytest.mark.parametrize(
     "set_env, env_config",
-    [(False, None), (True, '{"window": 2}'), (True, '{"ball_size": 300000}'),
+    [(False, None), (True, '{"table_size": 2}'), (True, '{"ball_size": 300000}'),
      (True, '{"radius": 3, "bogus": 1}'), (True, "{oops"), (True, None)],
     ids=["no-env", "other-valid", "same-key", "unknown-key", "malformed-json", "missing-file"],
 )
@@ -430,9 +440,9 @@ def test_verify_uses_the_reports_config_caps_not_the_env(tmp_path, capsys, monke
 def test_report_caps_hold_only_non_default_config_values(tmp_path, capsys):
     # a config value equal to its default and a cap set by a flag stay out of caps
     code, report, path = _fours_search_with_config(
-        tmp_path, capsys, '{"radius": 3, "max_degree": 12, "window": 5}', ("--radius", "1", "--max-size", "2"))
+        tmp_path, capsys, '{"radius": 3, "perms_per_degree": 250000, "table_size": 5}', ("--radius", "1", "--max-size", "2"))
     assert code == 0 and report["status"] == "ok"
-    assert report["caps"] == {"radius": 3, "window": 5}
+    assert report["caps"] == {"radius": 3, "table_size": 5}
     assert report["args"] == {"max_size": 2, "radius": 1}
     assert main(["verify", path]) == 0
     assert capsys.readouterr().out == "verified: reports match\n"
@@ -465,8 +475,8 @@ def _report(command, args):
         (dict(_report("classify", {}), caps=[1]), "the report's caps must hold a JSON object"),
         (dict(_report("classify", {}), caps={"oracle_n": 8}), "unknown cap(s) in the report's caps: oracle_n"),
         (dict(_report("classify", {}), caps={"radius": "3"}), "needs an integer"),
-        (dict(_report("classify", {}), caps={"window": -2}),
-         "malformed report: cap 'window' in the report's caps must be nonnegative, got -2"),
+        (dict(_report("classify", {}), caps={"table_size": -2}),
+         "malformed report: cap 'table_size' in the report's caps must be nonnegative, got -2"),
     ],
     ids=[
         "no-args", "unknown-command", "list-args", "no-script", "not-an-object",
@@ -504,7 +514,7 @@ def test_verify_applies_the_reports_cap_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags, exhausted",
-    [(["--radius", "0"], list(range(2, 15))), (["--max-size", "0"], [])],
+    [(["--radius", "0"], []), (["--max-size", "0"], [])],
     ids=["radius-0", "max-size-0"],
 )
 def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
@@ -517,17 +527,15 @@ def test_search_nonup_honours_zero_flags(tmp_path, capsys, flags, exhausted):
     assert capsys.readouterr().out == "verified: reports match\n"
 
 
-def test_emit_solution_group_reads_the_config_window(tmp_path, capsys):
-    # window 0 drops the action relators; the report carries the cap and verifies
+def test_emit_solution_group_window_0_drops_the_action_relators(tmp_path, capsys):
+    # the report carries the window among its args and verifies
     script = tmp_path / "in.ge"
     script.write_text("group G = free(g, h)\ngroup T = zn(1)\nlet u = T: (1)\nlet z = T: (0)\ngeq W over G with T: g u h z = 1\n")
-    cfg = tmp_path / "caps.json"
-    cfg.write_text('{"window": 0}')
-    assert main(["emit-solution-group", str(script), "--config", str(cfg), "--format", "structured"]) == 0
+    assert main(["emit-solution-group", str(script), "--window", "0", "--format", "structured"]) == 0
     path = tmp_path / "report.json"
     path.write_text(capsys.readouterr().out)
     report = json.loads(path.read_text())
-    assert report["caps"] == {"window": 0}
+    assert report["args"] == {"window": 0} and "caps" not in report
     assert report["result"]["text"].splitlines()[1:] == ["rel: g@0 t~ h@0", "rel: t~ e1^-1"]
     assert main(["verify", str(path)]) == 0
     assert capsys.readouterr().out == "verified: reports match\n"

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 import weakref
+from collections import Counter
 from functools import cached_property
 
 import pytest
@@ -444,6 +445,78 @@ def test_normal_form_matches_oracle_on_small_words(setup):
             assert oracle == got, f"{e.terms}: {got} vs {oracle}"
             checked += 1
     assert checked > 30
+
+
+_T_STEP = {"t": 1, "T": -1}
+
+
+def _random_unimodular_word(rng, length):
+    """A seeded word over a, A, b, B, t, T (A = a^-1, T = t^-1) of `length`
+    letters, freely and cyclically reduced, with t-exponent sum +-1."""
+    while True:
+        word, sigma = "", 0
+        for left in range(length, 0, -1):
+            # a letter must not cancel the last one or leave a t-exponent
+            # sum the letters still to place cannot bring back to +-1
+            choices = [
+                c for c in "aAbBtT"
+                if not (word and c == word[-1].swapcase()) and abs(sigma + _T_STEP.get(c, 0)) <= left
+            ]
+            if not choices:
+                break
+            c = rng.choice(choices)
+            word, sigma = word + c, sigma + _T_STEP.get(c, 0)
+        if len(word) == length and abs(sigma) == 1 and word[-1] != word[0].swapcase():
+            return word
+
+
+def _word_equation(G, a, b, word):
+    """The equation of a cyclic word: each t letter takes the run of a, b
+    letters before it, and the run after the last t wraps onto the first."""
+    letters = {"a": a, "A": ~a, "b": b, "B": ~b}
+    terms, coef = [], G.identity()
+    for c in word:
+        if c in _T_STEP:
+            terms.append((coef, _T_STEP[c]))
+            coef = G.identity()
+        else:
+            coef = coef * letters[c]
+    terms[0] = (coef * terms[0][0], terms[0][1])
+    return Equation(G, tuple(terms))
+
+
+def test_normal_form_matches_oracle_on_long_words(setup):
+    # 1,500 seeded words of lengths 9-60 reach classes (m, n) with m >= 2
+    # or n >= 2, which the length <= 8 sweep never meets; the oracle judges
+    # every one (it never runs out of reach), and since it shares `_prepare`
+    # with the reduction, each form is also expanded and checked conjugate
+    # to the word
+    G, a, b, split = setup
+    rng = random.Random(2004)
+    classes = Counter()
+    for lo, hi, count in [(9, 14, 500), (15, 24, 400), (25, 40, 350), (41, 60, 250)]:
+        for _ in range(count):
+            e = _word_equation(G, a, b, _random_unimodular_word(rng, rng.randint(lo, hi)))
+            try:
+                res = normal_form_6(e, split)
+            except EquationOverFactorError:
+                with pytest.raises(EquationOverFactorError):
+                    bruteforce_min_form6(e, split)
+                continue
+            if res.kind == "length-one":
+                got = (res.length_one.m, 0)
+            else:
+                f = res.form6
+                got = (f.m, f.n)
+                assert f.side_conditions.all_pass
+                base = e.inverted() if f.sigma_inverted else e
+                assert base.refined_group().are_conjugate(f.expand(), base.refined_word())
+            assert bruteforce_min_form6(e, split) == got, e.terms
+            classes[got] += 1
+    assert sum(classes.values()) > 1_450
+    assert sum(k for (m, n), k in classes.items() if m >= 2) > 500
+    assert sum(k for (m, n), k in classes.items() if n >= 2) > 50
+    assert max(m for m, _ in classes) >= 8
 
 
 def test_normal_form_properties_on_random_equations(setup, rng):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from groupeq import up
 from groupeq.backends import (
+    DirectProductGroup,
     FoursGroup,
     FreeAbelianGroup,
     FreeGroup,
@@ -555,10 +556,11 @@ def _sorted_atoms(group, radius, gens=None):
 
 def _reference_search(group, radius, maxsize, gens=None):
     """Every symmetric subset, size by size, identity-free subsets first,
-    atom subsets in lexicographic order, each checked by the naive census."""
+    atom subsets in lexicographic order, each checked by the naive census;
+    no size past the ball's."""
     ball, identity, atoms = _sorted_atoms(group, radius, gens)
     tested, exhausted = 0, []
-    for size in range(2, maxsize + 1):
+    for size in range(2, min(maxsize, len(ball)) + 1):
         for head in ((), (ball[identity],)):
             target = size - len(head)
             picks = sorted(
@@ -783,7 +785,7 @@ def _sized_search(group, radius, maxsize, gens=None):
     each family from an empty set, atoms in sort-key order, with the
     settled cut on product counts, each element added to an asymmetric
     census on its own, and cut subtrees counted by atom sizes; no
-    deadline."""
+    deadline and no size past the ball's."""
     census = ProductCensus(group, radius, gens, symmetric=False)
     ball, _, atoms = _sorted_atoms(group, radius, gens)
     at = {x: i for i, x in enumerate(census.ball)}
@@ -816,7 +818,7 @@ def _sized_search(group, radius, maxsize, gens=None):
                 census.remove((i,))
         return False
 
-    for size in range(2, maxsize + 1):
+    for size in range(2, min(maxsize, len(census.ball)) + 1):
         for with_ident in (False, True):
             census.clear()
             if with_ident:
@@ -1082,6 +1084,68 @@ def test_mirror_cells_hold_the_inverse_products(name):
     ]
 
 
+def _inv_fill(group, ball, symmetric):
+    """The census fill that numbered each new product's inverse with
+    `_inv`: (rows, labels, products by number, count of labels)."""
+    payloads = [x.payload for x in ball]
+    mul, inv = group._mul, group._inv
+    position = {p: i for i, p in enumerate(payloads)}
+    flip = [position[inv(p)] for p in payloads]
+    number, opp, label, classes = {}, [], [], 0
+    mirror = label if symmetric else opp
+    rows = [[0] * len(ball) for _ in ball]
+    for i, x in enumerate(payloads):
+        for m in range(i, len(ball)):
+            p = mul(x, payloads[flip[m]])
+            k = number.get(p)
+            if k is None:
+                k = number[p] = len(opp)
+                q = number.setdefault(inv(p), k + 1)
+                if q > k:
+                    classes += 1
+                    opp += (q, k)
+                    label += (classes, classes) if symmetric else (k, q)
+                else:
+                    opp.append(k)
+                    label.append(0 if symmetric else k)
+            rows[i][flip[m]] = label[k]
+            rows[m][flip[i]] = mirror[k]
+    return rows, label, list(number), classes + 1 if symmetric else len(opp)
+
+
+# every backend, with a pool its seeded generating sets are drawn from
+_FILL_BACKENDS = {
+    "finite(9)": (lambda: cyclic_group(9), lambda g: g.elements()),
+    "klein": (klein_four_group, lambda g: g.elements()),
+    "s3-table": (lambda: table_from_group(PermutationGroup(3)), lambda g: g.elements()),
+    "perm(4)": (lambda: PermutationGroup(4), lambda g: g.elements()),
+    "free(a, b)": (lambda: FreeGroup(("a", "b")), lambda g: g.ball(2)),
+    "zn(2)": (lambda: FreeAbelianGroup(2), lambda g: g.ball(2)),
+    "fours": (FoursGroup, lambda g: g.ball(2)),
+    "free(a) * zn(1)": (lambda: FreeProductGroup((FreeGroup(("a",)), FreeAbelianGroup(1))), lambda g: g.ball(2)),
+    "finite(3) x zn(1)": (lambda: DirectProductGroup((cyclic_group(3), FreeAbelianGroup(1))), lambda g: g.ball(2)),
+    "zn(2)/<(2, 4)>": (lambda: QuotientFreeAbelianGroup(FreeAbelianGroup(2), (2, 4)), lambda g: g.ball(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FILL_BACKENDS))
+def test_mirror_fill_matches_the_inv_fill(name):
+    # numbering a new product's inverse off its mirror cell, x_m x_i^-1,
+    # gives the tables, labels and product numbers the `_inv` fill gave,
+    # in both modes, over the group's own generators and seeded ones
+    make, pool = _FILL_BACKENDS[name]
+    group = make()
+    elements = sorted((x for x in pool(group) if not x.is_identity), key=group.sort_key)
+    rng = random.Random(name)
+    cases = [(None, 3)] + [(rng.sample(elements, rng.randint(1, 3)), rng.randint(1, 3)) for _ in range(5)]
+    for gens, radius in cases:
+        for symmetric in (False, True):
+            census = ProductCensus(group, radius, gens, symmetric=symmetric)
+            rows, label, products, labels = _inv_fill(group, census.ball, symmetric)
+            assert census.rows == rows and census.label == label
+            assert census.products == products and len(census.empty) == labels
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     name=st.sampled_from(sorted(_COUNTING_GROUPS)),
@@ -1198,14 +1262,15 @@ def test_radius_4_exhaustion_finds_no_symmetric_witness():
 
 
 def test_no_witness_count_caps_ways_at_the_ball(monkeypatch):
-    # ball(1) holds 5 elements, so a larger --max-size counts no more subsets
+    # ball(1) holds 5 elements, so a larger --max-size counts no more
+    # subsets and lists no more sizes
     tops = []
     ways = ProductCensus.ways
     monkeypatch.setattr(ProductCensus, "ways", lambda self, top: tops.append(top) or ways(self, top))
     res = search_nonup_witness(FoursGroup(), 1, 100_000)
     assert tops and max(tops) <= 5
     assert res.subsets_tested == search_nonup_witness(FoursGroup(), 1, 5).subsets_tested == 6
-    assert res.sizes_exhausted == tuple(range(2, 100_001))
+    assert res.sizes_exhausted == (2, 3, 4, 5)
 
 
 def test_fail_first_order_cuts_a_stream_search_below_far_first(monkeypatch):
@@ -1249,8 +1314,8 @@ def test_deadline_before_the_identity_pass_drops_its_witness(monkeypatch):
     assert search_nonup_witness(group, 2, 8, gens).found
     assert clock.readings == 4  # the start, the first pass's two walk checks and the second's
     monkeypatch.setattr(up, "time", _StepClock(jump=3))
-    res = search_nonup_witness(group, 2, 8, gens)
-    assert res == WitnessSearchResult(None, False, (), tuple(range(2, 9)), 0)
+    res = search_nonup_witness(group, 2, 8, gens)  # ball(2) holds 5 elements
+    assert res == WitnessSearchResult(None, False, (), (2, 3, 4, 5), 0)
 
 
 # ---------------------------------------------------------------------------
